@@ -10,12 +10,7 @@ exhaustive reference oracles are exported alongside.
 """
 
 from .atfree import AtWitness, find_asteroidal_triple, is_at_free
-from .close_to import (
-    close_family_bound_check,
-    close_to,
-    close_to_run,
-    nested_component_meet,
-)
+from .close_to import close_to
 from .errors import InternalConsistencyError, NoSeparatorError
 from .graph_core import (
     ComponentPartition,
@@ -33,16 +28,10 @@ from .graph_core import (
     neighborhood,
     subdivide,
 )
-from .min_safe_sep import (
-    QueryInstance,
-    SafeSeparatorAnswer,
-    build_contracted_instance,
-    min_safe_separator,
-)
+from .min_safe_sep import QueryInstance, SafeSeparatorAnswer, min_safe_separator
 from .min_weight_separator import min_weight_st_separator, vertex_connectivity_st
 from .minimal_separators import (
     close_separator,
-    component_order_leq,
     is_AB_separator,
     is_minimal_AB_separator,
     is_minimal_st_separator,
@@ -51,13 +40,11 @@ from .minimal_separators import (
     merge_into_source,
 )
 from .oracle import (
-    GeneratorSpec,
     SubsetCapError,
     close_family_brute,
     enumerate_minimal_st_separators,
     gen_atfree_rejection,
     gen_interval,
-    generate,
     min_safe_brute,
     sample_terminals,
     two_dcs_brute,
@@ -68,7 +55,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AtWitness",
     "ComponentPartition",
-    "GeneratorSpec",
     "InternalConsistencyError",
     "NoSeparatorError",
     "QueryInstance",
@@ -77,15 +63,11 @@ __all__ = [
     "WeightedGraph",
     "add_edges_from",
     "bfs_path",
-    "build_contracted_instance",
-    "close_family_bound_check",
     "close_family_brute",
     "close_separator",
     "close_to",
-    "close_to_run",
     "closed_neighborhood",
     "component_of",
-    "component_order_leq",
     "components",
     "contract_connected_set",
     "contract_edge",
@@ -94,7 +76,6 @@ __all__ = [
     "find_asteroidal_triple",
     "gen_atfree_rejection",
     "gen_interval",
-    "generate",
     "induced_delete",
     "is_AB_separator",
     "is_at_free",
@@ -108,7 +89,6 @@ __all__ = [
     "min_safe_separator",
     "min_weight_st_separator",
     "neighborhood",
-    "nested_component_meet",
     "sample_terminals",
     "subdivide",
     "two_dcs_brute",

@@ -23,7 +23,6 @@ import json
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .atfree import find_asteroidal_triple
 from .close_to import close_to
@@ -202,6 +201,13 @@ def _answer_payload(status, separator=None, weight=None, family=None, started=No
     }
 
 
+def _emit_family(args, family, started) -> int:
+    lines = [f"family {len(family)}"]
+    lines.extend(" ".join(map(str, sorted(S))) if S else "(empty)" for S in family)
+    _emit(args, _answer_payload("ok", family=family, started=started), lines)
+    return EXIT_OK
+
+
 def _cmd_check_atfree(args) -> int:
     g, _ = parse_graph(_read_document(args.file))
     started = time.perf_counter()
@@ -253,10 +259,7 @@ def _cmd_close_to(args) -> int:
         family = close_to(g, args.s, args.t, A, verified=not args.fast)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    lines = [f"family {len(family)}"]
-    lines.extend(" ".join(map(str, sorted(S))) if S else "(empty)" for S in family)
-    _emit(args, _answer_payload("ok", family=family, started=started), lines)
-    return EXIT_OK
+    return _emit_family(args, family, started)
 
 
 def _cmd_min_sep(args) -> int:
@@ -284,10 +287,7 @@ def _cmd_enum_minimal(args) -> int:
         family = enumerate_minimal_st_separators(g, args.s, args.t)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    lines = [f"family {len(family)}"]
-    lines.extend(" ".join(map(str, sorted(S))) if S else "(empty)" for S in family)
-    _emit(args, _answer_payload("ok", family=family, started=started), lines)
-    return EXIT_OK
+    return _emit_family(args, family, started)
 
 
 def _cmd_gen(args) -> int:
@@ -333,6 +333,9 @@ def _cmd_verify(args) -> int:
         raise UsageError("verify needs n <= 12 so the oracle stays feasible")
     tasks = [(seed, args.n, args.wmax) for seed in range(args.seeds)]
     if args.workers > 1:
+        # Imported here: only a pooled batch pays for loading the module.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_verify_one, tasks))
     else:
@@ -371,13 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--A", required=True, help="named set or vertex ids")
     p.add_argument("--B", required=True, help="named set or vertex ids")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--fast", action="store_true", help="skip the AT-free check")
-    mode.add_argument(
-        "--verified",
-        action="store_true",
-        help="check AT-freeness and structural invariants (default)",
-    )
+    p.add_argument("--fast", action="store_true", help="skip the AT-free check")
     p.set_defaults(func=_cmd_min_safe_sep)
 
     p = sub.add_parser("close-to", help="family of minimal separators close to sA")
@@ -385,9 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--A", default=None, help="named set or vertex ids (default empty)")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--fast", action="store_true", help="skip the AT-free check")
-    mode.add_argument("--verified", action="store_true", help="(default)")
+    p.add_argument("--fast", action="store_true", help="skip the AT-free check")
     p.set_defaults(func=_cmd_close_to)
 
     p = sub.add_parser("min-sep", help="minimum-weight s,t-separator")

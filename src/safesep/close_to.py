@@ -119,22 +119,15 @@ def _definition_filter(g: WeightedGraph, s, t, A: frozenset, candidates) -> tupl
 
 
 def close_to_run(g: WeightedGraph, s, t, A: Iterable[int], *, verified: bool = False) -> CloseToRun:
-    """Run the procedure and return both the filtered family and the raw
-    candidates (see :func:`close_to` for the contract)."""
-    A = frozenset(A)
-    if s == t:
-        raise ValueError("terminals must be distinct")
-    for x in (s, t):
-        if not g.has_vertex(x):
-            raise ValueError(f"terminal {x} is not an active vertex")
-    if A & {s, t}:
-        raise ValueError("A must avoid the terminals")
-    for v in A:
-        if not g.has_vertex(v):
-            raise ValueError(f"A contains inactive vertex {v}")
-    if verified and not is_at_free(g):
-        raise ValueError("input graph is not AT-free")
+    """The procedure behind :func:`close_to`, returning both the filtered
+    family and the raw candidates.
 
+    Trusts its input: s and t must be distinct active vertices, A a set of
+    active vertices avoiding both, and g AT-free.  Nothing here checks that;
+    :func:`close_to` does.  ``verified=True`` only asserts the
+    component-neighborhood chain property during the run.
+    """
+    A = frozenset(A)
     sA = A | {s}
     if sA & closed_neighborhood(g, (t,)):
         return CloseToRun(family=(), raw_candidates=())
@@ -220,11 +213,26 @@ def close_to(g: WeightedGraph, s, t, A: Iterable[int], *, verified: bool = False
     """The family of all minimal s,t-separators close to sA, in lexicographic
     order.
 
-    ``verified=True`` additionally checks that g is AT-free and asserts the
+    Raises ValueError unless s and t are distinct active vertices and A is a
+    set of active vertices avoiding both.  ``verified=True`` additionally
+    checks that g is AT-free (ValueError otherwise) and asserts the
     component-neighborhood chain property during the run; fast mode skips
     both (the correctness guarantee then rests on the caller supplying an
-    AT-free graph).
+    AT-free graph).  The checked query runs through :func:`close_to_run`.
     """
+    A = frozenset(A)
+    if s == t:
+        raise ValueError("terminals must be distinct")
+    for x in (s, t):
+        if not g.has_vertex(x):
+            raise ValueError(f"terminal {x} is not an active vertex")
+    if A & {s, t}:
+        raise ValueError("A must avoid the terminals")
+    for v in A:
+        if not g.has_vertex(v):
+            raise ValueError(f"A contains inactive vertex {v}")
+    if verified and not is_at_free(g):
+        raise ValueError("input graph is not AT-free")
     return close_to_run(g, s, t, A, verified=verified).family
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, Optional
 
 from .atfree import is_at_free
-from .close_to import close_to
+from .close_to import close_to_run
 from .errors import InternalConsistencyError
 from .graph_core import (
     WeightedGraph,
@@ -40,16 +40,17 @@ from .graph_core import (
     neighborhood,
 )
 from .min_weight_separator import min_weight_st_separator
-from .minimal_separators import (
-    is_minimal_AB_separator,
-    is_minimal_st_separator,
-    is_safe_AB_separator,
-)
+from .minimal_separators import is_minimal_AB_separator, is_safe_AB_separator
 
 
 @dataclass(frozen=True)
 class QueryInstance:
-    """A safe-separator query: a weighted graph and the two terminal sets."""
+    """A safe-separator query: a weighted graph and the two terminal sets.
+
+    The one place a query is checked: both sets must be non-empty, disjoint
+    and made of active vertices, or construction raises ValueError.  Sets
+    that are merely adjacent are a valid query whose answer is NONE.
+    """
 
     graph: WeightedGraph
     A: FrozenSet[int]
@@ -60,6 +61,8 @@ class QueryInstance:
         object.__setattr__(self, "B", frozenset(self.B))
         if not self.A or not self.B:
             raise ValueError("terminal sets must be non-empty")
+        if self.A & self.B:
+            raise ValueError("terminal sets must be disjoint")
         for v in self.A | self.B:
             if not self.graph.has_vertex(v):
                 raise ValueError(f"terminal {v} is not an active vertex")
@@ -85,19 +88,14 @@ def build_contracted_instance(g: WeightedGraph, s, t, S_A, S_B) -> WeightedGraph
     """Contract the settled A-side C_s(G-S_A) into s and the settled B-side
     C_t(G-S_B) into t, for a qualifying pair of minimal s,t-separators.
 
-    Qualifying means C_s(G-S_A) is contained in C_s(G-S_B), checked here via
-    the equivalent subset test S_A <= S_B | C_s(G-S_B).  The two contracted
-    sides are then disjoint and non-adjacent, so s and t stay non-adjacent in
-    the result; any minimum-weight s,t-separator of the result, together with
-    the vertices deleted beforehand, is a safe-separator candidate.
+    Qualifying means C_s(G-S_A) is contained in C_s(G-S_B), equivalently
+    S_A <= S_B | C_s(G-S_B).  The caller guarantees both: the pair members
+    come from close families, whose members are proved minimal, and the pair
+    loop tests the qualifying condition.  The two contracted sides are then
+    disjoint and non-adjacent, so s and t stay non-adjacent in the result;
+    any minimum-weight s,t-separator of the result, together with the
+    vertices deleted beforehand, is a safe-separator candidate.
     """
-    S_A = frozenset(S_A)
-    S_B = frozenset(S_B)
-    for S in (S_A, S_B):
-        if not is_minimal_st_separator(g, s, t, S):
-            raise ValueError("both pair members must be minimal s,t-separators")
-    if not S_A <= S_B | component_of(g, S_B, s):
-        raise ValueError("pair does not qualify: A-side of S_A exceeds A-side of S_B")
     c_sA = component_of(g, S_A, s)
     c_tB = component_of(g, S_B, t)
     h = contract_connected_set(g, s, c_sA - {s})
@@ -112,11 +110,15 @@ def build_contracted_instance(g: WeightedGraph, s, t, S_A, S_B) -> WeightedGraph
 def min_safe_separator(q: QueryInstance, *, verified: bool = False) -> SafeSeparatorAnswer:
     """Minimum-weight safe A,B-separator of q.graph, or the NONE answer.
 
-    Ties are broken toward the lexicographically smallest vertex tuple.
-    ``verified=True`` checks that the graph is AT-free and keeps the
-    structural invariant checks on during the close-family computations;
-    fast mode assumes AT-freeness.  Raises InternalConsistencyError if the
-    computed winner fails validation against the safety definition.
+    Each qualifying close-family pair yields one minimum cut; among these
+    candidates the smallest (weight, sorted vertex tuple) wins.  The answer
+    is therefore a deterministic safe separator of minimum weight, but not
+    necessarily the lexicographically smallest of all minimum-weight safe
+    separators.  ``verified=True`` checks once that the graph is AT-free and
+    keeps the structural invariant checks on during the close-family
+    computations; fast mode assumes AT-freeness.  Raises ValueError on a
+    disconnected graph, and InternalConsistencyError if the computed winner
+    fails validation against the safety definition.
     """
     g, A, B = q.graph, q.A, q.B
     if not is_connected(g):
@@ -124,16 +126,18 @@ def min_safe_separator(q: QueryInstance, *, verified: bool = False) -> SafeSepar
     if verified and not is_at_free(g):
         raise ValueError("input graph is not AT-free")
     if A & closed_neighborhood(g, B):
-        # A touches B or its neighborhood: any deletion avoiding both sets
-        # leaves some a,b in one component.
+        # A is adjacent to B: any deletion avoiding both sets leaves some
+        # a,b in one component.
         return SafeSeparatorAnswer.none()
 
     R = neighborhood(g, A) & neighborhood(g, B)
     g2 = induced_delete(g, R)
     s, t = min(A), min(B)
 
-    family_A = close_to(g2, s, t, A - {s}, verified=verified)
-    family_B = close_to(g2, t, s, B - {t}, verified=verified)
+    # QueryInstance has checked the terminals, and g2 is an induced subgraph
+    # of g, so it is AT-free whenever g is: the close families run unchecked.
+    family_A = close_to_run(g2, s, t, A - {s}, verified=verified).family
+    family_B = close_to_run(g2, t, s, B - {t}, verified=verified).family
 
     best = None
     for S_B in family_B:

@@ -8,15 +8,14 @@ overridable through the SAFESEP_SUBSET_CAP environment variable) instead of
 silently taking forever.
 
 The generators produce weighted test instances: interval graphs (AT-free by
-construction, scalable), small random AT-free graphs by rejection, and a few
-fixed shapes.  All are deterministic functions of their seed.
+construction, scalable) and small random AT-free graphs by rejection.  Both
+are deterministic functions of their seed.
 """
 
 from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass
 from itertools import combinations
 from typing import FrozenSet, Iterable, Tuple
 
@@ -33,14 +32,6 @@ from .min_safe_sep import SafeSeparatorAnswer
 from .minimal_separators import is_minimal_st_separator, is_safe_AB_separator
 
 DEFAULT_SUBSET_CAP = 16
-
-GENERATOR_FAMILIES = (
-    "interval",
-    "random-atfree-rejection",
-    "path",
-    "cycle",
-    "clique-minus-matching",
-)
 
 
 class SubsetCapError(RuntimeError):
@@ -112,8 +103,10 @@ def close_family_brute(g: WeightedGraph, s, t, A: Iterable[int]) -> Tuple[Frozen
 def min_safe_brute(g: WeightedGraph, A: Iterable[int], B: Iterable[int]) -> SafeSeparatorAnswer:
     """Minimum-weight safe A,B-separator by scanning every candidate subset.
 
-    Ties break toward the lexicographically smallest vertex tuple, matching
-    the fast implementation.
+    Ties break toward the lexicographically smallest vertex tuple.  The
+    polynomial ``min_safe_separator`` breaks ties differently, so the two
+    agree on the weight and existence of an answer, not necessarily on the
+    set.
     """
     A = frozenset(A)
     B = frozenset(B)
@@ -160,26 +153,6 @@ def two_dcs_brute(g: WeightedGraph, A: Iterable[int], B: Iterable[int]) -> bool:
         if B <= component_of(g, v_a, b0):
             return True
     return False
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Recipe for one deterministic test instance."""
-
-    family: str
-    n: int
-    wmax: int = 1
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.family not in GENERATOR_FAMILIES:
-            raise ValueError(
-                f"unknown family {self.family!r}; choose from {GENERATOR_FAMILIES}"
-            )
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if self.wmax < 1:
-            raise ValueError("wmax must be at least 1")
 
 
 def _random_weights(n: int, wmax: int, rng: random.Random) -> tuple:
@@ -244,44 +217,6 @@ def gen_atfree_rejection(n: int, wmax: int = 1, seed: int = 0) -> WeightedGraph:
         g = WeightedGraph(n, _random_connected_graph(n, rng), _random_weights(n, wmax, rng))
         if is_at_free(g):
             return g
-
-
-def _gen_path(n: int, wmax: int, seed: int) -> WeightedGraph:
-    rng = random.Random(f"path:{n}:{wmax}:{seed}")
-    edges = [(i, i + 1) for i in range(n - 1)]
-    return WeightedGraph(n, edges, _random_weights(n, wmax, rng))
-
-
-def _gen_cycle(n: int, wmax: int, seed: int) -> WeightedGraph:
-    if n < 3:
-        raise ValueError("a cycle needs at least 3 vertices")
-    rng = random.Random(f"cycle:{n}:{wmax}:{seed}")
-    edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
-    return WeightedGraph(n, edges, _random_weights(n, wmax, rng))
-
-
-def _gen_clique_minus_matching(n: int, wmax: int, seed: int) -> WeightedGraph:
-    """Complete graph minus the matching (0,1), (2,3), ...: stays AT-free
-    because no three vertices are pairwise non-adjacent."""
-    rng = random.Random(f"clique-minus-matching:{n}:{wmax}:{seed}")
-    matched = {(2 * i, 2 * i + 1) for i in range(n // 2)}
-    edges = [(u, v) for u, v in combinations(range(n), 2) if (u, v) not in matched]
-    return WeightedGraph(n, edges, _random_weights(n, wmax, rng))
-
-
-def generate(spec: GeneratorSpec) -> WeightedGraph:
-    """Build the instance a GeneratorSpec describes."""
-    if spec.family == "interval":
-        return gen_interval(spec.n, spec.wmax, spec.seed)
-    if spec.family == "random-atfree-rejection":
-        return gen_atfree_rejection(spec.n, spec.wmax, spec.seed)
-    if spec.family == "path":
-        return _gen_path(spec.n, spec.wmax, spec.seed)
-    if spec.family == "cycle":
-        return _gen_cycle(spec.n, spec.wmax, spec.seed)
-    if spec.family == "clique-minus-matching":
-        return _gen_clique_minus_matching(spec.n, spec.wmax, spec.seed)
-    raise AssertionError(f"unhandled family {spec.family!r}")
 
 
 def sample_terminals(g: WeightedGraph, rng: random.Random, max_size: int = 3, tries: int = 200):

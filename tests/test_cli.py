@@ -174,14 +174,22 @@ class TestMinSafeSep:
         assert code == 64
         assert "usage error" in err
 
-    def test_fast_and_verified_are_mutually_exclusive(self, capsys, tmp_path):
+    def test_verified_flag_is_a_usage_error(self, capsys, tmp_path):
+        # verified mode is the default; there is no flag to ask for it
         path = write_doc(tmp_path, P5_DOC)
         code, _, err = run_cli(
-            capsys,
-            "min-safe-sep", path, "--A", "0", "--B", "4", "--fast", "--verified",
+            capsys, "min-safe-sep", path, "--A", "0", "--B", "4", "--verified"
         )
         assert code == 64
         assert "usage error" in err
+
+    def test_overlapping_sides_are_a_usage_error(self, capsys, tmp_path):
+        path = write_doc(tmp_path, P5_DOC)
+        code, _, err = run_cli(
+            capsys, "min-safe-sep", path, "--A", "0,1", "--B", "1,4"
+        )
+        assert code == 64
+        assert "disjoint" in err
 
     def test_unknown_set_name_is_a_usage_error(self, capsys, tmp_path):
         path = write_doc(tmp_path, P5_DOC)

@@ -7,15 +7,19 @@ import pytest
 from safesep import (
     InternalConsistencyError,
     WeightedGraph,
-    close_family_bound_check,
     close_to,
-    close_to_run,
     component_of,
     gen_atfree_rejection,
     gen_interval,
     is_minimal_st_separator,
 )
-from safesep.close_to import NO_CONSTRAINT, chain_checks_run, nested_component_meet
+from safesep.close_to import (
+    NO_CONSTRAINT,
+    chain_checks_run,
+    close_family_bound_check,
+    close_to_run,
+    nested_component_meet,
+)
 from safesep.oracle import close_family_brute
 
 
@@ -71,6 +75,9 @@ class TestFrozenFamilies:
             close_to(g, 0, 4, {0})
         with pytest.raises(ValueError):
             close_to(g, 0, 4, {11})
+        # verified mode refuses a graph with an asteroidal triple
+        with pytest.raises(ValueError):
+            close_to(cycle_graph(6), 0, 3, set(), verified=True)
 
 
 class TestRunDetails:

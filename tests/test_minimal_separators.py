@@ -9,7 +9,6 @@ from safesep import (
     WeightedGraph,
     close_separator,
     component_of,
-    component_order_leq,
     induced_delete,
     is_AB_separator,
     is_minimal_AB_separator,
@@ -19,6 +18,7 @@ from safesep import (
     merge_into_source,
     neighborhood,
 )
+from safesep.minimal_separators import component_order_leq
 from safesep.oracle import enumerate_minimal_st_separators
 from tests.brutes import is_minimal_separator_by_deletion, separates
 from tests.strategies import graphs_with_terminals

@@ -5,13 +5,11 @@ import random
 import pytest
 
 from safesep import (
-    GeneratorSpec,
     SubsetCapError,
     WeightedGraph,
     closed_neighborhood,
     gen_atfree_rejection,
     gen_interval,
-    generate,
     is_at_free,
     is_connected,
     sample_terminals,
@@ -145,29 +143,6 @@ class TestGenerators:
             assert is_connected(g) and is_at_free(g)
         with pytest.raises(ValueError):
             gen_atfree_rejection(13)
-
-    def test_spec_dispatch(self):
-        spec = GeneratorSpec(family="interval", n=30, wmax=5, seed=4)
-        direct = gen_interval(30, wmax=5, seed=4)
-        built = generate(spec)
-        assert list(built.edges()) == list(direct.edges())
-        with pytest.raises(ValueError):
-            generate(GeneratorSpec(family="moebius", n=8))
-        with pytest.raises(ValueError):
-            GeneratorSpec(family="interval", n=0)
-        with pytest.raises(ValueError):
-            GeneratorSpec(family="interval", n=5, wmax=0)
-
-    def test_structured_families(self):
-        path = generate(GeneratorSpec(family="path", n=6, seed=1))
-        assert path.edge_count == 5 and all(len(path.neighbors(v)) <= 2 for v in path.vertices)
-        cycle = generate(GeneratorSpec(family="cycle", n=6, seed=1))
-        assert cycle.edge_count == 6 and all(len(cycle.neighbors(v)) == 2 for v in cycle.vertices)
-        dense = generate(GeneratorSpec(family="clique-minus-matching", n=8, seed=1))
-        assert dense.edge_count == 8 * 7 // 2 - 4
-        assert is_at_free(path) and is_at_free(dense)
-        # long cycles are the canonical graphs with an asteroidal triple
-        assert not is_at_free(cycle)
 
 
 class TestTerminalSampling:
