@@ -235,10 +235,7 @@ def _cmd_min_safe_sep(args) -> int:
     A = _resolve_set(args.A, named, "--A")
     B = _resolve_set(args.B, named, "--B")
     started = time.perf_counter()
-    try:
-        answer = min_safe_separator(QueryInstance(g, A, B), verified=not args.fast)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    answer = min_safe_separator(QueryInstance(g, A, B), verified=not args.fast)
     if not answer.exists:
         _emit(args, _answer_payload("none", started=started), ["none"])
         return EXIT_NONE
@@ -255,10 +252,7 @@ def _cmd_close_to(args) -> int:
     g, named = parse_graph(_read_document(args.file))
     A = _resolve_set(args.A, named, "--A") if args.A is not None else frozenset()
     started = time.perf_counter()
-    try:
-        family = close_to(g, args.s, args.t, A, verified=not args.fast)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    family = close_to(g, args.s, args.t, A, verified=not args.fast)
     return _emit_family(args, family, started)
 
 
@@ -267,8 +261,6 @@ def _cmd_min_sep(args) -> int:
     started = time.perf_counter()
     try:
         sep, weight = min_weight_st_separator(g, args.s, args.t)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     except NoSeparatorError:
         _emit(args, _answer_payload("none", started=started), ["none"])
         return EXIT_NONE
@@ -283,10 +275,7 @@ def _cmd_min_sep(args) -> int:
 def _cmd_enum_minimal(args) -> int:
     g, _ = parse_graph(_read_document(args.file))
     started = time.perf_counter()
-    try:
-        family = enumerate_minimal_st_separators(g, args.s, args.t)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    family = enumerate_minimal_st_separators(g, args.s, args.t)
     return _emit_family(args, family, started)
 
 

@@ -44,40 +44,27 @@ from .minimal_separators import close_separator, is_minimal_st_separator, merge_
 # empty intersection.
 NO_CONSTRAINT = None
 
-# Counters so test harnesses can confirm the chain verification actually ran.
-_chain_stats = {"checked": 0}
 
-
-def chain_checks_run() -> int:
-    return _chain_stats["checked"]
-
-
-def nested_component_meet(g: WeightedGraph, T_s: Iterable[int], targets, *, verify: bool = False):
+def nested_component_meet(g: WeightedGraph, T_s: Iterable[int], targets):
     """Intersection of the component neighborhoods N(C_i) over the targets.
 
     On AT-free inputs the neighborhoods of the non-source components of
-    G - T_s form a chain under inclusion, so the intersection equals the
-    smallest of them; ``verify`` asserts the chain.  Empty ``targets`` yields
-    the NO_CONSTRAINT sentinel (the caller then runs its loop once,
-    unconstrained).
+    G - T_s form a chain under inclusion, so the intersection is the smallest
+    of them.  The chain is checked on every call, as the neighborhoods are at
+    hand anyway: a broken chain proves the input is not AT-free and raises
+    InternalConsistencyError.  Empty ``targets`` yields the NO_CONSTRAINT
+    sentinel (the caller then runs its loop once, unconstrained).
     """
-    targets = list(targets)
     if not targets:
         return NO_CONSTRAINT
-    nbrs = [neighborhood(g, C) for C in targets]
-    if verify:
-        _chain_stats["checked"] += 1
-        ordered = sorted(nbrs, key=len)
-        for small, big in zip(ordered, ordered[1:]):
-            if not small <= big:
-                raise InternalConsistencyError(
-                    "component neighborhoods under T_s do not form a chain; "
-                    "the input graph cannot be AT-free"
-                )
-    meet = nbrs[0]
-    for nb in nbrs[1:]:
-        meet &= nb
-    return meet
+    ordered = sorted((neighborhood(g, C) for C in targets), key=len)
+    for small, big in zip(ordered, ordered[1:]):
+        if not small <= big:
+            raise InternalConsistencyError(
+                "component neighborhoods under T_s do not form a chain; "
+                "the input graph cannot be AT-free"
+            )
+    return ordered[0]
 
 
 @dataclass(frozen=True)
@@ -118,14 +105,14 @@ def _definition_filter(g: WeightedGraph, s, t, A: frozenset, candidates) -> tupl
     return family_sorted(kept)
 
 
-def close_to_run(g: WeightedGraph, s, t, A: Iterable[int], *, verified: bool = False) -> CloseToRun:
+def close_to_run(g: WeightedGraph, s, t, A: Iterable[int]) -> CloseToRun:
     """The procedure behind :func:`close_to`, returning both the filtered
     family and the raw candidates.
 
     Trusts its input: s and t must be distinct active vertices, A a set of
     active vertices avoiding both, and g AT-free.  Nothing here checks that;
-    :func:`close_to` does.  ``verified=True`` only asserts the
-    component-neighborhood chain property during the run.
+    :func:`close_to` does.  The component-neighborhood chain is checked on
+    every run (see :func:`nested_component_meet`).
     """
     A = frozenset(A)
     sA = A | {s}
@@ -153,7 +140,7 @@ def close_to_run(g: WeightedGraph, s, t, A: Iterable[int], *, verified: bool = F
     parts = components(gp, T_s)
     c_t_ts = parts.of(t)
     targets = [C for C in parts if C & A and s not in C and t not in C]
-    s_star = nested_component_meet(gp, T_s, targets, verify=verified)
+    s_star = nested_component_meet(gp, T_s, targets)
 
     a_core = A & (c_s_ts | T_s | c_t_ts)
     anchors = [None] if s_star is NO_CONSTRAINT else sorted(s_star)
@@ -215,10 +202,12 @@ def close_to(g: WeightedGraph, s, t, A: Iterable[int], *, verified: bool = False
 
     Raises ValueError unless s and t are distinct active vertices and A is a
     set of active vertices avoiding both.  ``verified=True`` additionally
-    checks that g is AT-free (ValueError otherwise) and asserts the
-    component-neighborhood chain property during the run; fast mode skips
-    both (the correctness guarantee then rests on the caller supplying an
-    AT-free graph).  The checked query runs through :func:`close_to_run`.
+    scans g once for an asteroidal triple (ValueError if it has one); fast
+    mode skips the scan, and the correctness guarantee then rests on the
+    caller supplying an AT-free graph.  Both modes check the
+    component-neighborhood chain during the run and raise
+    InternalConsistencyError when it breaks.  The checked query runs through
+    :func:`close_to_run`.
     """
     A = frozenset(A)
     if s == t:
@@ -233,22 +222,4 @@ def close_to(g: WeightedGraph, s, t, A: Iterable[int], *, verified: bool = False
             raise ValueError(f"A contains inactive vertex {v}")
     if verified and not is_at_free(g):
         raise ValueError("input graph is not AT-free")
-    return close_to_run(g, s, t, A, verified=verified).family
-
-
-def close_family_bound_check(g: WeightedGraph, s, t, A: Iterable[int], fam) -> bool:
-    """True iff the family respects the size guarantees: at most n^2 members
-    always, and at most n whenever A is confined to
-    C_s(G-T_s) | T_s | C_t(G-T_s)."""
-    A = frozenset(A)
-    n = len(g.vertices)
-    if len(fam) > n * n:
-        return False
-    try:
-        T_s = close_separator(g, (s,), t)
-    except NoSeparatorError:
-        return True
-    confined = A <= component_of(g, T_s, s) | T_s | component_of(g, T_s, t)
-    if confined and len(fam) > n:
-        return False
-    return True
+    return close_to_run(g, s, t, A).family

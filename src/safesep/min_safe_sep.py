@@ -16,10 +16,11 @@ taking a minimum-weight s,t-separator in between.  The best candidate over
 all qualifying pairs, plus R, is the answer.
 
 On graphs that are not AT-free the close families can be wrong, so only the
-``verified`` mode (which checks AT-freeness and the structural invariants,
-and is slower) guarantees an answer on arbitrary inputs; fast mode trusts the
-caller.  Either way the winner is validated against the safety and minimality
-definitions on the original graph before it is returned.
+``verified`` mode, which first scans the graph for an asteroidal triple,
+guarantees an answer on arbitrary inputs; fast mode skips the scan and
+trusts the caller.  Every other check runs in both modes, and the winner is
+validated against the safety and minimality definitions on the original
+graph before it is returned.
 """
 
 from __future__ import annotations
@@ -114,11 +115,15 @@ def min_safe_separator(q: QueryInstance, *, verified: bool = False) -> SafeSepar
     candidates the smallest (weight, sorted vertex tuple) wins.  The answer
     is therefore a deterministic safe separator of minimum weight, but not
     necessarily the lexicographically smallest of all minimum-weight safe
-    separators.  ``verified=True`` checks once that the graph is AT-free and
-    keeps the structural invariant checks on during the close-family
-    computations; fast mode assumes AT-freeness.  Raises ValueError on a
-    disconnected graph, and InternalConsistencyError if the computed winner
-    fails validation against the safety definition.
+    separators.  ``verified=True`` scans the graph once for an asteroidal
+    triple and raises ValueError if it finds one; fast mode skips the scan.
+    Raises ValueError on a disconnected graph.  InternalConsistencyError
+    means an internal check failed: the close-family chain, the contracted
+    terminals or the validation of the winner against the safety definition.
+    On an AT-free graph none of them fails.  In fast mode on a graph with an
+    asteroidal triple nothing is guaranteed beyond three outcomes: a NONE
+    (possibly wrong), a safe minimal separator (possibly not of minimum
+    weight), or this error.
     """
     g, A, B = q.graph, q.A, q.B
     if not is_connected(g):
@@ -135,9 +140,9 @@ def min_safe_separator(q: QueryInstance, *, verified: bool = False) -> SafeSepar
     s, t = min(A), min(B)
 
     # QueryInstance has checked the terminals, and g2 is an induced subgraph
-    # of g, so it is AT-free whenever g is: the close families run unchecked.
-    family_A = close_to_run(g2, s, t, A - {s}, verified=verified).family
-    family_B = close_to_run(g2, t, s, B - {t}, verified=verified).family
+    # of g, so it is AT-free whenever g is: the close families need no scan.
+    family_A = close_to_run(g2, s, t, A - {s}).family
+    family_B = close_to_run(g2, t, s, B - {t}).family
 
     best = None
     for S_B in family_B:

@@ -155,12 +155,3 @@ def merge_into_source(g: WeightedGraph, s, A: Iterable[int]) -> WeightedGraph:
     if not A:
         return g
     return add_edges_from(g, s, closed_neighborhood(g, A) - {s})
-
-
-def component_order_leq(g: WeightedGraph, s, t, S: Iterable[int], T: Iterable[int]) -> bool:
-    """True iff C_s(G-S) is contained in C_s(G-T); for minimal separators this
-    is equivalent to the cheaper subset test S <= T | C_s(G-T)."""
-    S, T = frozenset(S), frozenset(T)
-    if not is_minimal_st_separator(g, s, t, S) or not is_minimal_st_separator(g, s, t, T):
-        raise ValueError("S and T must be minimal s,t-separators")
-    return S <= T | component_of(g, T, s)

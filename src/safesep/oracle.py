@@ -5,7 +5,8 @@ subsets and apply the definitions directly, so they are usable as ground
 truth against the polynomial algorithms on small instances.  Subset scans
 refuse to run once the ground set exceeds a cap (default 16 vertices,
 overridable through the SAFESEP_SUBSET_CAP environment variable) instead of
-silently taking forever.
+silently taking forever.  ``close_family_bound_check`` tests a computed close
+family against the size bounds the algorithm promises.
 
 The generators produce weighted test instances: interval graphs (AT-free by
 construction, scalable) and small random AT-free graphs by rejection.  Both
@@ -20,6 +21,7 @@ from itertools import combinations
 from typing import FrozenSet, Iterable, Tuple
 
 from .atfree import is_at_free
+from .errors import NoSeparatorError
 from .graph_core import (
     WeightedGraph,
     closed_neighborhood,
@@ -29,7 +31,7 @@ from .graph_core import (
     is_connected,
 )
 from .min_safe_sep import SafeSeparatorAnswer
-from .minimal_separators import is_minimal_st_separator, is_safe_AB_separator
+from .minimal_separators import close_separator, is_minimal_st_separator, is_safe_AB_separator
 
 DEFAULT_SUBSET_CAP = 16
 
@@ -98,6 +100,22 @@ def close_family_brute(g: WeightedGraph, s, t, A: Iterable[int]) -> Tuple[Frozen
         if not any(other < c_s for T, other in with_side if T != S)
     ]
     return family_sorted(kept)
+
+
+def close_family_bound_check(g: WeightedGraph, s, t, A: Iterable[int], fam) -> bool:
+    """True iff the family respects the size guarantees: at most n^2 members
+    always, and at most n whenever A is confined to
+    C_s(G-T_s) | T_s | C_t(G-T_s)."""
+    A = frozenset(A)
+    n = len(g.vertices)
+    if len(fam) > n * n:
+        return False
+    try:
+        T_s = close_separator(g, (s,), t)
+    except NoSeparatorError:
+        return True
+    confined = A <= component_of(g, T_s, s) | T_s | component_of(g, T_s, t)
+    return not (confined and len(fam) > n)
 
 
 def min_safe_brute(g: WeightedGraph, A: Iterable[int], B: Iterable[int]) -> SafeSeparatorAnswer:

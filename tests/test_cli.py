@@ -15,6 +15,18 @@ P5_DOC = "n=5\ne 0 1\ne 1 2\ne 2 3\ne 3 4\n"
 P5_WEIGHTED_DOC = "n=5\nw 1 5 2 9 1\ne 0 1\ne 1 2\ne 2 3\ne 3 4\n"
 C6_DOC = "n=6\ne 0 1\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 0 5\n"
 CLAW_DOC = "n=4\ne 0 1\ne 0 2\ne 0 3\nset A 1 2\nset B 3\n"
+# Asteroidal triple (0, 1, 9); the close-family chain breaks on this query.
+BROKEN_CHAIN_DOC = (
+    "n=10\nw 5 2 3 1 2 2 1 5 1 3\n"
+    + "".join(
+        f"e {u} {v}\n"
+        for u, v in [
+            (0, 4), (0, 6), (0, 7), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3),
+            (3, 4), (3, 9), (4, 8), (5, 6), (5, 7), (6, 7), (6, 8), (7, 9),
+        ]
+    )
+    + "set A 2\nset B 0 8 9\n"
+)
 
 
 def run_cli(capsys, *argv):
@@ -173,6 +185,22 @@ class TestMinSafeSep:
         )
         assert code == 64
         assert "usage error" in err
+
+    def test_broken_chain_fails_fast_mode_and_is_refused_by_default(
+        self, capsys, tmp_path
+    ):
+        path = write_doc(tmp_path, BROKEN_CHAIN_DOC)
+        code, out, err = run_cli(
+            capsys, "--json", "min-safe-sep", path, "--A", "A", "--B", "B", "--fast"
+        )
+        assert code == 70
+        assert out == ""
+        assert "internal consistency failure" in err
+        code, _, err = run_cli(
+            capsys, "--json", "min-safe-sep", path, "--A", "A", "--B", "B"
+        )
+        assert code == 64
+        assert "not AT-free" in err
 
     def test_verified_flag_is_a_usage_error(self, capsys, tmp_path):
         # verified mode is the default; there is no flag to ask for it

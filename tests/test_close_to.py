@@ -13,14 +13,8 @@ from safesep import (
     gen_interval,
     is_minimal_st_separator,
 )
-from safesep.close_to import (
-    NO_CONSTRAINT,
-    chain_checks_run,
-    close_family_bound_check,
-    close_to_run,
-    nested_component_meet,
-)
-from safesep.oracle import close_family_brute
+from safesep.close_to import NO_CONSTRAINT, close_to_run, nested_component_meet
+from safesep.oracle import close_family_bound_check, close_family_brute
 
 
 def path_graph(n):
@@ -135,22 +129,13 @@ class TestNestedComponentMeet:
 
     def test_meet_of_nested_neighborhoods(self):
         out = nested_component_meet(
-            self.hub_graph(), frozenset({1, 2, 3}), [frozenset({4})], verify=True
+            self.hub_graph(), frozenset({1, 2, 3}), [frozenset({4}), frozenset({5})]
         )
         assert out == frozenset({1, 2})
 
     def test_no_targets_means_no_constraint(self):
-        before = chain_checks_run()
-        out = nested_component_meet(self.hub_graph(), frozenset({1, 2, 3}), [], verify=True)
+        out = nested_component_meet(self.hub_graph(), frozenset({1, 2, 3}), [])
         assert out is NO_CONSTRAINT
-        assert chain_checks_run() == before
-
-    def test_counter_advances_when_verifying(self):
-        before = chain_checks_run()
-        nested_component_meet(
-            self.hub_graph(), frozenset({1, 2, 3}), [frozenset({4}), frozenset({5})], verify=True
-        )
-        assert chain_checks_run() == before + 1
 
     def test_incomparable_neighborhoods_fail_verification(self):
         # two pockets attached to disjoint halves of the boundary: their
@@ -160,9 +145,7 @@ class TestNestedComponentMeet:
         )
         targets = [frozenset({5}), frozenset({6})]
         with pytest.raises(InternalConsistencyError):
-            nested_component_meet(g, frozenset({1, 2, 3, 4}), targets, verify=True)
-        # without verification the meet is still computed
-        assert nested_component_meet(g, frozenset({1, 2, 3, 4}), targets) == frozenset()
+            nested_component_meet(g, frozenset({1, 2, 3, 4}), targets)
 
 
 class TestFamilyBounds:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from safesep import (
+    InternalConsistencyError,
     QueryInstance,
     SafeSeparatorAnswer,
     WeightedGraph,
@@ -12,6 +13,7 @@ from safesep import (
     gen_atfree_rejection,
     gen_interval,
     induced_delete,
+    is_at_free,
     is_minimal_AB_separator,
     is_safe_AB_separator,
     min_safe_separator,
@@ -19,6 +21,7 @@ from safesep import (
 )
 from safesep.min_safe_sep import build_contracted_instance
 from safesep.oracle import min_safe_brute
+from tests.brutes import random_weighted_graph
 
 
 def path_graph(n, weights=None):
@@ -27,6 +30,17 @@ def path_graph(n, weights=None):
 
 def claw():
     return WeightedGraph(4, [(0, 1), (0, 2), (0, 3)])
+
+
+def broken_chain_query():
+    """A graph with the asteroidal triple (0, 1, 9) on which the close-family
+    chain breaks.  {1, 3} is a safe separator of weight 3."""
+    edges = [
+        (0, 4), (0, 6), (0, 7), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3),
+        (3, 4), (3, 9), (4, 8), (5, 6), (5, 7), (6, 7), (6, 8), (7, 9),
+    ]
+    g = WeightedGraph(10, edges, [5, 2, 3, 1, 2, 2, 1, 5, 1, 3])
+    return QueryInstance(g, {2}, {0, 8, 9})
 
 
 class TestAnswerType:
@@ -86,6 +100,12 @@ class TestFrozenAnswers:
         g = WeightedGraph(6, [(i, (i + 1) % 6) for i in range(6)])
         with pytest.raises(ValueError):
             min_safe_separator(QueryInstance(g, {0}, {3}), verified=True)
+        with pytest.raises(ValueError):
+            min_safe_separator(broken_chain_query(), verified=True)
+
+    def test_fast_mode_reports_a_broken_chain(self):
+        with pytest.raises(InternalConsistencyError):
+            min_safe_separator(broken_chain_query())
 
     def test_verified_query_scans_the_input_graph_once(self, monkeypatch):
         scanned = []
@@ -144,3 +164,35 @@ class TestAgainstBruteForce:
                 assert fast.weight == brute.weight, label
                 assert is_safe_AB_separator(g, A, B, fast.separator)
                 assert is_minimal_AB_separator(g, A, B, fast.separator)
+
+
+def test_fast_mode_contract_on_graphs_with_asteroidal_triples():
+    """Fast mode skips the AT-free scan, so on a graph with an asteroidal
+    triple it may miss the answer, but it never returns a set that is not a
+    safe minimal separator: each query ends in NONE, a validated separator or
+    InternalConsistencyError."""
+    outcomes = {"none": 0, "separator": 0, "inconsistent": 0}
+    i = 0
+    while sum(outcomes.values()) < 200:
+        rng = random.Random(f"fast-contract:{i}")
+        i += 1
+        g = random_weighted_graph(rng.randint(6, 10), rng)
+        if is_at_free(g):
+            continue
+        picked = sample_terminals(g, rng)
+        if picked is None:
+            continue
+        A, B = picked
+        try:
+            ans = min_safe_separator(QueryInstance(g, A, B))
+        except InternalConsistencyError:
+            outcomes["inconsistent"] += 1
+            continue
+        if not ans.exists:
+            outcomes["none"] += 1
+            continue
+        assert is_safe_AB_separator(g, A, B, ans.separator), (i, sorted(A), sorted(B))
+        assert is_minimal_AB_separator(g, A, B, ans.separator), (i, sorted(A), sorted(B))
+        assert ans.weight == g.weight_of(ans.separator)
+        outcomes["separator"] += 1
+    assert outcomes["separator"] > 0
