@@ -11,7 +11,7 @@ general), which is what makes the safe-separator search tractable.
 
 from safesep.close_to import close_to
 from safesep.graph_core import WeightedGraph
-from safesep.oracle import close_family_bound_check, close_family_brute, gen_atfree_rejection
+from safesep.oracle import close_family_bound_check, close_family_brute
 
 ###############################################################################
 # With no anchors the family is just the close separator of {s}: the
@@ -30,12 +30,16 @@ ring = WeightedGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 print("anchor touching t:", close_to(ring, 0, 2, {1}))
 
 ###############################################################################
-# On a denser AT-free instance the family can have several incomparable
-# members.  verified=True first proves the graph AT-free; the internal
-# chain invariant is checked in either mode, and the result always matches
-# the exhaustive oracle.
-g = gen_atfree_rejection(10, wmax=10, seed=12489)
-family = close_to(g, 0, 2, {1}, verified=True)
-print("family on the sampled graph:", [sorted(S) for S in family])
-print("matches the oracle:", family == close_family_brute(g, 0, 2, {1}))
-print("within the stated bounds:", close_family_bound_check(g, 0, 2, {1}, family))
+# The family can have several incomparable members.  On this 7-vertex
+# AT-free graph, keeping 4 with s=1 admits two close separators, {0, 6} and
+# {2, 5}: neither s-component contains the other.  verified=True first
+# proves the graph AT-free; the internal chain invariant is checked in
+# either mode, and the result always matches the exhaustive oracle.
+g = WeightedGraph(
+    7,
+    [(0, 2), (0, 3), (0, 5), (1, 2), (1, 6), (2, 4), (2, 6), (3, 5), (4, 6), (5, 6)],
+)
+family = close_to(g, 1, 3, {4}, verified=True)
+print("family with two members:", [sorted(S) for S in family])
+print("matches the oracle:", family == close_family_brute(g, 1, 3, {4}))
+print("within the stated bounds:", close_family_bound_check(g, 1, 3, {4}, family))

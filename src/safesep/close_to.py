@@ -38,7 +38,7 @@ from .graph_core import (
     induced_delete,
     neighborhood,
 )
-from .minimal_separators import close_separator, is_minimal_st_separator, merge_into_source
+from .minimal_separators import close_separator, merge_into_source
 
 # Sentinel distinguishing "no component constrains the anchor choice" from an
 # empty intersection.
@@ -87,10 +87,13 @@ def _definition_filter(g: WeightedGraph, s, t, A: frozenset, candidates) -> tupl
         seen.add(S)
         if s in S or t in S:
             continue
-        if not is_minimal_st_separator(g, s, t, S):
-            continue
+        # One traversal of the s-side serves both tests.  S is a minimal
+        # s,t-separator when t lies outside the s-side and the s-side and the
+        # t-side both have neighborhood exactly S.
         c_s = component_of(g, S, s)
-        if not A <= c_s:
+        if t in c_s or not A <= c_s or neighborhood(g, c_s) != S:
+            continue
+        if neighborhood(g, component_of(g, S, t)) != S:
             continue
         survivors.append((S, c_s))
     # Distinct minimal separators have distinct source components (each is the

@@ -20,7 +20,7 @@ import random
 from itertools import combinations
 from typing import FrozenSet, Iterable, Tuple
 
-from .atfree import is_at_free
+from .atfree import scan_asteroidal_triple
 from .errors import NoSeparatorError
 from .graph_core import (
     WeightedGraph,
@@ -227,13 +227,17 @@ def _random_connected_graph(n: int, rng: random.Random, p: float = 0.35) -> list
 
 def gen_atfree_rejection(n: int, wmax: int = 1, seed: int = 0) -> WeightedGraph:
     """Random connected AT-free graph, found by resampling random connected
-    graphs until one passes the AT-free check.  Only sensible for small n."""
+    graphs until one passes the AT-free check.  Only sensible for small n.
+
+    Most draws have an asteroidal triple, and no ordering certificate can
+    prove those AT-free, so each draw goes straight to the scan.
+    """
     if n > 12:
         raise ValueError("rejection sampling is only practical for n <= 12")
     rng = random.Random(f"atfree-reject:{n}:{wmax}:{seed}")
     while True:
         g = WeightedGraph(n, _random_connected_graph(n, rng), _random_weights(n, wmax, rng))
-        if is_at_free(g):
+        if scan_asteroidal_triple(g) is None:
             return g
 
 

@@ -1,7 +1,4 @@
-"""Every demo script runs to completion against the package in ``src/``.
-
-Demo 02 is left out: its recognition sweep takes tens of seconds.
-"""
+"""Every demo script runs to completion against the package in ``src/``."""
 
 import os
 import subprocess
@@ -11,7 +8,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0*.py") if not p.name.startswith("02_"))
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS)

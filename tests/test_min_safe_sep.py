@@ -12,7 +12,6 @@ from safesep import (
     atfree,
     gen_atfree_rejection,
     gen_interval,
-    induced_delete,
     is_at_free,
     is_minimal_AB_separator,
     is_safe_AB_separator,

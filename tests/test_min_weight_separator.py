@@ -2,7 +2,6 @@
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from safesep import (
     NoSeparatorError,
@@ -13,7 +12,7 @@ from safesep import (
     vertex_connectivity_st,
 )
 from tests.brutes import max_disjoint_paths_brute, min_weight_separator_brute
-from tests.strategies import connected_graphs, graphs_with_terminals
+from tests.strategies import graphs_with_terminals
 
 
 def test_path_with_heavy_middle():
