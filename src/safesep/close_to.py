@@ -16,7 +16,8 @@ anchor vertex.  A final definitional filter keeps exactly the family members:
 the raw candidate list is guaranteed to contain the whole family, but single
 candidates produced by the contraction branch can fail closeness, so each
 survivor is checked minimal-with-A-inside and non-dominated against the other
-survivors.  The unfiltered candidates stay available for diagnostics.
+survivors.  The unfiltered candidates, and the two sides of each member, stay
+available to callers.
 """
 
 from __future__ import annotations
@@ -69,16 +70,20 @@ def nested_component_meet(g: WeightedGraph, T_s: Iterable[int], targets):
 
 @dataclass(frozen=True)
 class CloseToRun:
-    """Diagnostics for one close_to invocation: the raw candidates emitted by
-    the procedure and the family that survived the definitional filter."""
+    """One close_to invocation: the family that survived the definitional
+    filter, the raw candidates emitted by the procedure, and the sides of each
+    family member.  ``sides[i]`` is (C_s(G-S), C_t(G-S)) for S = family[i],
+    the two full components the filter traversed to prove S minimal."""
 
     family: tuple
     raw_candidates: tuple
+    sides: tuple = ()
 
 
 def _definition_filter(g: WeightedGraph, s, t, A: frozenset, candidates) -> tuple:
     """Keep exactly the separators close to sA: minimal, A on the s-side, and
-    not dominated by another survivor with a strictly smaller s-component."""
+    not dominated by another survivor with a strictly smaller s-component.
+    Returns (family, sides) as in :class:`CloseToRun`."""
     survivors = []
     seen = set()
     for S in candidates:
@@ -93,24 +98,26 @@ def _definition_filter(g: WeightedGraph, s, t, A: frozenset, candidates) -> tupl
         c_s = component_of(g, S, s)
         if t in c_s or not A <= c_s or neighborhood(g, c_s) != S:
             continue
-        if neighborhood(g, component_of(g, S, t)) != S:
+        c_t = component_of(g, S, t)
+        if neighborhood(g, c_t) != S:
             continue
-        survivors.append((S, c_s))
+        survivors.append((S, c_s, c_t))
     # Distinct minimal separators have distinct source components (each is the
     # neighborhood of its own), so domination is a strict-subset test; sorting
     # by component size lets each survivor check only smaller ones.
-    survivors.sort(key=lambda pair: len(pair[1]))
+    survivors.sort(key=lambda item: len(item[1]))
     kept = []
-    for i, (S, c_s) in enumerate(survivors):
-        if any(other < c_s for _, other in survivors[:i]):
+    for i, (S, c_s, c_t) in enumerate(survivors):
+        if any(other < c_s for _, other, _ in survivors[:i]):
             continue
-        kept.append(S)
-    return family_sorted(kept)
+        kept.append((S, (c_s, c_t)))
+    kept.sort(key=lambda member: tuple(sorted(member[0])))
+    return tuple(S for S, _ in kept), tuple(sides for _, sides in kept)
 
 
 def close_to_run(g: WeightedGraph, s, t, A: Iterable[int]) -> CloseToRun:
-    """The procedure behind :func:`close_to`, returning both the filtered
-    family and the raw candidates.
+    """The procedure behind :func:`close_to`, returning the filtered family
+    with the sides of each member, and the raw candidates.
 
     Trusts its input: s and t must be distinct active vertices, A a set of
     active vertices avoiding both, and g AT-free.  Nothing here checks that;
@@ -135,10 +142,8 @@ def close_to_run(g: WeightedGraph, s, t, A: Iterable[int]) -> CloseToRun:
     c_s_ts = component_of(gp, T_s, s)
     if sA <= c_s_ts:
         candidates = [T_s | L]
-        return CloseToRun(
-            family=_definition_filter(g, s, t, A, candidates),
-            raw_candidates=family_sorted(candidates),
-        )
+        family, sides = _definition_filter(g, s, t, A, candidates)
+        return CloseToRun(family, family_sorted(candidates), sides)
 
     parts = components(gp, T_s)
     c_t_ts = parts.of(t)
@@ -193,10 +198,8 @@ def close_to_run(g: WeightedGraph, s, t, A: Iterable[int]) -> CloseToRun:
                     continue
                 candidates.append(T_wd | L)
 
-    return CloseToRun(
-        family=_definition_filter(g, s, t, A, candidates),
-        raw_candidates=family_sorted(candidates),
-    )
+    family, sides = _definition_filter(g, s, t, A, candidates)
+    return CloseToRun(family, family_sorted(candidates), sides)
 
 
 def close_to(g: WeightedGraph, s, t, A: Iterable[int], *, verified: bool = False) -> tuple:

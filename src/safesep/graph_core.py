@@ -230,7 +230,7 @@ def induced_delete(g: WeightedGraph, X: Iterable[int]) -> WeightedGraph:
     X = _check_subset(g, X, "X")
     if not X:
         return g
-    adj = {v: g._adj[v] - X for v in g._adj if v not in X}
+    adj = {v: nb if nb.isdisjoint(X) else nb - X for v, nb in g._adj.items() if v not in X}
     w = {v: g._w[v] for v in adj}
     return WeightedGraph._from_parts(g.n, adj, w)
 
@@ -286,6 +286,33 @@ def contract_connected_set(g: WeightedGraph, u, A: Iterable[int]) -> WeightedGra
             adj[x] = (g._adj[x] - blob) | {u}
         else:
             adj[x] = g._adj[x]
+    w = {x: g._w[x] for x in adj}
+    return WeightedGraph._from_parts(g.n, adj, w)
+
+
+def fold_cores(g: WeightedGraph, s, core_s: frozenset, t, core_t: frozenset) -> WeightedGraph:
+    """Contract the core core_s into s and the core core_t into t.
+
+    Trusted: each core contains its terminal and induces a connected
+    subgraph, and the two cores are disjoint and non-adjacent; nothing here
+    checks that.  The result equals two ``contract_connected_set`` calls, but
+    only the vertices outside the cores are visited, and each of them with no
+    neighbor inside a core keeps its adjacency set.
+    """
+    adj = {}
+    near_s = []
+    near_t = []
+    for x in g._adj.keys() - core_s - core_t:
+        nb = g._adj[x]
+        if not nb.isdisjoint(core_s):
+            near_s.append(x)
+            nb = (nb - core_s) | {s}
+        if not nb.isdisjoint(core_t):
+            near_t.append(x)
+            nb = (nb - core_t) | {t}
+        adj[x] = nb
+    adj[s] = frozenset(near_s)
+    adj[t] = frozenset(near_t)
     w = {x: g._w[x] for x in adj}
     return WeightedGraph._from_parts(g.n, adj, w)
 

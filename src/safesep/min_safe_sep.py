@@ -11,9 +11,14 @@ the families of minimal s,t-separators close to the A-side and close to the
 B-side are computed (s and t being representatives of A and B).  Every safe
 separator is sandwiched between a qualifying pair (S_A, S_B) -- one from each
 family with the A-side of S_A inside the A-side of S_B -- and conversely each
-qualifying pair yields a candidate by contracting both settled sides and
-taking a minimum-weight s,t-separator in between.  The best candidate over
-all qualifying pairs, plus R, is the answer.
+qualifying pair yields a candidate: a minimum-weight s,t-separator that
+avoids both settled sides, C_s(G-S_A) and C_t(G-S_B).  The best candidate
+over all qualifying pairs, plus R, is the answer.
+
+All pairs are cut on one flow network per query.  The part of each side that
+every qualifying pair settles (the core) is folded into its terminal once;
+for each pair, the split arcs of the rest of its settled sides are raised to
+infinity, which equals contracting them, and one max-flow gives the cut.
 
 On graphs that are not AT-free the close families can be wrong, so only the
 ``verified`` mode, which first scans the graph for an asteroidal triple,
@@ -35,12 +40,12 @@ from .graph_core import (
     WeightedGraph,
     closed_neighborhood,
     component_of,
-    contract_connected_set,
+    fold_cores,
     induced_delete,
     is_connected,
     neighborhood,
 )
-from .min_weight_separator import min_weight_st_separator
+from .min_weight_separator import SplitNetwork
 from .minimal_separators import is_minimal_AB_separator, is_safe_AB_separator
 
 
@@ -85,27 +90,32 @@ class SafeSeparatorAnswer:
         return cls(separator=None, weight=None)
 
 
-def build_contracted_instance(g: WeightedGraph, s, t, S_A, S_B) -> WeightedGraph:
-    """Contract the settled A-side C_s(G-S_A) into s and the settled B-side
-    C_t(G-S_B) into t, for a qualifying pair of minimal s,t-separators.
+def _core(g: WeightedGraph, v, sides: dict) -> frozenset:
+    """The part of v's side that every qualifying pair settles: the side
+    itself when one family member qualifies, else the component of v avoiding
+    every qualifying member, which is connected and inside each of their
+    sides."""
+    if len(sides) == 1:
+        (side,) = sides.values()
+        return side
+    return component_of(g, frozenset().union(*sides), v)
 
-    Qualifying means C_s(G-S_A) is contained in C_s(G-S_B), equivalently
-    S_A <= S_B | C_s(G-S_B).  The caller guarantees both: the pair members
-    come from close families, whose members are proved minimal, and the pair
-    loop tests the qualifying condition.  The two contracted sides are then
-    disjoint and non-adjacent, so s and t stay non-adjacent in the result;
-    any minimum-weight s,t-separator of the result, together with the
-    vertices deleted beforehand, is a safe-separator candidate.
-    """
-    c_sA = component_of(g, S_A, s)
-    c_tB = component_of(g, S_B, t)
-    h = contract_connected_set(g, s, c_sA - {s})
-    h = contract_connected_set(h, t, c_tB - {t})
-    if h.has_edge(s, t):
-        raise InternalConsistencyError(
-            "contracted terminals became adjacent for a qualifying pair"
-        )
-    return h
+
+def _best_pair_cut(g: WeightedGraph, s, t, pairs, R, weight_R):
+    """((weight, sorted vertex tuple), vertex set) of the best candidate over
+    the qualifying pairs (S_A, S_B, c_sA, c_tB), all cut on one network of g
+    with the cores folded in."""
+    core_s = _core(g, s, {S_A: c_sA for S_A, _, c_sA, _ in pairs})
+    core_t = _core(g, t, {S_B: c_tB for _, S_B, _, c_tB in pairs})
+    net = SplitNetwork(fold_cores(g, s, core_s, t, core_t), s, t)
+    best = None
+    for _, _, c_sA, c_tB in pairs:
+        sep, wt = net.min_cut((c_sA - core_s) | (c_tB - core_t))
+        answer_set = sep | R
+        key = (wt + weight_R, tuple(sorted(answer_set)))
+        if best is None or key < best[0]:
+            best = (key, answer_set)
+    return best
 
 
 def min_safe_separator(q: QueryInstance, *, verified: bool = False) -> SafeSeparatorAnswer:
@@ -118,12 +128,12 @@ def min_safe_separator(q: QueryInstance, *, verified: bool = False) -> SafeSepar
     separators.  ``verified=True`` scans the graph once for an asteroidal
     triple and raises ValueError if it finds one; fast mode skips the scan.
     Raises ValueError on a disconnected graph.  InternalConsistencyError
-    means an internal check failed: the close-family chain, the contracted
-    terminals or the validation of the winner against the safety definition.
-    On an AT-free graph none of them fails.  In fast mode on a graph with an
-    asteroidal triple nothing is guaranteed beyond three outcomes: a NONE
-    (possibly wrong), a safe minimal separator (possibly not of minimum
-    weight), or this error.
+    means an internal check failed: the close-family chain, the settled sides
+    of a pair, a cut, or the validation of the winner against the safety
+    definition.  On an AT-free graph none of them fails.  In fast mode on a
+    graph with an asteroidal triple nothing is guaranteed beyond three
+    outcomes: a NONE (possibly wrong), a safe minimal separator (possibly not
+    of minimum weight), or this error.
     """
     g, A, B = q.graph, q.A, q.B
     if not is_connected(g):
@@ -141,26 +151,25 @@ def min_safe_separator(q: QueryInstance, *, verified: bool = False) -> SafeSepar
 
     # QueryInstance has checked the terminals, and g2 is an induced subgraph
     # of g, so it is AT-free whenever g is: the close families need no scan.
-    family_A = close_to_run(g2, s, t, A - {s}).family
-    family_B = close_to_run(g2, t, s, B - {t}).family
+    # Each family member comes with its two sides in g2; run_B's are
+    # (C_t(g2-S_B), C_s(g2-S_B)), as t is its source.
+    run_A = close_to_run(g2, s, t, A - {s})
+    run_B = close_to_run(g2, t, s, B - {t})
 
-    best = None
-    for S_B in family_B:
-        a_side_bound = S_B | component_of(g2, S_B, s)
-        for S_A in family_A:
-            if not S_A <= a_side_bound:
+    pairs = []
+    for S_B, (c_tB, c_sB) in zip(run_B.family, run_B.sides):
+        for S_A, (c_sA, _) in zip(run_A.family, run_A.sides):
+            # Qualifying: S_A <= S_B | C_s(g2-S_B).
+            if not S_A - S_B <= c_sB:
                 continue
-            h = build_contracted_instance(g2, s, t, S_A, S_B)
-            sep, wt = min_weight_st_separator(h, s, t)
-            answer_set = sep | R
-            key = (wt + g.weight_of(R), tuple(sorted(answer_set)))
-            if best is None or key < best[0]:
-                best = (key, answer_set)
-
-    if best is None:
+            # N(c_sA) <= S_A, so this also keeps the sides non-adjacent.
+            if not (c_tB.isdisjoint(c_sA) and c_tB.isdisjoint(S_A)):
+                raise InternalConsistencyError("the settled sides of a qualifying pair meet")
+            pairs.append((S_A, S_B, c_sA, c_tB))
+    if not pairs:
         return SafeSeparatorAnswer.none()
 
-    (total, _), winner = best
+    (total, _), winner = _best_pair_cut(g2, s, t, pairs, R, g.weight_of(R))
     if not is_safe_AB_separator(g, A, B, winner) or not is_minimal_AB_separator(
         g, A, B, winner
     ):

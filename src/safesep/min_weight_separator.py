@@ -7,6 +7,13 @@ minimum cut of this network crosses only split arcs, and those arcs name the
 separator.  Flow is computed with blocking-flow (level graph) augmentation;
 the source-side residual-reachability cut gives a deterministic minimum-weight
 separator, which is always minimal.
+
+A vertex can also be *settled*: its split arc is raised to the infinite
+capacity, so no finite cut contains it.  Raising a connected side that
+contains s (or t) is equivalent to contracting that side into the terminal,
+and yields the same cut.  ``SplitNetwork`` builds the network once and cuts
+it for any number of settled sets; ``min_weight_st_separator`` is its
+single cut with nothing settled.
 """
 
 from __future__ import annotations
@@ -113,30 +120,76 @@ class FlowNetwork:
         return seen
 
 
-def _split_network(g: WeightedGraph, s, t):
-    """Build the vertex-split network; returns (net, node_of_s, node_of_t,
-    in_node, out_node) with in/out maps for non-terminal vertices."""
-    inf = 1 + sum(g.weight(v) for v in g.vertices)
-    node = 0
-    in_node = {}
-    out_node = {}
-    for v in g.vertices:
-        if v == s or v == t:
-            in_node[v] = out_node[v] = node
-            node += 1
-        else:
-            in_node[v] = node
-            out_node[v] = node + 1
-            node += 2
-    net = FlowNetwork(node)
-    split_arc = {}
-    for v in g.vertices:
-        if v != s and v != t:
-            split_arc[v] = net.add_arc(in_node[v], out_node[v], g.weight(v))
-    for u, v in g.edges():
-        net.add_arc(out_node[u], in_node[v], inf)
-        net.add_arc(out_node[v], in_node[u], inf)
-    return net, in_node, out_node, split_arc
+class SplitNetwork:
+    """The vertex-split network of g between s and t, built once and cut
+    once per set of settled vertices.
+
+    s and t each get one node; every other vertex v gets v_in -> v_out with
+    capacity w(v).  The capacities are saved, so each :meth:`min_cut` starts
+    from the same network.
+    """
+
+    def __init__(self, g: WeightedGraph, s, t):
+        self.g, self.s, self.t = g, s, t
+        self.inf = 1 + sum(g.weight(v) for v in g.vertices)
+        node = 0
+        in_node = {}
+        out_node = {}
+        for v in g.vertices:
+            if v == s or v == t:
+                in_node[v] = out_node[v] = node
+                node += 1
+            else:
+                in_node[v] = node
+                out_node[v] = node + 1
+                node += 2
+        net = FlowNetwork(node)
+        split_arc = {}
+        for v in g.vertices:
+            if v != s and v != t:
+                split_arc[v] = net.add_arc(in_node[v], out_node[v], g.weight(v))
+        for u, v in g.edges():
+            net.add_arc(out_node[u], in_node[v], self.inf)
+            net.add_arc(out_node[v], in_node[u], self.inf)
+        self.net, self.in_node, self.out_node, self.split_arc = net, in_node, out_node, split_arc
+        self.capacity = list(net.cap)
+
+    def min_cut(self, settled=()):
+        """A minimum-weight s,t-separator avoiding the settled vertices, and
+        its weight.
+
+        The split arcs of the settled vertices are raised to the infinite
+        capacity, which is the same as contracting each connected settled
+        side into its terminal.  The source-side residual-reachability cut is
+        returned; it is always a minimal separator (validated before
+        returning).  InternalConsistencyError means that no finite cut exists,
+        i.e. the settled vertices join s to t.
+        """
+        net = self.net
+        net.cap[:] = self.capacity
+        for v in settled:
+            net.cap[self.split_arc[v]] = self.inf
+        source = self.out_node[self.s]
+        flow = net.max_flow(source, self.in_node[self.t])
+        if flow >= self.inf:
+            raise InternalConsistencyError(
+                "the flow reached the infinite capacity: the settled sides touch"
+            )
+        if flow == 0:
+            return frozenset(), 0
+        reach = net.residual_reachable(source)
+        in_node, out_node = self.in_node, self.out_node
+        sep = frozenset(
+            v for v in self.split_arc if in_node[v] in reach and out_node[v] not in reach
+        )
+        g = self.g
+        if g.weight_of(sep) != flow:
+            raise InternalConsistencyError(
+                f"cut weight {g.weight_of(sep)} does not match flow value {flow}"
+            )
+        if not is_minimal_st_separator(g, self.s, self.t, sep):
+            raise InternalConsistencyError("extracted minimum cut is not a minimal separator")
+        return sep, flow
 
 
 def min_weight_st_separator(g: WeightedGraph, s, t):
@@ -154,21 +207,7 @@ def min_weight_st_separator(g: WeightedGraph, s, t):
             raise ValueError(f"terminal {x} is not an active vertex")
     if g.has_edge(s, t):
         raise NoSeparatorError("terminals are adjacent; no s,t-separator exists")
-    net, in_node, out_node, split_arc = _split_network(g, s, t)
-    flow = net.max_flow(out_node[s], in_node[t])
-    if flow == 0:
-        return frozenset(), 0
-    reach = net.residual_reachable(out_node[s])
-    sep = frozenset(
-        v for v, idx in split_arc.items() if in_node[v] in reach and out_node[v] not in reach
-    )
-    if g.weight_of(sep) != flow:
-        raise InternalConsistencyError(
-            f"cut weight {g.weight_of(sep)} does not match flow value {flow}"
-        )
-    if not is_minimal_st_separator(g, s, t, sep):
-        raise InternalConsistencyError("extracted minimum cut is not a minimal separator")
-    return sep, flow
+    return SplitNetwork(g, s, t).min_cut()
 
 
 def vertex_connectivity_st(g: WeightedGraph, s, t) -> int:

@@ -13,7 +13,12 @@ from safesep import (
     gen_interval,
     is_minimal_st_separator,
 )
-from safesep.close_to import NO_CONSTRAINT, close_to_run, nested_component_meet
+from safesep.close_to import (
+    NO_CONSTRAINT,
+    _definition_filter,
+    close_to_run,
+    nested_component_meet,
+)
 from safesep.oracle import close_family_bound_check, close_family_brute
 
 
@@ -79,6 +84,30 @@ class TestRunDetails:
         g = gen_interval(12, wmax=5, seed=3)
         run = close_to_run(g, 0, 11, {5})
         assert set(run.family) <= set(run.raw_candidates)
+
+    def test_sides_are_the_two_full_components_of_each_member(self):
+        g = gen_interval(30, wmax=5, seed=7)
+        run = close_to_run(g, 0, 29, {3, 4})
+        assert run.family
+        assert run.sides == tuple(
+            (component_of(g, S, 0), component_of(g, S, 29)) for S in run.family
+        )
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            # {1, 2} has the full s-side {0}, but its t-side {3} sees only 1
+            [(0, 1), (0, 2), (1, 3)],
+            # {1, 2} has the full t-side {3}, but its s-side {0} sees only 1
+            [(0, 1), (1, 3), (2, 3)],
+        ],
+    )
+    def test_filter_drops_separators_that_are_not_minimal(self, edges):
+        g = WeightedGraph(4, edges)
+        candidates = [frozenset({1, 2}), frozenset({1})]
+        family, sides = _definition_filter(g, 0, 3, frozenset(), candidates)
+        assert family == (frozenset({1}),)
+        assert sides == ((component_of(g, {1}, 0), component_of(g, {1}, 3)),)
 
     def test_members_are_minimal_and_keep_a_on_the_source_side(self):
         for seed in range(40):

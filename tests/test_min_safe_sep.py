@@ -15,10 +15,12 @@ from safesep import (
     is_at_free,
     is_minimal_AB_separator,
     is_safe_AB_separator,
+    min_safe_sep,
     min_safe_separator,
     sample_terminals,
 )
-from safesep.min_safe_sep import build_contracted_instance
+from safesep.close_to import CloseToRun
+from safesep.min_weight_separator import FlowNetwork
 from safesep.oracle import min_safe_brute
 from tests.brutes import random_weighted_graph
 
@@ -29,6 +31,23 @@ def path_graph(n, weights=None):
 
 def claw():
     return WeightedGraph(4, [(0, 1), (0, 2), (0, 3)])
+
+
+def fan_query():
+    """A hand-built fan gadget with k = 2, the shape of the benchmark's
+    fan-pairs queries at its smallest.  A = {0, 1} is joined to the clique
+    M = {2, 3}; each m_i has its exit x_i in the clique X = {4, 5}, and both
+    exits are joined to the end 6 of the path body 6-7-8.  B = {13, 14},
+    M' = {11, 12} and X' = {9, 10} mirror this at 8.  The close families are
+    {2, 5}, {3, 4} and {9, 12}, {10, 11}, and all four pairs qualify."""
+    edges = [(6, 7), (7, 8)]
+    sides = ((0, 1, (2, 3), (4, 5), 6), (13, 14, (11, 12), (9, 10), 8))
+    for hub, other, mids, exits, anchor in sides:
+        for m, x in zip(mids, exits):
+            edges += [(hub, m), (other, m), (m, x), (x, anchor)]
+        edges += [mids, exits]
+    weights = [1, 1, 1, 4, 2, 6, 9, 9, 9, 5, 5, 1, 7, 1, 1]
+    return QueryInstance(WeightedGraph(15, edges, weights), {0, 1}, {13, 14})
 
 
 def broken_chain_query():
@@ -106,6 +125,42 @@ class TestFrozenAnswers:
         with pytest.raises(InternalConsistencyError):
             min_safe_separator(broken_chain_query())
 
+    def test_settled_sides_that_meet_are_refused(self, monkeypatch):
+        # Path 0-...-4 with A = {0}, B = {4}: the families are {1} and {3}.
+        # A B-run that reports a t-side reaching into S_A = {1} must not
+        # reach the flow network.
+        honest = min_safe_sep.close_to_run
+
+        def tampered(g, s, t, A):
+            run = honest(g, s, t, A)
+            if s != 4:
+                return run
+            sides = ((frozenset({1, 4}), frozenset({0, 1})),)
+            return CloseToRun(run.family, run.raw_candidates, sides)
+
+        monkeypatch.setattr(min_safe_sep, "close_to_run", tampered)
+        with pytest.raises(InternalConsistencyError, match="qualifying pair meet"):
+            min_safe_separator(QueryInstance(path_graph(5), {0}, {4}))
+
+    def test_one_network_per_query_and_one_flow_per_pair(self, monkeypatch):
+        built, flows = [], []
+        init, max_flow = FlowNetwork.__init__, FlowNetwork.max_flow
+
+        def counting_init(net, node_count):
+            built.append(node_count)
+            init(net, node_count)
+
+        def counting_max_flow(net, s, t):
+            flows.append((s, t))
+            return max_flow(net, s, t)
+
+        monkeypatch.setattr(FlowNetwork, "__init__", counting_init)
+        monkeypatch.setattr(FlowNetwork, "max_flow", counting_max_flow)
+        ans = min_safe_separator(fan_query())
+        assert (ans.separator, ans.weight) == (frozenset({3, 4}), 6)
+        assert len(built) == 1
+        assert len(flows) == 2 * 2
+
     def test_verified_query_scans_the_input_graph_once(self, monkeypatch):
         scanned = []
         original = atfree.find_asteroidal_triple
@@ -121,19 +176,6 @@ class TestFrozenAnswers:
         assert scanned == [g]
 
 
-class TestContractedInstance:
-    def test_qualifying_pair(self):
-        g = path_graph(5)
-        h = build_contracted_instance(g, 0, 4, frozenset({1}), frozenset({3}))
-        assert set(h.vertices) == {0, 1, 2, 3, 4}
-
-    def test_folds_the_settled_sides(self):
-        g = path_graph(5)
-        h = build_contracted_instance(g, 0, 4, frozenset({2}), frozenset({2}))
-        assert set(h.vertices) == {0, 2, 4}
-        assert h.has_edge(0, 2) and h.has_edge(2, 4) and not h.has_edge(0, 4)
-
-
 class TestAgainstBruteForce:
     def test_matches_exhaustive_answer_on_random_instances(self):
         # Two safe separators of weight 2 exist here, {0, 5} and {0, 6}; the
@@ -142,7 +184,8 @@ class TestAgainstBruteForce:
             7,
             [(0, 2), (0, 3), (0, 5), (1, 2), (1, 6), (2, 4), (2, 6), (3, 5), (4, 6), (5, 6)],
         )
-        cases = [("tie", tie, frozenset({1, 4}), frozenset({3}))]
+        fan = fan_query()
+        cases = [("tie", tie, frozenset({1, 4}), frozenset({3})), ("fan", fan.graph, fan.A, fan.B)]
         for seed in range(150):
             rng = random.Random(f"safe-unit:{seed}")
             n = rng.randint(4, 10)

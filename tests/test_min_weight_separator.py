@@ -4,14 +4,23 @@ import pytest
 from hypothesis import given, settings
 
 from safesep import (
+    InternalConsistencyError,
     NoSeparatorError,
     WeightedGraph,
+    contract_connected_set,
     induced_delete,
     is_minimal_st_separator,
     min_weight_st_separator,
     vertex_connectivity_st,
 )
-from tests.brutes import max_disjoint_paths_brute, min_weight_separator_brute
+from safesep.graph_core import fold_cores
+from safesep.min_weight_separator import SplitNetwork
+from tests.brutes import (
+    max_disjoint_paths_brute,
+    min_weight_separator_brute,
+    minimal_st_separators_by_deletion,
+    reachable,
+)
 from tests.strategies import graphs_with_terminals
 
 
@@ -73,3 +82,34 @@ def test_unit_cut_equals_max_disjoint_paths(gst):
     if g.has_edge(s, t):
         return
     assert vertex_connectivity_st(g, s, t) == max_disjoint_paths_brute(g, s, t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_with_terminals(min_n=3, max_n=9, wmax=8))
+def test_raised_sides_cut_like_contracted_sides(gst):
+    """For every qualifying pair of minimal s,t-separators (S_A's s-side
+    inside S_B's), raising the split arcs of C_s(G-S_A) and C_t(G-S_B) on one
+    shared network gives the cut, vertex set and weight, of the graph with
+    both sides contracted; folding both sides as cores gives that graph."""
+    g, s, t = gst
+    seps = minimal_st_separators_by_deletion(g, s, t)
+    net = SplitNetwork(g, s, t)
+    for S_A in seps:
+        c_sA = reachable(g, s, S_A)
+        for S_B in seps:
+            if not c_sA <= reachable(g, s, S_B):
+                continue
+            c_tB = reachable(g, t, S_B)
+            h = contract_connected_set(g, s, c_sA - {s})
+            h = contract_connected_set(h, t, c_tB - {t})
+            assert net.min_cut((c_sA | c_tB) - {s, t}) == min_weight_st_separator(h, s, t)
+            assert fold_cores(g, s, c_sA, t, c_tB) == h
+
+
+def test_settled_sides_that_touch_have_no_finite_cut():
+    g = WeightedGraph(5, [(i, i + 1) for i in range(4)])
+    net = SplitNetwork(g, 0, 4)
+    with pytest.raises(InternalConsistencyError, match="infinite capacity"):
+        net.min_cut({1, 2, 3})
+    # every cut starts again from the saved capacities
+    assert net.min_cut({1}) == (frozenset({2}), 1)
