@@ -18,6 +18,14 @@ candidates produced by the contraction branch can fail closeness, so each
 survivor is checked minimal-with-A-inside and non-dominated against the other
 survivors.  The unfiltered candidates, and the two sides of each member, stay
 available to callers.
+
+Each walk collects the neighborhood of its component on the way, and the
+sides the procedure walks are reused rather than walked again.  The gate
+asks whether sA lies in C_s(G' - N(t)), which is the s-side of the separator
+closest to t, and stops as soon as it does.  The walk that finds a close
+separator T also gives C_t(G' - T), its full t-side, and the s-side walk that
+tests A gives C_s(G' - T).  Both are the sides of the candidate T | L in G as
+well, so the filter is handed them and walks only the sides it lacks.
 """
 
 from __future__ import annotations
@@ -32,14 +40,15 @@ from .graph_core import (
     add_edges_from,
     closed_neighborhood,
     component_of,
-    components,
+    component_with_boundary,
     contract_connected_set,
     contract_edge,
     family_sorted,
     induced_delete,
     neighborhood,
+    reaches_all,
 )
-from .minimal_separators import close_separator, merge_into_source
+from .minimal_separators import close_side, merge_into_source
 
 # Sentinel distinguishing "no component constrains the anchor choice" from an
 # empty intersection.
@@ -73,17 +82,25 @@ class CloseToRun:
     """One close_to invocation: the family that survived the definitional
     filter, the raw candidates emitted by the procedure, and the sides of each
     family member.  ``sides[i]`` is (C_s(G-S), C_t(G-S)) for S = family[i],
-    the two full components the filter traversed to prove S minimal."""
+    the two full components on which the filter proved S minimal with A on
+    the s-side; each was walked once, by the procedure or by the filter."""
 
     family: tuple
     raw_candidates: tuple
     sides: tuple = ()
 
 
-def _definition_filter(g: WeightedGraph, s, t, A: frozenset, candidates) -> tuple:
+def _definition_filter(g: WeightedGraph, s, t, A: frozenset, candidates, walked=None) -> tuple:
     """Keep exactly the separators close to sA: minimal, A on the s-side, and
     not dominated by another survivor with a strictly smaller s-component.
-    Returns (family, sides) as in :class:`CloseToRun`."""
+    Returns (family, sides) as in :class:`CloseToRun`.
+
+    ``walked`` maps (S, x), for a candidate S and a terminal x, to the side
+    (C_x(G-S), N(C_x(G-S))) in g when it has already been walked; the filter
+    walks only the sides it is not handed.  Either way all four tests run on
+    them: t outside C_s, A inside C_s, N(C_s) = S and N(C_t) = S, the last
+    two proving S a minimal s,t-separator."""
+    walked = walked or {}
     survivors = []
     seen = set()
     for S in candidates:
@@ -92,14 +109,11 @@ def _definition_filter(g: WeightedGraph, s, t, A: frozenset, candidates) -> tupl
         seen.add(S)
         if s in S or t in S:
             continue
-        # One traversal of the s-side serves both tests.  S is a minimal
-        # s,t-separator when t lies outside the s-side and the s-side and the
-        # t-side both have neighborhood exactly S.
-        c_s = component_of(g, S, s)
-        if t in c_s or not A <= c_s or neighborhood(g, c_s) != S:
+        c_s, n_s = walked.get((S, s)) or component_with_boundary(g, S, s)
+        if t in c_s or not A <= c_s or n_s != S:
             continue
-        c_t = component_of(g, S, t)
-        if neighborhood(g, c_t) != S:
+        c_t, n_t = walked.get((S, t)) or component_with_boundary(g, S, t)
+        if n_t != S:
             continue
         survivors.append((S, c_s, c_t))
     # Distinct minimal separators have distinct source components (each is the
@@ -113,6 +127,13 @@ def _definition_filter(g: WeightedGraph, s, t, A: frozenset, candidates) -> tupl
         kept.append((S, (c_s, c_t)))
     kept.sort(key=lambda member: tuple(sorted(member[0])))
     return tuple(S for S, _ in kept), tuple(sides for _, sides in kept)
+
+
+def _in_g(g: WeightedGraph, L: frozenset, side) -> tuple:
+    """A side (C, N(C)) walked in g - L, with its neighborhood in g: the
+    vertices of L that touch C join it."""
+    C, boundary = side
+    return C, boundary | {x for x in L if not g.neighbors(x).isdisjoint(C)}
 
 
 def close_to_run(g: WeightedGraph, s, t, A: Iterable[int]) -> CloseToRun:
@@ -133,32 +154,46 @@ def close_to_run(g: WeightedGraph, s, t, A: Iterable[int]) -> CloseToRun:
     gp = induced_delete(g, L)
 
     # Gate: the separator closest to t decides whether any minimal separator
-    # keeps all of A on the s-side.
-    T_t = close_separator(gp, (t,), s)
-    if not sA <= component_of(gp, T_t, s):
+    # keeps all of A on the s-side.  That separator is T_t = N(C), with
+    # C = C_s(gp - N(t)), and C is also C_s(gp - T_t), so the gate asks
+    # whether sA lies in C.
+    if not reaches_all(gp, gp.neighbors(t), s, sA):
         return CloseToRun(family=(), raw_candidates=())
 
-    T_s = close_separator(gp, (s,), t)
-    c_s_ts = component_of(gp, T_s, s)
+    # The walk that finds the separator T_s closest to s also yields
+    # C_t(gp - T_s), the t-side of the candidate T_s | L in g.
+    c_t_ts, T_s = close_side(gp, (s,), t)
+    c_s_ts, n_s_ts = component_with_boundary(gp, T_s, s)
     if sA <= c_s_ts:
-        candidates = [T_s | L]
-        family, sides = _definition_filter(g, s, t, A, candidates)
-        return CloseToRun(family, family_sorted(candidates), sides)
+        S = T_s | L
+        walked = {(S, s): _in_g(g, L, (c_s_ts, n_s_ts)), (S, t): _in_g(g, L, (c_t_ts, T_s))}
+        family, sides = _definition_filter(g, s, t, A, [S], walked)
+        return CloseToRun(family, (S,), sides)
 
-    parts = components(gp, T_s)
-    c_t_ts = parts.of(t)
-    targets = [C for C in parts if C & A and s not in C and t not in C]
+    # The other components of gp - T_s that hold part of A, each walked once
+    # from the first of its A vertices.
+    targets = []
+    for a in sorted(A):
+        if a in c_s_ts or a in T_s or a in c_t_ts or any(a in C for C in targets):
+            continue
+        targets.append(component_with_boundary(gp, T_s, a)[0])
     s_star = nested_component_meet(gp, T_s, targets)
 
-    a_core = A & (c_s_ts | T_s | c_t_ts)
+    a_core = frozenset(a for a in A if a in c_s_ts or a in T_s or a in c_t_ts)
     anchors = [None] if s_star is NO_CONSTRAINT else sorted(s_star)
     candidates = []
+    walked = {}
     for v in anchors:
         A_v = a_core if v is None else a_core | {v}
         h = merge_into_source(gp, s, A_v)
-        S_1 = close_separator(h, (s,), t)
+        # h adds only edges at s, and C_t(h - S_1) avoids N_h(s), so it is
+        # also C_t(gp - S_1).
+        c_t_1, S_1 = close_side(h, (s,), t)
+        c_s_1, n_s_1 = component_with_boundary(gp, S_1, s)
         candidates.append(S_1 | L)
-        if A_v <= component_of(gp, S_1, s):
+        walked[S_1 | L, s] = _in_g(g, L, (c_s_1, n_s_1))
+        walked[S_1 | L, t] = _in_g(g, L, (c_t_1, S_1))
+        if A_v <= c_s_1:
             # S_1 keeps all of A_v on the source side of gp itself, so it is
             # the only separator this pass can contribute.  (Testing the
             # containment in h instead would accept passes where the added
@@ -166,13 +201,16 @@ def close_to_run(g: WeightedGraph, s, t, A: Iterable[int]) -> CloseToRun:
             # boundary candidates below would then never be generated.)
             continue
         # Contraction branch: fold the settled part of the source side into s
-        # and read off candidates anchored at each boundary vertex.
+        # and read off candidates anchored at each boundary vertex.  Like h,
+        # the contracted graphs differ from gp only at s, so each t-side
+        # walked below, which avoids N(s), is also the t-side in gp.
         c_s_h = component_of(h, S_1, s)
         Q_s = neighborhood(gp, c_s_h) & S_1
         if not Q_s:
             continue
         candidates.append(Q_s | L)
-        c_s_q = component_of(gp, Q_s, s)
+        c_s_q, n_s_q = component_with_boundary(gp, Q_s, s)
+        walked[Q_s | L, s] = _in_g(g, L, (c_s_q, n_s_q))
         d_v = A_v - c_s_q
         m = contract_connected_set(gp, s, c_s_q - {s})
         for w in sorted(Q_s):
@@ -183,22 +221,24 @@ def close_to_run(g: WeightedGraph, s, t, A: Iterable[int]) -> CloseToRun:
                     m_w = contract_edge(add_edges_from(m, s, frozenset((w,))), s, w)
                 else:
                     m_w = contract_edge(m, s, w)
-                T_w = close_separator(m_w, (s,), t)
+                c_t_w, T_w = close_side(m_w, (s,), t)
             except NoSeparatorError:
                 continue
             candidates.append(T_w | L)
+            walked[T_w | L, t] = _in_g(g, L, (c_t_w, T_w))
             rest = d_v - {w}
             if rest:
                 # Anchor the close separator at the whole surviving target
                 # set as well; when the plain boundary anchor strands part
                 # of A_v this variant is the one that recovers the member.
                 try:
-                    T_wd = close_separator(m_w, (s, *sorted(rest)), t)
+                    c_t_wd, T_wd = close_side(m_w, (s, *sorted(rest)), t)
                 except (NoSeparatorError, ValueError):
                     continue
                 candidates.append(T_wd | L)
+                walked[T_wd | L, t] = _in_g(g, L, (c_t_wd, T_wd))
 
-    family, sides = _definition_filter(g, s, t, A, candidates)
+    family, sides = _definition_filter(g, s, t, A, candidates, walked)
     return CloseToRun(family, family_sorted(candidates), sides)
 
 

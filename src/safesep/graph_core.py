@@ -176,34 +176,66 @@ def closed_neighborhood(g: WeightedGraph, T: Iterable[int]) -> frozenset:
     return frozenset(out)
 
 
+def component_with_boundary(g: WeightedGraph, X, v) -> tuple:
+    """(C_v(G-X), N_G(C_v(G-X))) from one walk: the component of v in G-X and
+    the vertices of X it touches.
+
+    Trusted: X is a set, v an active vertex outside it; nothing here checks
+    that.
+    """
+    adj = g._adj
+    comp = {v}
+    boundary = set()
+    stack = [v]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w in X:
+                boundary.add(w)
+            elif w not in comp:
+                comp.add(w)
+                stack.append(w)
+    return frozenset(comp), frozenset(boundary)
+
+
+def reaches_all(g: WeightedGraph, X, v, targets) -> bool:
+    """Whether every vertex of ``targets`` lies in C_v(G-X), by a walk that
+    stops as soon as the last of them is reached.
+
+    Trusted as :func:`component_with_boundary`.
+    """
+    missing = set(targets)
+    missing.discard(v)
+    if not missing:
+        return True
+    adj = g._adj
+    seen = {v}
+    stack = [v]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in X and w not in seen:
+                if w in missing:
+                    missing.discard(w)
+                    if not missing:
+                        return True
+                seen.add(w)
+                stack.append(w)
+    return False
+
+
 def components(g: WeightedGraph, X: Iterable[int]) -> ComponentPartition:
     """Connected components of G-X with their neighborhoods N_G(C) <= X."""
     X = _check_subset(g, X, "X")
     comps = []
     nbrs = []
     index = {}
-    seen = set(X)
     for start in g.vertices:
-        if start in seen:
+        if start in X or start in index:
             continue
-        comp = {start}
-        boundary = set()
-        stack = [start]
-        seen.add(start)
-        while stack:
-            u = stack.pop()
-            for w in g.neighbors(u):
-                if w in X:
-                    boundary.add(w)
-                elif w not in comp:
-                    comp.add(w)
-                    seen.add(w)
-                    stack.append(w)
+        comp, boundary = component_with_boundary(g, X, start)
         pos = len(comps)
-        comps.append(frozenset(comp))
-        nbrs.append(frozenset(boundary))
-        for v in comp:
-            index[v] = pos
+        comps.append(comp)
+        nbrs.append(boundary)
+        index.update(dict.fromkeys(comp, pos))
     return ComponentPartition(tuple(comps), tuple(nbrs), index)
 
 
@@ -214,15 +246,7 @@ def component_of(g: WeightedGraph, X: Iterable[int], v) -> frozenset:
         raise ValueError(f"vertex {v} is in the removed set")
     if not g.has_vertex(v):
         raise ValueError(f"vertex {v} is not active")
-    comp = {v}
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for w in g.neighbors(u):
-            if w not in X and w not in comp:
-                comp.add(w)
-                stack.append(w)
-    return frozenset(comp)
+    return component_with_boundary(g, X, v)[0]
 
 
 def induced_delete(g: WeightedGraph, X: Iterable[int]) -> WeightedGraph:

@@ -15,17 +15,20 @@ qualifying pair yields a candidate: a minimum-weight s,t-separator that
 avoids both settled sides, C_s(G-S_A) and C_t(G-S_B).  The best candidate
 over all qualifying pairs, plus R, is the answer.
 
-All pairs are cut on one flow network per query.  The part of each side that
-every qualifying pair settles (the core) is folded into its terminal once;
-for each pair, the split arcs of the rest of its settled sides are raised to
-infinity, which equals contracting them, and one max-flow gives the cut.
+Each family member comes with its two sides, walked once while the family
+was computed, so the qualifying test and the settled sides of a pair need no
+walk of their own.  All pairs are cut on one flow network per query.  The
+part of each side that every qualifying pair settles (the core) is folded
+into its terminal once; for each pair, the split arcs of the rest of its
+settled sides are raised to infinity, which equals contracting them, and one
+max-flow gives the cut.
 
 On graphs that are not AT-free the close families can be wrong, so only the
 ``verified`` mode, which first scans the graph for an asteroidal triple,
 guarantees an answer on arbitrary inputs; fast mode skips the scan and
 trusts the caller.  Every other check runs in both modes, and the winner is
 validated against the safety and minimality definitions on the original
-graph before it is returned.
+graph before it is returned, both on one partition of G minus the winner.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .graph_core import (
     neighborhood,
 )
 from .min_weight_separator import SplitNetwork
-from .minimal_separators import is_minimal_AB_separator, is_safe_AB_separator
+from .minimal_separators import is_safe_minimal_AB_separator
 
 
 @dataclass(frozen=True)
@@ -170,9 +173,7 @@ def min_safe_separator(q: QueryInstance, *, verified: bool = False) -> SafeSepar
         return SafeSeparatorAnswer.none()
 
     (total, _), winner = _best_pair_cut(g2, s, t, pairs, R, g.weight_of(R))
-    if not is_safe_AB_separator(g, A, B, winner) or not is_minimal_AB_separator(
-        g, A, B, winner
-    ):
+    if not is_safe_minimal_AB_separator(g, A, B, winner):
         raise InternalConsistencyError(
             "computed winner failed validation against the safety definition"
         )

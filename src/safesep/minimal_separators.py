@@ -22,6 +22,7 @@ from .graph_core import (
     add_edges_from,
     closed_neighborhood,
     component_of,
+    component_with_boundary,
     components,
     neighborhood,
 )
@@ -49,12 +50,10 @@ def is_minimal_st_separator(g: WeightedGraph, s, t, S: Iterable[int]) -> bool:
     i.e. N(C_s(G-S)) = N(C_t(G-S)) = S."""
     S = frozenset(S)
     _check_terminals(g, s, t, S)
-    c_s = component_of(g, S, s)
-    if t in c_s:
+    c_s, n_s = component_with_boundary(g, S, s)
+    if t in c_s or n_s != S:
         return False
-    if neighborhood(g, c_s) != S:
-        return False
-    return neighborhood(g, component_of(g, S, t)) == S
+    return component_with_boundary(g, S, t)[1] == S
 
 
 def _check_ab(g: WeightedGraph, A: frozenset, B: frozenset, S: frozenset):
@@ -110,6 +109,20 @@ def is_safe_AB_separator(g: WeightedGraph, A: Iterable[int], B: Iterable[int], S
     return len(ia) == 1 and len(ib) == 1 and ia != ib
 
 
+def is_safe_minimal_AB_separator(g: WeightedGraph, A: Iterable[int], B: Iterable[int], S: Iterable[int]) -> bool:
+    """``is_safe_AB_separator(g, A, B, S) and is_minimal_AB_separator(g, A, B, S)``
+    on one partition of G-S.  Once A fills one component C_A and B another,
+    C_B, minimality says exactly S <= N(C_A) and S <= N(C_B)."""
+    A, B, S = frozenset(A), frozenset(B), frozenset(S)
+    _check_ab(g, A, B, S)
+    parts = components(g, S)
+    ia = {parts.index_of(a) for a in A}
+    ib = {parts.index_of(b) for b in B}
+    if len(ia) != 1 or len(ib) != 1 or ia == ib:
+        return False
+    return S <= parts.neighborhoods[ia.pop()] and S <= parts.neighborhoods[ib.pop()]
+
+
 def close_separator(g: WeightedGraph, X: Iterable[int], t) -> frozenset:
     """The unique minimal separator between X and t contained in N(X).
 
@@ -117,6 +130,14 @@ def close_separator(g: WeightedGraph, X: Iterable[int], t) -> frozenset:
     N(C_t(G - N(X))).  If t cannot reach X at all, the result is the empty
     separator.
     """
+    return close_side(g, X, t)[1]
+
+
+def close_side(g: WeightedGraph, X: Iterable[int], t) -> tuple:
+    """(C_t(G - N(X)), close_separator(g, X, t)) from one walk, with the
+    checks of :func:`close_separator`.  The component is also C_t(G - S) for
+    the separator S it returns: it avoids S and every neighbor it has lies
+    in S."""
     X = frozenset(X)
     if not X:
         raise ValueError("X must be non-empty")
@@ -139,8 +160,7 @@ def close_separator(g: WeightedGraph, X: Iterable[int], t) -> frozenset:
                 stack.append(w)
     if seen != X:
         raise ValueError("g[X] is not connected")
-    boundary = neighborhood(g, X)
-    return neighborhood(g, component_of(g, boundary, t))
+    return component_with_boundary(g, neighborhood(g, X), t)
 
 
 def merge_into_source(g: WeightedGraph, s, A: Iterable[int]) -> WeightedGraph:

@@ -1,5 +1,6 @@
 """Close-family computation and its structural guarantees."""
 
+import importlib
 import random
 
 import pytest
@@ -12,6 +13,8 @@ from safesep import (
     gen_atfree_rejection,
     gen_interval,
     is_minimal_st_separator,
+    minimal_separators,
+    neighborhood,
 )
 from safesep.close_to import (
     NO_CONSTRAINT,
@@ -20,6 +23,10 @@ from safesep.close_to import (
     nested_component_meet,
 )
 from safesep.oracle import close_family_bound_check, close_family_brute
+
+# ``safesep.close_to`` is the function of that name; the module is reached
+# through importlib.
+close_to_module = importlib.import_module("safesep.close_to")
 
 
 def path_graph(n):
@@ -108,6 +115,42 @@ class TestRunDetails:
         family, sides = _definition_filter(g, 0, 3, frozenset(), candidates)
         assert family == (frozenset({1}),)
         assert sides == ((component_of(g, {1}, 0), component_of(g, {1}, 3)),)
+        # The same decision when the filter is handed the sides of {1, 2}
+        # instead of walking them.
+        S = frozenset({1, 2})
+        c_s, c_t = component_of(g, S, 0), component_of(g, S, 3)
+        walked = {(S, 0): (c_s, neighborhood(g, c_s)), (S, 3): (c_t, neighborhood(g, c_t))}
+        assert _definition_filter(g, 0, 3, frozenset(), candidates, walked) == (family, sides)
+
+    def test_each_set_is_walked_once(self, monkeypatch):
+        # A run that takes the closest-to-s shortcut: the gate, the separator
+        # closest to s and the filter share their walks instead of repeating
+        # them.  Spies sit in the namespaces of the callers, so a walk that
+        # graph_core builds from another is seen once; the gate's early-exit
+        # walk returns no set and is not recorded.
+        g = gen_interval(30, wmax=5, seed=7)
+        walks = []
+
+        def spy(fn, sets_of):
+            def recording(*args):
+                result = fn(*args)
+                walks.extend(sets_of(result))
+                return result
+            return recording
+
+        returned = {
+            "component_of": lambda C: [C],
+            "components": lambda parts: list(parts),
+            "component_with_boundary": lambda side: [side[0]],
+        }
+        for module in (close_to_module, minimal_separators):
+            for name, sets_of in returned.items():
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, spy(getattr(module, name), sets_of))
+        run = close_to_run(g, 0, 29, {3, 4})
+        assert len(run.family) == 1 and run.raw_candidates == run.family
+        assert walks
+        assert len(set(walks)) == len(walks)
 
     def test_members_are_minimal_and_keep_a_on_the_source_side(self):
         for seed in range(40):

@@ -19,6 +19,7 @@ from safesep import (
     neighborhood,
     subdivide,
 )
+from safesep.graph_core import component_with_boundary, reaches_all
 from tests.strategies import connected_graphs
 
 
@@ -106,8 +107,16 @@ class TestComponents:
             assert comp, "components are non-empty"
             assert not comp & removed
             # internally connected and maximal: boundary lies inside removed
-            assert component_of(g, removed, next(iter(comp))) == comp
+            v = next(iter(comp))
+            c_v = component_of(g, removed, v)
+            assert c_v == comp
             assert neighborhood(g, comp) <= removed
+            # the one-pass walk returns the component and its neighborhood
+            assert component_with_boundary(g, removed, v) == (c_v, neighborhood(g, c_v))
+            # the early-exit walk decides containment, removed targets included
+            targets = data.draw(st.sets(st.sampled_from(sorted(comp)), max_size=3))
+            targets |= data.draw(st.sets(st.sampled_from(sorted(g.vertices)), max_size=2))
+            assert reaches_all(g, removed, v, targets) == (targets <= c_v)
             assert not union & comp, "components are disjoint"
             union |= comp
         assert union == set(g.vertices) - removed

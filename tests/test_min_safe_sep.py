@@ -10,6 +10,7 @@ from safesep import (
     SafeSeparatorAnswer,
     WeightedGraph,
     atfree,
+    closed_neighborhood,
     gen_atfree_rejection,
     gen_interval,
     is_at_free,
@@ -59,6 +60,41 @@ def broken_chain_query():
     ]
     g = WeightedGraph(10, edges, [5, 2, 3, 1, 2, 2, 1, 5, 1, 3])
     return QueryInstance(g, {2}, {0, 8, 9})
+
+
+def medium_queries():
+    """Ten seeded queries on interval graphs of 200 to 400 vertices, with A
+    and B drawn from two short windows a little apart."""
+    for seed in range(10):
+        rng = random.Random(f"pinned:{seed}")
+        n = rng.choice((200, 300, 400))
+        g = gen_interval(n, wmax=rng.choice((1, 2, 9)), seed=seed)
+        while True:
+            p = rng.randrange(n // 5, n // 2)
+            A = frozenset(rng.sample(range(p, p + 8), rng.randint(1, 3)))
+            q = p + rng.randint(15, 60)
+            B = frozenset(rng.sample(range(q, q + 8), rng.randint(1, 3)))
+            if not A & closed_neighborhood(g, B):
+                break
+        yield QueryInstance(g, A, B)
+
+
+# (A, B, separator, weight) of each medium query, then of fan_query().  Unit
+# and small weights leave many minimum-weight safe separators, so these pin
+# the tie-break.
+PINNED = (
+    ({97, 100}, {130, 132, 137}, {128}, 2),
+    ({90}, {107, 109}, {97}, 2),
+    ({197, 198}, {241}, {232, 234}, 6),
+    ({43}, {65, 68, 70}, {62}, 3),
+    ({130, 133, 135}, {172, 176, 179}, {134}, 1),
+    ({147, 148, 153}, {203}, {189, 190}, 5),
+    ({190}, {210}, {199}, 1),
+    ({168, 171, 172}, {212, 214, 217}, {174, 175}, 2),
+    ({99}, {154, 156}, {107}, 2),
+    ({55, 56, 59}, {87, 89, 91}, {68}, 1),
+    ({0, 1}, {13, 14}, {3, 4}, 6),
+)
 
 
 class TestAnswerType:
@@ -174,6 +210,17 @@ class TestFrozenAnswers:
         ans = min_safe_separator(QueryInstance(g, {0}, {4}), verified=True)
         assert (ans.separator, ans.weight) == (frozenset({1}), 1)
         assert scanned == [g]
+
+
+class TestPinnedAnswers:
+    def test_exact_separators(self):
+        """Exact separators, not only weights: a change that keeps the weight
+        but picks another separator among the ties fails here."""
+        queries = [*medium_queries(), fan_query()]
+        for q, (A, B, separator, weight) in zip(queries, PINNED, strict=True):
+            assert (q.A, q.B) == (A, B)
+            ans = min_safe_separator(q)
+            assert (ans.separator, ans.weight) == (separator, weight), (sorted(A), sorted(B))
 
 
 class TestAgainstBruteForce:

@@ -1,13 +1,14 @@
 """Separator predicates, close separators, and source merging."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from safesep import (
     NoSeparatorError,
     WeightedGraph,
     close_separator,
+    closed_neighborhood,
     component_of,
     induced_delete,
     is_AB_separator,
@@ -18,9 +19,10 @@ from safesep import (
     merge_into_source,
     neighborhood,
 )
+from safesep.minimal_separators import is_safe_minimal_AB_separator
 from safesep.oracle import enumerate_minimal_st_separators
 from tests.brutes import is_minimal_separator_by_deletion, separates
-from tests.strategies import graphs_with_terminals
+from tests.strategies import connected_graphs, graphs_with_terminals
 
 
 def path_graph(n):
@@ -78,12 +80,36 @@ class TestSetPredicates:
         assert not is_minimal_AB_separator(g, {0}, {4}, {1, 3})
         assert is_safe_AB_separator(g, {0}, {4}, {1, 3})
 
+    @settings(max_examples=200, deadline=None)
+    @given(connected_graphs(min_n=3, max_n=9), st.data())
+    def test_single_partition_validation_matches_the_two_predicates(self, g, data):
+        verts = sorted(g.vertices)
+        if data.draw(st.booleans()):
+            # A and B drawn from the two sides of a minimal a,b-separator,
+            # sometimes padded with one more vertex: often safe and minimal.
+            a, b = data.draw(st.lists(st.sampled_from(verts), min_size=2, max_size=2, unique=True))
+            assume(not g.has_edge(a, b))
+            S = close_separator(g, (a,), b)
+            S |= data.draw(st.sets(st.sampled_from(verts), max_size=1)) - {a, b}
+            A = {a} | data.draw(st.sets(st.sampled_from(verts), max_size=2)) & component_of(g, S, a)
+            B = {b} | data.draw(st.sets(st.sampled_from(verts), max_size=2)) & component_of(g, S, b)
+        else:
+            A = data.draw(st.sets(st.sampled_from(verts), min_size=1, max_size=2))
+            far = sorted(set(verts) - closed_neighborhood(g, A))
+            assume(far)
+            B = data.draw(st.sets(st.sampled_from(far), min_size=1, max_size=2))
+            S = data.draw(st.sets(st.sampled_from(verts), max_size=4)) - A - B
+        expected = is_safe_AB_separator(g, A, B, S) and is_minimal_AB_separator(g, A, B, S)
+        assert is_safe_minimal_AB_separator(g, A, B, S) == expected
+
     def test_separator_overlapping_the_sets_is_rejected(self):
         g = path_graph(5)
         with pytest.raises(ValueError):
             is_AB_separator(g, {0, 1}, {4}, {1, 2})
         with pytest.raises(ValueError):
             is_safe_AB_separator(g, {0, 1}, {4}, {1, 2})
+        with pytest.raises(ValueError):
+            is_safe_minimal_AB_separator(g, {0, 1}, {4}, {1, 2})
 
 
 class TestCloseSeparator:
