@@ -5,15 +5,14 @@ Weighted graphs and the document format
 The package works on undirected graphs with positive integer vertex
 weights.  This script builds one, pokes at its accessors, round-trips it
 through the line-oriented document format the CLI reads, and shows the
-structural operations (deletion, contraction, subdivision) the separator
-algorithms are built on.
+structural operations (deletion, subdivision) the separator algorithms are
+built on.
 """
 
 from safesep.cli import parse_graph, serialize_graph
 from safesep.graph_core import (
     WeightedGraph,
     components,
-    contract_edge,
     induced_delete,
     neighborhood,
     subdivide,
@@ -54,9 +53,7 @@ print("their neighborhoods:", [sorted(nb) for nb in part.neighborhoods])
 print("g - {0, 3} keeps its ids:", induced_delete(g, {0, 3}).vertices)
 
 ###############################################################################
-# Contraction merges an edge's endpoints (the surviving vertex keeps its
-# weight); subdivision puts a fresh vertex in the middle of every edge and
-# reports where each new vertex landed.
-print("contract (0,1):", list(contract_edge(g, 0, 1).edges()))
+# Subdivision puts a fresh vertex in the middle of every edge and reports
+# where each new vertex landed.
 sub, placed = subdivide(g)
 print("subdivided: n =", sub.n, "first placements:", dict(sorted(placed.items())[:3]))

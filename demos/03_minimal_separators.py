@@ -14,7 +14,6 @@ from safesep.minimal_separators import (
     close_separator,
     is_minimal_st_separator,
     is_st_separator,
-    merge_into_source,
 )
 from safesep.oracle import enumerate_minimal_st_separators
 
@@ -44,8 +43,6 @@ print("close separator of {0} toward 3:", sorted(S))
 print("source side:", sorted(component_of(ring, S, 0)))
 
 ###############################################################################
-# To anchor a separator at a whole vertex set, the set is wired onto the
-# source with temporary edges; minimal separators of the merged graph are
-# exactly the cuts between the set and t in the original.
-merged = merge_into_source(path, 0, {2})
-print("after merging {2} into 0:", sorted(close_separator(merged, (0,), 4)))
+# To anchor a separator at a whole vertex set, pass the set as the block:
+# the separator then keeps all of it on the source side.
+print("anchored at {0, 1, 2}:", sorted(close_separator(path, (0, 1, 2), 4)))

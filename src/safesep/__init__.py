@@ -15,13 +15,10 @@ from .errors import InternalConsistencyError, NoSeparatorError
 from .graph_core import (
     ComponentPartition,
     WeightedGraph,
-    add_edges_from,
     bfs_path,
     closed_neighborhood,
     component_of,
     components,
-    contract_connected_set,
-    contract_edge,
     family_sorted,
     induced_delete,
     is_connected,
@@ -37,7 +34,6 @@ from .minimal_separators import (
     is_minimal_st_separator,
     is_safe_AB_separator,
     is_st_separator,
-    merge_into_source,
 )
 from .oracle import (
     SubsetCapError,
@@ -61,7 +57,6 @@ __all__ = [
     "SafeSeparatorAnswer",
     "SubsetCapError",
     "WeightedGraph",
-    "add_edges_from",
     "bfs_path",
     "close_family_brute",
     "close_separator",
@@ -69,8 +64,6 @@ __all__ = [
     "closed_neighborhood",
     "component_of",
     "components",
-    "contract_connected_set",
-    "contract_edge",
     "enumerate_minimal_st_separators",
     "family_sorted",
     "find_asteroidal_triple",
@@ -84,7 +77,6 @@ __all__ = [
     "is_minimal_st_separator",
     "is_safe_AB_separator",
     "is_st_separator",
-    "merge_into_source",
     "min_safe_brute",
     "min_safe_separator",
     "min_weight_st_separator",

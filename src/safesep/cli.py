@@ -288,10 +288,8 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _verify_one(task):
-    """One verify-batch instance; top-level so worker processes can pick it
-    up.  Returns (seed, ok, detail)."""
-    seed, n, wmax = task
+def _verify_one(seed, n, wmax):
+    """One verify-batch instance.  Returns (seed, ok, detail)."""
     rng = random.Random(f"verify:{seed}")
     if seed % 2 == 0:
         g = gen_interval(n, wmax, seed)
@@ -320,15 +318,7 @@ def _verify_one(task):
 def _cmd_verify(args) -> int:
     if args.n > 12:
         raise UsageError("verify needs n <= 12 so the oracle stays feasible")
-    tasks = [(seed, args.n, args.wmax) for seed in range(args.seeds)]
-    if args.workers > 1:
-        # Imported here: only a pooled batch pays for loading the module.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_verify_one, tasks))
-    else:
-        results = [_verify_one(t) for t in tasks]
+    results = [_verify_one(seed, args.n, args.wmax) for seed in range(args.seeds)]
     failures = [(seed, detail) for seed, ok, detail in results if not ok]
     checked = sum(1 for _, ok, detail in results if ok and detail == "ok")
     payload = {
@@ -397,7 +387,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, required=True, help="number of instances")
     p.add_argument("--n", type=int, required=True, help="vertices per instance")
     p.add_argument("--wmax", type=int, default=10)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -10,9 +10,13 @@ T_s closest to s).
 
 The procedure works in the graph G' = G - L where L collects the common
 neighbors of sA and t (vertices every qualifying separator must contain),
-walks the component structure under the separator closest to s, and merges
-candidate source sides into s to read off one close separator per candidate
-anchor vertex.  A final definitional filter keeps exactly the family members:
+walks the component structure under the separator closest to s, and reads
+off one close separator N(C_t(G' - N(X))) per anchor set X: s with the
+anchored part of A and one candidate anchor vertex, and in the contraction
+branch a settled source side with one of its boundary vertices.  Each is one
+walk in G' itself (``close_side``); X need not be connected, and the result
+is the close separator of s in G' with s joined to N[X] - {s}.  A final
+definitional filter keeps exactly the family members:
 the raw candidate list is guaranteed to contain the whole family, but single
 candidates produced by the contraction branch can fail closeness, so each
 survivor is checked minimal-with-A-inside and non-dominated against the other
@@ -37,18 +41,15 @@ from .atfree import is_at_free
 from .errors import InternalConsistencyError, NoSeparatorError
 from .graph_core import (
     WeightedGraph,
-    add_edges_from,
     closed_neighborhood,
-    component_of,
     component_with_boundary,
-    contract_connected_set,
-    contract_edge,
     family_sorted,
+    hangs_together,
     induced_delete,
     neighborhood,
     reaches_all,
 )
-from .minimal_separators import close_side, merge_into_source
+from .minimal_separators import close_side
 
 # Sentinel distinguishing "no component constrains the anchor choice" from an
 # empty intersection.
@@ -185,10 +186,11 @@ def close_to_run(g: WeightedGraph, s, t, A: Iterable[int]) -> CloseToRun:
     walked = {}
     for v in anchors:
         A_v = a_core if v is None else a_core | {v}
-        h = merge_into_source(gp, s, A_v)
-        # h adds only edges at s, and C_t(h - S_1) avoids N_h(s), so it is
-        # also C_t(gp - S_1).
-        c_t_1, S_1 = close_side(h, (s,), t)
+        X = A_v | {s}
+        side = close_side(gp, X, t)
+        if side is None:
+            raise NoSeparatorError("the anchor set meets the closed neighborhood of t")
+        c_t_1, S_1 = side
         c_s_1, n_s_1 = component_with_boundary(gp, S_1, s)
         candidates.append(S_1 | L)
         walked[S_1 | L, s] = _in_g(g, L, (c_s_1, n_s_1))
@@ -196,47 +198,39 @@ def close_to_run(g: WeightedGraph, s, t, A: Iterable[int]) -> CloseToRun:
         if A_v <= c_s_1:
             # S_1 keeps all of A_v on the source side of gp itself, so it is
             # the only separator this pass can contribute.  (Testing the
-            # containment in h instead would accept passes where the added
-            # source edges, not the graph, hold A_v together, and the
+            # containment in the walk from all of N[X] instead would accept
+            # passes where N(X), not the graph, holds A_v together, and the
             # boundary candidates below would then never be generated.)
             continue
-        # Contraction branch: fold the settled part of the source side into s
-        # and read off candidates anchored at each boundary vertex.  Like h,
-        # the contracted graphs differ from gp only at s, so each t-side
-        # walked below, which avoids N(s), is also the t-side in gp.
-        c_s_h = component_of(h, S_1, s)
-        Q_s = neighborhood(gp, c_s_h) & S_1
+        # Contraction branch: Q_s is the part of S_1 that the components of
+        # gp - S_1 meeting N[X] touch.  Settle the source side of Q_s and read
+        # off candidates anchored at it plus each boundary vertex w.
+        Q_s = component_with_boundary(gp, S_1, *(closed_neighborhood(gp, X) - S_1))[1]
         if not Q_s:
             continue
         candidates.append(Q_s | L)
         c_s_q, n_s_q = component_with_boundary(gp, Q_s, s)
         walked[Q_s | L, s] = _in_g(g, L, (c_s_q, n_s_q))
         d_v = A_v - c_s_q
-        m = contract_connected_set(gp, s, c_s_q - {s})
         for w in sorted(Q_s):
-            try:
-                if not m.has_edge(s, w):
-                    # The boundary vertex can sit at distance two from the
-                    # contracted source; absorbing it is still the intent.
-                    m_w = contract_edge(add_edges_from(m, s, frozenset((w,))), s, w)
-                else:
-                    m_w = contract_edge(m, s, w)
-                c_t_w, T_w = close_side(m_w, (s,), t)
-            except NoSeparatorError:
+            X_w = c_s_q | {w}
+            side = close_side(gp, X_w, t)
+            if side is None:
                 continue
+            c_t_w, T_w = side
             candidates.append(T_w | L)
             walked[T_w | L, t] = _in_g(g, L, (c_t_w, T_w))
             rest = d_v - {w}
-            if rest:
-                # Anchor the close separator at the whole surviving target
-                # set as well; when the plain boundary anchor strands part
-                # of A_v this variant is the one that recovers the member.
-                try:
-                    c_t_wd, T_wd = close_side(m_w, (s, *sorted(rest)), t)
-                except (NoSeparatorError, ValueError):
-                    continue
-                candidates.append(T_wd | L)
-                walked[T_wd | L, t] = _in_g(g, L, (c_t_wd, T_wd))
+            # Anchor the close separator at X_w and the surviving targets as
+            # well, when they hang together with X_w; when the plain boundary
+            # anchor strands part of A_v this variant is the one that recovers
+            # the member.
+            if rest and hangs_together(gp, X_w, rest):
+                side = close_side(gp, X_w | rest, t)
+                if side is not None:
+                    c_t_wd, T_wd = side
+                    candidates.append(T_wd | L)
+                    walked[T_wd | L, t] = _in_g(g, L, (c_t_wd, T_wd))
 
     family, sides = _definition_filter(g, s, t, A, candidates, walked)
     return CloseToRun(family, family_sorted(candidates), sides)

@@ -176,17 +176,17 @@ def closed_neighborhood(g: WeightedGraph, T: Iterable[int]) -> frozenset:
     return frozenset(out)
 
 
-def component_with_boundary(g: WeightedGraph, X, v) -> tuple:
-    """(C_v(G-X), N_G(C_v(G-X))) from one walk: the component of v in G-X and
-    the vertices of X it touches.
+def component_with_boundary(g: WeightedGraph, X, *starts) -> tuple:
+    """(C, N_G(C)) from one walk, where C is the union of the components of
+    G-X that hold a start vertex; with one start v, C = C_v(G-X).
 
-    Trusted: X is a set, v an active vertex outside it; nothing here checks
-    that.
+    Trusted: X is a set, the starts active vertices outside it; nothing here
+    checks that.
     """
     adj = g._adj
-    comp = {v}
+    comp = set(starts)
     boundary = set()
-    stack = [v]
+    stack = list(comp)
     while stack:
         for w in adj[stack.pop()]:
             if w in X:
@@ -220,6 +220,23 @@ def reaches_all(g: WeightedGraph, X, v, targets) -> bool:
                 seen.add(w)
                 stack.append(w)
     return False
+
+
+def hangs_together(g: WeightedGraph, core, rest) -> bool:
+    """Whether every vertex of ``rest`` reaches ``core`` by a path through
+    ``rest``: g[core | rest] is connected once core is one vertex.
+
+    Trusted: core and rest are disjoint sets of active vertices.
+    """
+    adj = g._adj
+    seen = {r for r in rest if not adj[r].isdisjoint(core)}
+    stack = list(seen)
+    while stack:
+        for w in adj[stack.pop()]:
+            if w in rest and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(rest)
 
 
 def components(g: WeightedGraph, X: Iterable[int]) -> ComponentPartition:
@@ -259,69 +276,15 @@ def induced_delete(g: WeightedGraph, X: Iterable[int]) -> WeightedGraph:
     return WeightedGraph._from_parts(g.n, adj, w)
 
 
-def contract_edge(g: WeightedGraph, u, v) -> WeightedGraph:
-    """Contract the edge (u, v) into u; u keeps its own weight."""
-    if not g.has_edge(u, v):
-        raise ValueError(f"({u},{v}) is not an edge")
-    merged = (g.neighbors(u) | g.neighbors(v)) - {u, v}
-    adj = {}
-    for x in g._adj:
-        if x == v:
-            continue
-        if x == u:
-            adj[u] = merged
-        elif v in g._adj[x]:
-            adj[x] = (g._adj[x] - {v}) | {u}
-        else:
-            adj[x] = g._adj[x]
-    w = {x: g._w[x] for x in adj}
-    return WeightedGraph._from_parts(g.n, adj, w)
-
-
-def contract_connected_set(g: WeightedGraph, u, A: Iterable[int]) -> WeightedGraph:
-    """Contract the connected set {u} | A into u; equals iterated contract_edge."""
-    A = _check_subset(g, A, "A")
-    if not A:
-        return g
-    if u in A:
-        raise ValueError("representative u must not be in A")
-    if not g.has_vertex(u):
-        raise ValueError(f"vertex {u} is not active")
-    blob = A | {u}
-    # connectivity of g[blob]
-    seen = {u}
-    stack = [u]
-    while stack:
-        x = stack.pop()
-        for y in g.neighbors(x):
-            if y in blob and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    if seen != blob:
-        raise ValueError("the set {u} | A does not induce a connected subgraph")
-    merged = neighborhood(g, blob)
-    adj = {}
-    for x in g._adj:
-        if x in A:
-            continue
-        if x == u:
-            adj[u] = merged
-        elif g._adj[x] & blob:
-            adj[x] = (g._adj[x] - blob) | {u}
-        else:
-            adj[x] = g._adj[x]
-    w = {x: g._w[x] for x in adj}
-    return WeightedGraph._from_parts(g.n, adj, w)
-
-
 def fold_cores(g: WeightedGraph, s, core_s: frozenset, t, core_t: frozenset) -> WeightedGraph:
     """Contract the core core_s into s and the core core_t into t.
 
     Trusted: each core contains its terminal and induces a connected
     subgraph, and the two cores are disjoint and non-adjacent; nothing here
-    checks that.  The result equals two ``contract_connected_set`` calls, but
-    only the vertices outside the cores are visited, and each of them with no
-    neighbor inside a core keeps its adjacency set.
+    checks that.  The other core vertices leave the graph, and each terminal
+    keeps its weight and is adjacent to exactly the outside vertices that
+    touched its core.  Only the vertices outside the cores are visited, and
+    each of them with no neighbor inside a core keeps its adjacency set.
     """
     adj = {}
     near_s = []
@@ -338,23 +301,6 @@ def fold_cores(g: WeightedGraph, s, core_s: frozenset, t, core_t: frozenset) -> 
     adj[s] = frozenset(near_s)
     adj[t] = frozenset(near_t)
     w = {x: g._w[x] for x in adj}
-    return WeightedGraph._from_parts(g.n, adj, w)
-
-
-def add_edges_from(g: WeightedGraph, s, Z: Iterable[int]) -> WeightedGraph:
-    """Supergraph of g with every edge (s, z) for z in Z added."""
-    Z = _check_subset(g, Z, "Z")
-    if s in Z:
-        raise ValueError("s must not be in Z")
-    if not g.has_vertex(s):
-        raise ValueError(f"vertex {s} is not active")
-    if Z <= g._adj[s]:
-        return g
-    adj = dict(g._adj)
-    adj[s] = adj[s] | Z
-    for z in Z:
-        adj[z] = adj[z] | {s}
-    w = dict(g._w)
     return WeightedGraph._from_parts(g.n, adj, w)
 
 

@@ -9,7 +9,9 @@ Conventions used throughout:
   vacuously.
 * ``close_separator`` raises :class:`NoSeparatorError` (distinct from
   returning the empty set) when the source side reaches into the target's
-  closed neighborhood — callers branch on exactly this condition.
+  closed neighborhood.  Its trusted walk ``close_side``, on which
+  ``close_to`` reads every close separator N(C_t(G - N(X))) of an anchor
+  set X, returns None instead, and X may be any set there.
 """
 
 from __future__ import annotations
@@ -19,12 +21,11 @@ from typing import Iterable
 from .errors import NoSeparatorError
 from .graph_core import (
     WeightedGraph,
-    add_edges_from,
     closed_neighborhood,
     component_of,
     component_with_boundary,
     components,
-    neighborhood,
+    hangs_together,
 )
 
 
@@ -130,14 +131,6 @@ def close_separator(g: WeightedGraph, X: Iterable[int], t) -> frozenset:
     N(C_t(G - N(X))).  If t cannot reach X at all, the result is the empty
     separator.
     """
-    return close_side(g, X, t)[1]
-
-
-def close_side(g: WeightedGraph, X: Iterable[int], t) -> tuple:
-    """(C_t(G - N(X)), close_separator(g, X, t)) from one walk, with the
-    checks of :func:`close_separator`.  The component is also C_t(G - S) for
-    the separator S it returns: it avoids S and every neighbor it has lies
-    in S."""
     X = frozenset(X)
     if not X:
         raise ValueError("X must be non-empty")
@@ -148,30 +141,24 @@ def close_side(g: WeightedGraph, X: Iterable[int], t) -> tuple:
         raise ValueError(f"terminal {t} is not an active vertex")
     if X & closed_neighborhood(g, (t,)):
         raise NoSeparatorError("X intersects the closed neighborhood of t")
-    # connectivity of g[X]
     start = next(iter(X))
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in g.neighbors(u):
-            if w in X and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if seen != X:
+    if not hangs_together(g, {start}, X - {start}):
         raise ValueError("g[X] is not connected")
-    return component_with_boundary(g, neighborhood(g, X), t)
+    return close_side(g, X, t)[1]
 
 
-def merge_into_source(g: WeightedGraph, s, A: Iterable[int]) -> WeightedGraph:
-    """The supergraph H = g plus all edges {(s, z) : z in N[A] - {s}}.
+def close_side(g: WeightedGraph, X: Iterable[int], t) -> tuple | None:
+    """(C_t(G - N(X)), N(C_t(G - N(X)))) from one walk, or None when t lies
+    in N[X].  The component is also C_t(G - S) for the separator S it
+    returns: it avoids S and every neighbor it has lies in S.
 
-    Minimal s,t-separators of H are exactly the minimal separators between
-    the set {s} | A and t in g.
+    Trusted: X is a non-empty set of active vertices and t an active vertex;
+    nothing here checks that.  X need not be connected: the result is then
+    the close side of s in g with s joined to N[X] - {s}, for any s in X.
     """
-    A = frozenset(A)
-    if s in A:
-        raise ValueError("s must not be in A")
-    if not A:
-        return g
-    return add_edges_from(g, s, closed_neighborhood(g, A) - {s})
+    closed = set(X)
+    for x in X:
+        closed.update(g.neighbors(x))
+    if t in closed:
+        return None
+    return component_with_boundary(g, closed, t)

@@ -46,6 +46,30 @@ def connected_within(g, X) -> bool:
     return seen == X
 
 
+def contract_connected_set(g, u, A):
+    """The graph with the connected set {u} | A contracted into u: the
+    vertices of A leave, and u keeps its weight and sees every vertex outside
+    the set that touched it.  The reference for ``graph_core.fold_cores``;
+    it uses the internal constructor so that, as in the package's derived
+    graphs, the ids of the contracted vertices stay unused."""
+    A = frozenset(A)
+    if not A:
+        return g
+    if u in A:
+        raise ValueError("representative u must not be in A")
+    if not g.has_vertex(u):
+        raise ValueError(f"vertex {u} is not active")
+    blob = A | {u}
+    if not connected_within(g, blob):
+        raise ValueError("the set {u} | A does not induce a connected subgraph")
+    adj = {x: g.neighbors(x) for x in g.vertices if x not in A}
+    for x, nb in adj.items():
+        if nb & blob:
+            adj[x] = (nb - blob) | {u}
+    adj[u] = frozenset().union(*(g.neighbors(b) for b in blob)) - blob
+    return WeightedGraph._from_parts(g.n, adj, {x: g.weight(x) for x in adj})
+
+
 def separates(g, s, t, S) -> bool:
     S = frozenset(S)
     if s in S or t in S:

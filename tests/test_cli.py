@@ -379,6 +379,10 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--seeds", "1", "--n", "13")
         assert code == 64
         assert "usage error" in err
+        # and so is the removed --workers knob
+        code, _, err = run_cli(capsys, "verify", "--seeds", "1", "--n", "5", "--workers", "2")
+        assert code == 64
+        assert "usage error" in err
 
 
 class TestErrorPaths:

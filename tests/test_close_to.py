@@ -18,6 +18,7 @@ from safesep import (
 )
 from safesep.close_to import (
     NO_CONSTRAINT,
+    CloseToRun,
     _definition_filter,
     close_to_run,
     nested_component_meet,
@@ -58,10 +59,10 @@ class TestFrozenFamilies:
         assert close_to(g, 0, 3, {2}) == ()
 
     def test_target_beyond_the_first_boundary(self):
-        # With A = {2, 4}, the separator closest to the merged source keeps
-        # A together only thanks to the merge edges; the true family member
-        # {5, 6} appears once the settled source side is contracted and the
-        # boundary vertices are absorbed one at a time.
+        # With A = {2, 4}, the close separator {3, 5} of the anchor set
+        # {1, 2, 4} strands 4 from s; the true family member {5, 6} appears
+        # once the settled source side {0, 1, 2} is anchored together with
+        # one boundary vertex at a time (here 3).
         g = WeightedGraph(
             10,
             [
@@ -121,6 +122,22 @@ class TestRunDetails:
         c_s, c_t = component_of(g, S, 0), component_of(g, S, 3)
         walked = {(S, 0): (c_s, neighborhood(g, c_s)), (S, 3): (c_t, neighborhood(g, c_t))}
         assert _definition_filter(g, 0, 3, frozenset(), candidates, walked) == (family, sides)
+
+    def test_gate_stops_queries_whose_set_lies_beyond_t(self, monkeypatch):
+        # sA = {0, 6} avoids N[3] = {2, 3, 4}, but 6 lies beyond t, outside
+        # C_s(G - N(t)) = {0, 1}: the gate answers before any close side is
+        # walked.
+        g = path_graph(7)
+        walks = []
+
+        def recording(*args):
+            walks.append(args)
+            return minimal_separators.close_side(*args)
+
+        monkeypatch.setattr(close_to_module, "close_side", recording)
+        assert close_to_run(g, 0, 3, {6}) == CloseToRun(family=(), raw_candidates=())
+        assert walks == []
+        assert close_family_brute(g, 0, 3, {6}) == ()
 
     def test_each_set_is_walked_once(self, monkeypatch):
         # A run that takes the closest-to-s shortcut: the gate, the separator
@@ -189,6 +206,22 @@ class TestAgainstBruteForce:
             assert close_to(g, s, t, A, verified=True) == close_family_brute(g, s, t, A), (
                 f"seed={seed} s={s} t={t} A={sorted(A)}"
             )
+
+    @pytest.mark.parametrize(
+        "g, s, t, A, raw",
+        [
+            (gen_interval(12, wmax=5, seed=1956), 6, 2, {4}, [{0}, {3}]),
+            (gen_interval(11, wmax=5, seed=12261), 1, 10, {4, 5}, [{2}, {6}]),
+            (gen_atfree_rejection(10, wmax=5, seed=11230), 4, 6, {1}, [{0, 5, 7}, {3, 5, 7, 9}, {8}]),
+            (gen_atfree_rejection(10, wmax=5, seed=18112), 0, 6, {3}, [{1, 2, 5, 9}, {2, 4, 5, 8}]),
+        ],
+    )
+    def test_contraction_branch_matches_definition(self, g, s, t, A, raw):
+        # Each query leaves part of its anchor set stranded by the first
+        # anchor pass, so close_to_run settles a source side and reads off
+        # candidates at each of its boundary vertices.
+        assert close_to(g, s, t, A, verified=True) == close_family_brute(g, s, t, A)
+        assert close_to_run(g, s, t, A).raw_candidates == tuple(frozenset(S) for S in raw)
 
 
 class TestNestedComponentMeet:

@@ -6,20 +6,18 @@ from hypothesis import strategies as st
 
 from safesep import (
     WeightedGraph,
-    add_edges_from,
     bfs_path,
     closed_neighborhood,
     component_of,
     components,
-    contract_connected_set,
-    contract_edge,
     family_sorted,
     induced_delete,
     is_connected,
     neighborhood,
     subdivide,
 )
-from safesep.graph_core import component_with_boundary, reaches_all
+from safesep.graph_core import component_with_boundary, hangs_together, reaches_all
+from tests.brutes import connected_within, contract_connected_set
 from tests.strategies import connected_graphs
 
 
@@ -120,6 +118,20 @@ class TestComponents:
             assert not union & comp, "components are disjoint"
             union |= comp
         assert union == set(g.vertices) - removed
+        # a walk from several starts covers the union of their components
+        if union:
+            starts = data.draw(st.sets(st.sampled_from(sorted(union)), min_size=1, max_size=3))
+            joint = frozenset().union(*(part.of(v) for v in starts))
+            assert component_with_boundary(g, removed, *starts) == (joint, neighborhood(g, joint))
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_graphs(max_n=8), st.data())
+    def test_hangs_together_is_connectivity_with_the_core_as_one_vertex(self, g, data):
+        verts = sorted(g.vertices)
+        core = data.draw(st.sets(st.sampled_from(verts), min_size=1, max_size=3))
+        rest = data.draw(st.sets(st.sampled_from(verts), max_size=4)) - core
+        wired = WeightedGraph(g.n, [*g.edges(), *((u, v) for u in core for v in core if u < v)])
+        assert hangs_together(g, frozenset(core), frozenset(rest)) == connected_within(wired, core | rest)
 
 
 class TestDeletionAndContraction:
@@ -129,13 +141,6 @@ class TestDeletionAndContraction:
         assert g.has_edge(0, 1) and g.has_edge(3, 4)
         assert not g.has_edge(1, 3)
 
-    def test_contract_edge(self):
-        g = contract_edge(path_graph(4), 1, 2)
-        assert g.vertices == (0, 1, 3)
-        assert g.has_edge(0, 1) and g.has_edge(1, 3)
-        with pytest.raises(ValueError):
-            contract_edge(path_graph(4), 0, 2)
-
     def test_contract_connected_set(self):
         g = contract_connected_set(path_graph(5), 1, {2, 3})
         assert g.vertices == (0, 1, 4)
@@ -144,25 +149,6 @@ class TestDeletionAndContraction:
     def test_contract_disconnected_set_raises(self):
         with pytest.raises(ValueError):
             contract_connected_set(path_graph(5), 0, {2})
-
-    def test_add_edges_from(self):
-        g = add_edges_from(path_graph(4), 0, {2, 3})
-        assert g.has_edge(0, 2) and g.has_edge(0, 3)
-        assert g.edge_count == 5
-        # adding existing edges returns an equal graph
-        h = add_edges_from(g, 0, {1})
-        assert dict(h._adj) == dict(g._adj)
-
-    @settings(max_examples=60, deadline=None)
-    @given(connected_graphs(min_n=3, max_n=8), st.data())
-    def test_contract_edge_merges_adjacency(self, g, data):
-        u, v = data.draw(st.sampled_from(sorted(g.edges())))
-        h = contract_edge(g, u, v)
-        assert set(h.vertices) == set(g.vertices) - {v}
-        assert h.neighbors(u) == (g.neighbors(u) | g.neighbors(v)) - {u, v}
-        for x in h.vertices:
-            if x != u:
-                assert h.weight(x) == g.weight(x)
 
 
 class TestSubdivide:

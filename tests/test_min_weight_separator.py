@@ -7,7 +7,6 @@ from safesep import (
     InternalConsistencyError,
     NoSeparatorError,
     WeightedGraph,
-    contract_connected_set,
     induced_delete,
     is_minimal_st_separator,
     min_weight_st_separator,
@@ -16,6 +15,7 @@ from safesep import (
 from safesep.graph_core import fold_cores
 from safesep.min_weight_separator import SplitNetwork
 from tests.brutes import (
+    contract_connected_set,
     max_disjoint_paths_brute,
     min_weight_separator_brute,
     minimal_st_separators_by_deletion,

@@ -1,4 +1,4 @@
-"""Separator predicates, close separators, and source merging."""
+"""Separator predicates and close separators."""
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,12 +16,11 @@ from safesep import (
     is_minimal_st_separator,
     is_safe_AB_separator,
     is_st_separator,
-    merge_into_source,
     neighborhood,
 )
-from safesep.minimal_separators import is_safe_minimal_AB_separator
+from safesep.minimal_separators import close_side, is_safe_minimal_AB_separator
 from safesep.oracle import enumerate_minimal_st_separators
-from tests.brutes import is_minimal_separator_by_deletion, separates
+from tests.brutes import is_minimal_separator_by_deletion, reachable, separates
 from tests.strategies import connected_graphs, graphs_with_terminals
 
 
@@ -153,32 +152,23 @@ class TestCloseSeparator:
         assert inside == [S]
 
 
-class TestMergeIntoSource:
-    def test_merge_then_close(self):
-        g = path_graph(5)
-        h = merge_into_source(g, 0, {2})
-        assert h.has_edge(0, 2) and h.has_edge(0, 1) and h.has_edge(0, 3)
-        assert close_separator(h, (0,), 4) == frozenset({3})
-
-    def test_empty_merge_is_identity(self):
-        g = path_graph(5)
-        assert merge_into_source(g, 0, set()) is g
-        with pytest.raises(ValueError):
-            merge_into_source(g, 0, {0, 1})
-
-    @settings(max_examples=80, deadline=None)
-    @given(graphs_with_terminals(min_n=4, max_n=8), st.data())
-    def test_merged_separators_put_the_set_on_the_source_side(self, gst, data):
+class TestCloseSide:
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_with_terminals(min_n=4, max_n=9), st.data())
+    def test_anchor_set_reads_like_a_joined_source(self, gst, data):
+        # For any X around s, connected or not, the close side of X in g is
+        # the close side of s in the graph with s joined to N[X] - {s}.
         g, s, t = gst
         pool = sorted(set(g.vertices) - {s, t})
-        if not pool:
+        X = {s} | data.draw(st.sets(st.sampled_from(pool), max_size=4))
+        closed_x = closed_neighborhood(g, X)
+        if t in closed_x:
+            assert close_side(g, frozenset(X), t) is None
             return
-        A = frozenset(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3)))
-        h = merge_into_source(g, s, A)
-        for S in enumerate_minimal_st_separators(h, s, t):
-            # a minimal separator of the merged graph cuts every path from
-            # {s} | A to t in the original graph
-            assert not (({s} | A) - S) & component_of(g, S, t)
+        joined = WeightedGraph(g.n, [*g.edges(), *((s, z) for z in closed_x - g.neighbors(s) - {s})])
+        c_t = reachable(joined, t, joined.neighbors(s))
+        boundary = frozenset(y for c in c_t for y in joined.neighbors(c)) - c_t
+        assert close_side(g, frozenset(X), t) == (c_t, boundary)
 
 
 class TestComponentOrder:
