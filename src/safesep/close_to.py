@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .atfree import is_at_free
-from .errors import InternalConsistencyError, NoSeparatorError
+from .errors import InternalConsistencyError
 from .graph_core import (
     WeightedGraph,
     closed_neighborhood,
@@ -189,7 +189,8 @@ def close_to_run(g: WeightedGraph, s, t, A: Iterable[int]) -> CloseToRun:
         X = A_v | {s}
         side = close_side(gp, X, t)
         if side is None:
-            raise NoSeparatorError("the anchor set meets the closed neighborhood of t")
+            # Cannot happen: sA misses N[t], and v in T_s <= N(s) would be in L if in N(t).
+            raise InternalConsistencyError("the anchor set meets the closed neighborhood of t")
         c_t_1, S_1 = side
         c_s_1, n_s_1 = component_with_boundary(gp, S_1, s)
         candidates.append(S_1 | L)
@@ -245,9 +246,9 @@ def close_to(g: WeightedGraph, s, t, A: Iterable[int], *, verified: bool = False
     scans g once for an asteroidal triple (ValueError if it has one); fast
     mode skips the scan, and the correctness guarantee then rests on the
     caller supplying an AT-free graph.  Both modes check the
-    component-neighborhood chain during the run and raise
-    InternalConsistencyError when it breaks.  The checked query runs through
-    :func:`close_to_run`.
+    component-neighborhood chain and that no anchor set meets N[t] during the
+    run, and raise InternalConsistencyError when either check fails.  The
+    checked query runs through :func:`close_to_run`.
     """
     A = frozenset(A)
     if s == t:

@@ -19,9 +19,10 @@ Each family member comes with its two sides, walked once while the family
 was computed, so the qualifying test and the settled sides of a pair need no
 walk of their own.  All pairs are cut on one flow network per query.  The
 part of each side that every qualifying pair settles (the core) is folded
-into its terminal once; for each pair, the split arcs of the rest of its
-settled sides are raised to infinity, which equals contracting them, and one
-max-flow gives the cut.
+into its terminal once, and one base max-flow is run with nothing else
+settled.  For each pair, the split arcs of the rest of its settled sides are
+raised to infinity, which equals contracting them, and augmenting the base
+flow gives the cut.
 
 On graphs that are not AT-free the close families can be wrong, so only the
 ``verified`` mode, which first scans the graph for an asteroidal triple,

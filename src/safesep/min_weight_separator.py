@@ -11,9 +11,13 @@ separator, which is always minimal.
 A vertex can also be *settled*: its split arc is raised to the infinite
 capacity, so no finite cut contains it.  Raising a connected side that
 contains s (or t) is equivalent to contracting that side into the terminal,
-and yields the same cut.  ``SplitNetwork`` builds the network once and cuts
-it for any number of settled sets; ``min_weight_st_separator`` is its
-single cut with nothing settled.
+and yields the same cut.  ``SplitNetwork`` builds the network and computes a
+maximum flow with nothing settled (the base flow) once, then cuts it for any
+number of settled sets.  Settling only raises capacities, so the base flow
+stays feasible and each cut augments from it instead of from zero; the
+source side of the cut is the residual-reachable set, which every maximum
+flow shares, so the cut is the one a cold flow would give.
+``min_weight_st_separator`` is the single cut with nothing settled.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ class FlowNetwork:
                         level[v] = level[u] + 1
                         nxt.append(v)
             queue = nxt
-        return level if level[t] >= 0 else None
+        return level
 
     def _blocking_flow(self, s: int, t: int, level) -> int:
         total = 0
@@ -99,34 +103,25 @@ class FlowNetwork:
                 path.pop()
                 it[u] += 1
 
-    def max_flow(self, s: int, t: int) -> int:
+    def max_flow(self, s: int, t: int):
+        """Augment the current flow to a maximum one; returns the flow added and
+        the levels of the last BFS, >= 0 exactly where s reaches in the residual."""
         flow = 0
         while True:
             level = self._levels(s, t)
-            if level is None:
-                return flow
+            if level[t] < 0:
+                return flow, level
             flow += self._blocking_flow(s, t, level)
-
-    def residual_reachable(self, s: int) -> set:
-        seen = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for idx in self.head[u]:
-                v = self.to[idx]
-                if self.cap[idx] > 0 and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen
 
 
 class SplitNetwork:
-    """The vertex-split network of g between s and t, built once and cut
-    once per set of settled vertices.
+    """The vertex-split network of g between s and t, built and flowed once,
+    then cut once per set of settled vertices.
 
     s and t each get one node; every other vertex v gets v_in -> v_out with
-    capacity w(v).  The capacities are saved, so each :meth:`min_cut` starts
-    from the same network.
+    capacity w(v).  A maximum flow with nothing settled, the base flow, is
+    computed once and its residual capacities are saved, so each
+    :meth:`min_cut` starts from the same flow.
     """
 
     def __init__(self, g: WeightedGraph, s, t):
@@ -152,7 +147,8 @@ class SplitNetwork:
             net.add_arc(out_node[u], in_node[v], self.inf)
             net.add_arc(out_node[v], in_node[u], self.inf)
         self.net, self.in_node, self.out_node, self.split_arc = net, in_node, out_node, split_arc
-        self.capacity = list(net.cap)
+        self.base, _ = net.max_flow(out_node[s], in_node[t])
+        self.residual = list(net.cap)
 
     def min_cut(self, settled=()):
         """A minimum-weight s,t-separator avoiding the settled vertices, and
@@ -160,29 +156,30 @@ class SplitNetwork:
 
         The split arcs of the settled vertices are raised to the infinite
         capacity, which is the same as contracting each connected settled
-        side into its terminal.  The source-side residual-reachability cut is
-        returned; it is always a minimal separator (validated before
-        returning).  InternalConsistencyError means that no finite cut exists,
-        i.e. the settled vertices join s to t.
+        side into its terminal.  Raising capacities keeps the base flow
+        feasible, so Dinic augments it to a maximum flow of the raised
+        network.  The nodes residual-reachable from s are the same for every
+        maximum flow (the source side of the minimal minimum cut), so the cut
+        equals the one a flow from zero would give.  It is always a minimal
+        separator (validated before returning).  InternalConsistencyError
+        means that no finite cut exists, i.e. the settled vertices join s to t.
         """
-        net = self.net
-        net.cap[:] = self.capacity
+        net, g = self.net, self.g
+        net.cap[:] = self.residual
         for v in settled:
-            net.cap[self.split_arc[v]] = self.inf
-        source = self.out_node[self.s]
-        flow = net.max_flow(source, self.in_node[self.t])
+            net.cap[self.split_arc[v]] += self.inf - g.weight(v)
+        extra, level = net.max_flow(self.out_node[self.s], self.in_node[self.t])
+        flow = self.base + extra
         if flow >= self.inf:
             raise InternalConsistencyError(
                 "the flow reached the infinite capacity: the settled sides touch"
             )
         if flow == 0:
             return frozenset(), 0
-        reach = net.residual_reachable(source)
         in_node, out_node = self.in_node, self.out_node
         sep = frozenset(
-            v for v in self.split_arc if in_node[v] in reach and out_node[v] not in reach
+            v for v in self.split_arc if level[in_node[v]] >= 0 and level[out_node[v]] < 0
         )
-        g = self.g
         if g.weight_of(sep) != flow:
             raise InternalConsistencyError(
                 f"cut weight {g.weight_of(sep)} does not match flow value {flow}"

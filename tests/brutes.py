@@ -70,6 +70,39 @@ def contract_connected_set(g, u, A):
     return WeightedGraph._from_parts(g.n, adj, {x: g.weight(x) for x in adj})
 
 
+def cold_min_cut(g, s, t, settled):
+    """The cut that ``SplitNetwork(g, s, t).min_cut(settled)`` must return,
+    from a network built with the settled split arcs already at the infinite
+    capacity and flowed from zero: (separator, weight), or None when the flow
+    reaches the infinite capacity.  Only the package's ``FlowNetwork`` is
+    reused; the node layout and the residual-reachable source side are
+    computed here.  Every vertex v gets v_in = 2v and v_out = 2v + 1, the
+    terminals' split arcs are infinite too, and the flow runs from s_out to
+    t_in."""
+    from safesep.min_weight_separator import FlowNetwork
+
+    inf = 1 + sum(g.weight(v) for v in g.vertices)
+    net = FlowNetwork(2 * g.n)
+    for v in g.vertices:
+        raised = v in settled or v == s or v == t
+        net.add_arc(2 * v, 2 * v + 1, inf if raised else g.weight(v))
+        for u in g.neighbors(v):
+            net.add_arc(2 * v + 1, 2 * u, inf)
+    flow, _ = net.max_flow(2 * s + 1, 2 * t)
+    if flow >= inf:
+        return None
+    seen = {2 * s + 1}
+    stack = [2 * s + 1]
+    while stack:
+        x = stack.pop()
+        for idx in net.head[x]:
+            y = net.to[idx]
+            if net.cap[idx] > 0 and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return frozenset(v for v in g.vertices if 2 * v in seen and 2 * v + 1 not in seen), flow
+
+
 def separates(g, s, t, S) -> bool:
     S = frozenset(S)
     if s in S or t in S:

@@ -195,7 +195,8 @@ class TestFrozenAnswers:
         ans = min_safe_separator(fan_query())
         assert (ans.separator, ans.weight) == (frozenset({3, 4}), 6)
         assert len(built) == 1
-        assert len(flows) == 2 * 2
+        # one base flow, then one augmentation per qualifying pair
+        assert len(flows) == 1 + 2 * 2
 
     def test_verified_query_scans_the_input_graph_once(self, monkeypatch):
         scanned = []

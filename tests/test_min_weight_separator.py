@@ -1,5 +1,7 @@
 """Minimum-weight vertex separators via vertex-capacitated max-flow."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -15,10 +17,12 @@ from safesep import (
 from safesep.graph_core import fold_cores
 from safesep.min_weight_separator import SplitNetwork
 from tests.brutes import (
+    cold_min_cut,
     contract_connected_set,
     max_disjoint_paths_brute,
     min_weight_separator_brute,
     minimal_st_separators_by_deletion,
+    random_weighted_graph,
     reachable,
 )
 from tests.strategies import graphs_with_terminals
@@ -113,3 +117,32 @@ def test_settled_sides_that_touch_have_no_finite_cut():
         net.min_cut({1, 2, 3})
     # every cut starts again from the saved capacities
     assert net.min_cut({1}) == (frozenset({2}), 1)
+
+
+def test_augmenting_from_the_base_flow_cuts_like_a_cold_flow():
+    """On seeded random graphs and arbitrary settled sets (not only sides),
+    each cut augmented from the shared base flow is the cut of a network
+    built with those arcs raised and flowed from zero, vertex set and weight,
+    or both find no finite cut.  The corpus must reach flows above the base,
+    or the augmentation would go untested."""
+    risen = touching = 0
+    for i in range(300):
+        rng = random.Random(f"warm:{i}")
+        n = rng.randint(4, 14)
+        p, wmax = rng.choice((0.15, 0.3, 0.5)), rng.choice((1, 4, 9))
+        g = random_weighted_graph(n, rng, p=p, wmax=wmax)
+        s, t = rng.sample(range(n), 2)
+        net = SplitNetwork(g, s, t)
+        others = [v for v in range(n) if v not in (s, t)]
+        for _ in range(8):
+            q = rng.choice((0.05, 0.15, 0.3))
+            settled = frozenset(v for v in others if rng.random() < q)
+            cold = cold_min_cut(g, s, t, settled)
+            if cold is None:
+                touching += 1
+                with pytest.raises(InternalConsistencyError, match="infinite capacity"):
+                    net.min_cut(settled)
+                continue
+            assert net.min_cut(settled) == cold, (i, sorted(settled))
+            risen += cold[1] > net.base
+    assert risen >= 50 and touching >= 50, (risen, touching)
