@@ -20,9 +20,9 @@ was computed, so the qualifying test and the settled sides of a pair need no
 walk of their own.  All pairs are cut on one flow network per query.  The
 part of each side that every qualifying pair settles (the core) is folded
 into its terminal once, and one base max-flow is run with nothing else
-settled.  For each pair, the split arcs of the rest of its settled sides are
-raised to infinity, which equals contracting them, and augmenting the base
-flow gives the cut.
+settled.  A pair whose settled sides miss the base cut keeps it.  For any
+other pair, the split arcs of the rest of its settled sides are raised to
+infinity (as if contracted), and augmenting the base flow gives the cut.
 
 On graphs that are not AT-free the close families can be wrong, so only the
 ``verified`` mode, which first scans the graph for an asteroidal triple,

@@ -16,7 +16,8 @@ maximum flow with nothing settled (the base flow) once, then cuts it for any
 number of settled sets.  Settling only raises capacities, so the base flow
 stays feasible and each cut augments from it instead of from zero; the
 source side of the cut is the residual-reachable set, which every maximum
-flow shares, so the cut is the one a cold flow would give.
+flow shares, so the cut is the one a cold flow would give.  A settled set
+that misses the base cut, read and checked once, keeps it without a flow.
 ``min_weight_st_separator`` is the single cut with nothing settled.
 """
 
@@ -121,7 +122,8 @@ class SplitNetwork:
     s and t each get one node; every other vertex v gets v_in -> v_out with
     capacity w(v).  A maximum flow with nothing settled, the base flow, is
     computed once and its residual capacities are saved, so each
-    :meth:`min_cut` starts from the same flow.
+    :meth:`min_cut` starts from the same flow.  Its cut, checked once, is
+    ``cut``; it is None when s and t are adjacent and no finite cut exists.
     """
 
     def __init__(self, g: WeightedGraph, s, t):
@@ -147,8 +149,25 @@ class SplitNetwork:
             net.add_arc(out_node[u], in_node[v], self.inf)
             net.add_arc(out_node[v], in_node[u], self.inf)
         self.net, self.in_node, self.out_node, self.split_arc = net, in_node, out_node, split_arc
-        self.base, _ = net.max_flow(out_node[s], in_node[t])
+        self.base, level = net.max_flow(out_node[s], in_node[t])
         self.residual = list(net.cap)
+        self.cut = self._cut(level, self.base) if self.base < self.inf else None
+
+    def _cut(self, level, flow):
+        """The cut named by a maximum flow's last BFS, checked against it."""
+        if flow == 0:
+            return frozenset()
+        in_node, out_node, g = self.in_node, self.out_node, self.g
+        sep = frozenset(
+            v for v in self.split_arc if level[in_node[v]] >= 0 and level[out_node[v]] < 0
+        )
+        if g.weight_of(sep) != flow:
+            raise InternalConsistencyError(
+                f"cut weight {g.weight_of(sep)} does not match flow value {flow}"
+            )
+        if not is_minimal_st_separator(g, self.s, self.t, sep):
+            raise InternalConsistencyError("extracted minimum cut is not a minimal separator")
+        return sep
 
     def min_cut(self, settled=()):
         """A minimum-weight s,t-separator avoiding the settled vertices, and
@@ -163,7 +182,15 @@ class SplitNetwork:
         equals the one a flow from zero would give.  It is always a minimal
         separator (validated before returning).  InternalConsistencyError
         means that no finite cut exists, i.e. the settled vertices join s to t.
+
+        A settled set that misses the base cut keeps it, ties included.  Only
+        split arcs rise, and one leaving the base residual-reachable set X
+        belongs to a base-cut vertex (edge arcs never leave X: their residual
+        stays positive below inf).  So X, the cut and the flow stay; and a set
+        missing an s,t-separator cannot join s to t.
         """
+        if self.cut is not None and self.cut.isdisjoint(settled):
+            return self.cut, self.base
         net, g = self.net, self.g
         net.cap[:] = self.residual
         for v in settled:
@@ -174,19 +201,7 @@ class SplitNetwork:
             raise InternalConsistencyError(
                 "the flow reached the infinite capacity: the settled sides touch"
             )
-        if flow == 0:
-            return frozenset(), 0
-        in_node, out_node = self.in_node, self.out_node
-        sep = frozenset(
-            v for v in self.split_arc if level[in_node[v]] >= 0 and level[out_node[v]] < 0
-        )
-        if g.weight_of(sep) != flow:
-            raise InternalConsistencyError(
-                f"cut weight {g.weight_of(sep)} does not match flow value {flow}"
-            )
-        if not is_minimal_st_separator(g, self.s, self.t, sep):
-            raise InternalConsistencyError("extracted minimum cut is not a minimal separator")
-        return sep, flow
+        return self._cut(level, flow), flow
 
 
 def min_weight_st_separator(g: WeightedGraph, s, t):

@@ -21,7 +21,7 @@ from safesep import (
     sample_terminals,
 )
 from safesep.close_to import CloseToRun
-from safesep.min_weight_separator import FlowNetwork
+from safesep.min_weight_separator import FlowNetwork, SplitNetwork
 from safesep.oracle import min_safe_brute
 from tests.brutes import random_weighted_graph
 
@@ -179,8 +179,11 @@ class TestFrozenAnswers:
             min_safe_separator(QueryInstance(path_graph(5), {0}, {4}))
 
     def test_one_network_per_query_and_one_flow_per_pair(self, monkeypatch):
-        built, flows = [], []
+        """One base flow per query, then one augmentation for each pair whose
+        settled set meets the base cut; the other pairs keep the base cut."""
+        built, flows, meets = [], [], []
         init, max_flow = FlowNetwork.__init__, FlowNetwork.max_flow
+        min_cut = SplitNetwork.min_cut
 
         def counting_init(net, node_count):
             built.append(node_count)
@@ -190,13 +193,27 @@ class TestFrozenAnswers:
             flows.append((s, t))
             return max_flow(net, s, t)
 
+        def recording_min_cut(net, settled=()):
+            meets.append(not net.cut.isdisjoint(settled))
+            return min_cut(net, settled)
+
         monkeypatch.setattr(FlowNetwork, "__init__", counting_init)
         monkeypatch.setattr(FlowNetwork, "max_flow", counting_max_flow)
+        monkeypatch.setattr(SplitNetwork, "min_cut", recording_min_cut)
         ans = min_safe_separator(fan_query())
         assert (ans.separator, ans.weight) == (frozenset({3, 4}), 6)
-        assert len(built) == 1
-        # one base flow, then one augmentation per qualifying pair
-        assert len(flows) == 1 + 2 * 2
+        assert len(built) == 1 and len(meets) == 2 * 2
+        assert len(flows) == 1 + sum(meets)
+
+        # A light body vertex 7 is the base cut, and no pair settles it.
+        g = fan_query().graph
+        weights = [1 if v == 7 else g.weight(v) for v in g.vertices]
+        built, flows, meets = [], [], []
+        light = QueryInstance(WeightedGraph(g.n, g.edges(), weights), {0, 1}, {13, 14})
+        ans = min_safe_separator(light)
+        assert (ans.separator, ans.weight) == (frozenset({7}), 1)
+        assert len(built) == 1 and len(meets) == 2 * 2 and not any(meets)
+        assert len(flows) == 1
 
     def test_verified_query_scans_the_input_graph_once(self, monkeypatch):
         scanned = []

@@ -119,13 +119,25 @@ def test_settled_sides_that_touch_have_no_finite_cut():
     assert net.min_cut({1}) == (frozenset({2}), 1)
 
 
+def test_adjacent_terminals_build_but_have_no_finite_cut():
+    """With s and t adjacent the base flow reaches the infinite capacity, so
+    there is no base cut to keep: every cut raises, settled or not."""
+    g = WeightedGraph(3, [(0, 1), (0, 2)])
+    net = SplitNetwork(g, 0, 1)
+    assert net.cut is None
+    for settled in ((), {2}):
+        with pytest.raises(InternalConsistencyError, match="infinite capacity"):
+            net.min_cut(settled)
+
+
 def test_augmenting_from_the_base_flow_cuts_like_a_cold_flow():
     """On seeded random graphs and arbitrary settled sets (not only sides),
     each cut augmented from the shared base flow is the cut of a network
     built with those arcs raised and flowed from zero, vertex set and weight,
     or both find no finite cut.  The corpus must reach flows above the base,
-    or the augmentation would go untested."""
-    risen = touching = 0
+    settled sets that touch, and non-empty settled sets that miss the base
+    cut and keep it, or one of the three paths would go untested."""
+    risen = touching = kept = 0
     for i in range(300):
         rng = random.Random(f"warm:{i}")
         n = rng.randint(4, 14)
@@ -145,4 +157,5 @@ def test_augmenting_from_the_base_flow_cuts_like_a_cold_flow():
                 continue
             assert net.min_cut(settled) == cold, (i, sorted(settled))
             risen += cold[1] > net.base
-    assert risen >= 50 and touching >= 50, (risen, touching)
+            kept += bool(settled) and net.cut.isdisjoint(settled)
+    assert risen >= 50 and touching >= 50 and kept >= 50, (risen, touching, kept)
