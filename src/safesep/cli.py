@@ -318,6 +318,8 @@ def _verify_one(seed, n, wmax):
 def _cmd_verify(args) -> int:
     if args.n > 12:
         raise UsageError("verify needs n <= 12 so the oracle stays feasible")
+    if args.seeds < 1:
+        raise UsageError(f"--seeds must be at least 1, got {args.seeds}")
     results = [_verify_one(seed, args.n, args.wmax) for seed in range(args.seeds)]
     failures = [(seed, detail) for seed, ok, detail in results if not ok]
     checked = sum(1 for _, ok, detail in results if ok and detail == "ok")

@@ -14,7 +14,7 @@ walks the component structure under the separator closest to s, and reads
 off one close separator N(C_t(G' - N(X))) per anchor set X: s with the
 anchored part of A and one candidate anchor vertex, and in the contraction
 branch a settled source side with one of its boundary vertices.  Each is one
-walk in G' itself (``close_side``); X need not be connected, and the result
+walk of G' (``close_side``); X need not be connected, and the result
 is the close separator of s in G' with s joined to N[X] - {s}.  A final
 definitional filter keeps exactly the family members:
 the raw candidate list is guaranteed to contain the whole family, but single
@@ -23,13 +23,15 @@ survivor is checked minimal-with-A-inside and non-dominated against the other
 survivors.  The unfiltered candidates, and the two sides of each member, stay
 available to callers.
 
-Each walk collects the neighborhood of its component on the way, and the
-sides the procedure walks are reused rather than walked again.  The gate
-asks whether sA lies in C_s(G' - N(t)), which is the s-side of the separator
-closest to t, and stops as soon as it does.  The walk that finds a close
-separator T also gives C_t(G' - T), its full t-side, and the s-side walk that
-tests A gives C_s(G' - T).  Both are the sides of the candidate T | L in G as
-well, so the filter is handed them and walks only the sides it lacks.
+G' is never built: every walk runs in G with L excluded, and collects the
+neighborhood of its component in G on the way; minus L, that is the
+separator of G' the walk finds.  The sides the procedure walks are reused
+rather than walked again.  The gate asks whether sA lies in C_s(G' - N(t)),
+which is the s-side of the separator closest to t, and stops as soon as it
+does.  The walk that finds a close separator T also gives C_t(G' - T), its
+full t-side, and the s-side walk that tests A gives C_s(G' - T).  Both are
+the sides of the candidate T | L in G as well, so the filter is handed them
+and walks only the sides it lacks.
 """
 
 from __future__ import annotations
@@ -40,12 +42,12 @@ from typing import Iterable
 from .atfree import is_at_free
 from .errors import InternalConsistencyError
 from .graph_core import (
+    EMPTY_SET,
     WeightedGraph,
     closed_neighborhood,
     component_with_boundary,
     family_sorted,
     hangs_together,
-    induced_delete,
     neighborhood,
     reaches_all,
 )
@@ -56,8 +58,8 @@ from .minimal_separators import close_side
 NO_CONSTRAINT = None
 
 
-def nested_component_meet(g: WeightedGraph, T_s: Iterable[int], targets):
-    """Intersection of the component neighborhoods N(C_i) over the targets.
+def nested_component_meet(g: WeightedGraph, T_s: frozenset, targets):
+    """Intersection of the neighborhoods N(C_i) & T_s of the target components.
 
     On AT-free inputs the neighborhoods of the non-source components of
     G - T_s form a chain under inclusion, so the intersection is the smallest
@@ -68,7 +70,7 @@ def nested_component_meet(g: WeightedGraph, T_s: Iterable[int], targets):
     """
     if not targets:
         return NO_CONSTRAINT
-    ordered = sorted((neighborhood(g, C) for C in targets), key=len)
+    ordered = sorted((neighborhood(g, C) & T_s for C in targets), key=len)
     for small, big in zip(ordered, ordered[1:]):
         if not small <= big:
             raise InternalConsistencyError(
@@ -91,16 +93,16 @@ class CloseToRun:
     sides: tuple = ()
 
 
-def _definition_filter(g: WeightedGraph, s, t, A: frozenset, candidates, walked=None) -> tuple:
-    """Keep exactly the separators close to sA: minimal, A on the s-side, and
-    not dominated by another survivor with a strictly smaller s-component.
-    Returns (family, sides) as in :class:`CloseToRun`.
+def _definition_filter(g: WeightedGraph, s, t, A: frozenset, candidates, walked=None, R=EMPTY_SET) -> tuple:
+    """Keep exactly the separators close to sA in G - R: minimal, A on the
+    s-side, and not dominated by another survivor with a strictly smaller
+    s-component.  Returns (family, sides) as in :class:`CloseToRun`.
 
     ``walked`` maps (S, x), for a candidate S and a terminal x, to the side
-    (C_x(G-S), N(C_x(G-S))) in g when it has already been walked; the filter
+    (C_x(G-R-S), N_G(C_x(G-R-S))) when it has already been walked; the filter
     walks only the sides it is not handed.  Either way all four tests run on
-    them: t outside C_s, A inside C_s, N(C_s) = S and N(C_t) = S, the last
-    two proving S a minimal s,t-separator."""
+    them: t outside C_s, A inside C_s, N(C_s) = S and N(C_t) = S in G - R,
+    the last two proving S a minimal s,t-separator."""
     walked = walked or {}
     survivors = []
     seen = set()
@@ -110,11 +112,11 @@ def _definition_filter(g: WeightedGraph, s, t, A: frozenset, candidates, walked=
         seen.add(S)
         if s in S or t in S:
             continue
-        c_s, n_s = walked.get((S, s)) or component_with_boundary(g, S, s)
-        if t in c_s or not A <= c_s or n_s != S:
+        c_s, n_s = walked.get((S, s)) or component_with_boundary(g, S | R, s)
+        if t in c_s or not A <= c_s or n_s - R != S:
             continue
-        c_t, n_t = walked.get((S, t)) or component_with_boundary(g, S, t)
-        if n_t != S:
+        c_t, n_t = walked.get((S, t)) or component_with_boundary(g, S | R, t)
+        if n_t - R != S:
             continue
         survivors.append((S, c_s, c_t))
     # Distinct minimal separators have distinct source components (each is the
@@ -130,55 +132,54 @@ def _definition_filter(g: WeightedGraph, s, t, A: frozenset, candidates, walked=
     return tuple(S for S, _ in kept), tuple(sides for _, sides in kept)
 
 
-def _in_g(g: WeightedGraph, L: frozenset, side) -> tuple:
-    """A side (C, N(C)) walked in g - L, with its neighborhood in g: the
-    vertices of L that touch C join it."""
-    C, boundary = side
-    return C, boundary | {x for x in L if not g.neighbors(x).isdisjoint(C)}
+def close_to_run(g: WeightedGraph, s, t, A: Iterable[int], R: frozenset = EMPTY_SET) -> CloseToRun:
+    """The procedure behind :func:`close_to` on G - R, returning the filtered
+    family with the sides of each member, and the raw candidates.
 
-
-def close_to_run(g: WeightedGraph, s, t, A: Iterable[int]) -> CloseToRun:
-    """The procedure behind :func:`close_to`, returning the filtered family
-    with the sides of each member, and the raw candidates.
-
-    Trusts its input: s and t must be distinct active vertices, A a set of
-    active vertices avoiding both, and g AT-free.  Nothing here checks that;
-    :func:`close_to` does.  The component-neighborhood chain is checked on
-    every run (see :func:`nested_component_meet`).
+    G - R is never built: every walk runs in g with R excluded.  Trusts its
+    input: s and t must be distinct active vertices, A a set of active
+    vertices avoiding both, none of them in R, and G - R AT-free.  Nothing
+    here checks that; :func:`close_to` does, with R empty.  The
+    component-neighborhood chain is checked on every run (see
+    :func:`nested_component_meet`).
     """
     A = frozenset(A)
     sA = A | {s}
     if sA & closed_neighborhood(g, (t,)):
         return CloseToRun(family=(), raw_candidates=())
 
-    L = neighborhood(g, sA) & neighborhood(g, (t,))
-    gp = induced_delete(g, L)
+    # G' = G - gone.  A walk returns the neighborhood N_G(C) of its component:
+    # minus gone it is a separator of G', minus R the neighborhood in G - R.
+    L = (neighborhood(g, sA) & neighborhood(g, (t,))) - R
+    gone = R | L
 
     # Gate: the separator closest to t decides whether any minimal separator
     # keeps all of A on the s-side.  That separator is T_t = N(C), with
-    # C = C_s(gp - N(t)), and C is also C_s(gp - T_t), so the gate asks
+    # C = C_s(G' - N(t)), and C is also C_s(G' - T_t), so the gate asks
     # whether sA lies in C.
-    if not reaches_all(gp, gp.neighbors(t), s, sA):
+    if not reaches_all(g, gone | g.neighbors(t), s, sA):
         return CloseToRun(family=(), raw_candidates=())
 
     # The walk that finds the separator T_s closest to s also yields
-    # C_t(gp - T_s), the t-side of the candidate T_s | L in g.
-    c_t_ts, T_s = close_side(gp, (s,), t)
-    c_s_ts, n_s_ts = component_with_boundary(gp, T_s, s)
+    # C_t(G' - T_s), the t-side of the candidate T_s | L in G - R.
+    c_t_ts, n_t_ts = close_side(g, (s,), t, gone)
+    T_s = n_t_ts - gone
+    gone_ts = gone | T_s
+    c_s_ts, n_s_ts = component_with_boundary(g, gone_ts, s)
     if sA <= c_s_ts:
         S = T_s | L
-        walked = {(S, s): _in_g(g, L, (c_s_ts, n_s_ts)), (S, t): _in_g(g, L, (c_t_ts, T_s))}
-        family, sides = _definition_filter(g, s, t, A, [S], walked)
+        walked = {(S, s): (c_s_ts, n_s_ts), (S, t): (c_t_ts, n_t_ts)}
+        family, sides = _definition_filter(g, s, t, A, [S], walked, R)
         return CloseToRun(family, (S,), sides)
 
-    # The other components of gp - T_s that hold part of A, each walked once
+    # The other components of G' - T_s that hold part of A, each walked once
     # from the first of its A vertices.
     targets = []
     for a in sorted(A):
         if a in c_s_ts or a in T_s or a in c_t_ts or any(a in C for C in targets):
             continue
-        targets.append(component_with_boundary(gp, T_s, a)[0])
-    s_star = nested_component_meet(gp, T_s, targets)
+        targets.append(component_with_boundary(g, gone_ts, a)[0])
+    s_star = nested_component_meet(g, T_s, targets)
 
     a_core = frozenset(a for a in A if a in c_s_ts or a in T_s or a in c_t_ts)
     anchors = [None] if s_star is NO_CONSTRAINT else sorted(s_star)
@@ -187,53 +188,55 @@ def close_to_run(g: WeightedGraph, s, t, A: Iterable[int]) -> CloseToRun:
     for v in anchors:
         A_v = a_core if v is None else a_core | {v}
         X = A_v | {s}
-        side = close_side(gp, X, t)
+        side = close_side(g, X, t, gone)
         if side is None:
             # Cannot happen: sA misses N[t], and v in T_s <= N(s) would be in L if in N(t).
             raise InternalConsistencyError("the anchor set meets the closed neighborhood of t")
-        c_t_1, S_1 = side
-        c_s_1, n_s_1 = component_with_boundary(gp, S_1, s)
+        c_t_1, n_t_1 = side
+        S_1 = n_t_1 - gone
+        gone_1 = gone | S_1
+        c_s_1, n_s_1 = component_with_boundary(g, gone_1, s)
         candidates.append(S_1 | L)
-        walked[S_1 | L, s] = _in_g(g, L, (c_s_1, n_s_1))
-        walked[S_1 | L, t] = _in_g(g, L, (c_t_1, S_1))
+        walked[S_1 | L, s] = (c_s_1, n_s_1)
+        walked[S_1 | L, t] = side
         if A_v <= c_s_1:
-            # S_1 keeps all of A_v on the source side of gp itself, so it is
+            # S_1 keeps all of A_v on the source side of G' itself, so it is
             # the only separator this pass can contribute.  (Testing the
             # containment in the walk from all of N[X] instead would accept
             # passes where N(X), not the graph, holds A_v together, and the
             # boundary candidates below would then never be generated.)
             continue
         # Contraction branch: Q_s is the part of S_1 that the components of
-        # gp - S_1 meeting N[X] touch.  Settle the source side of Q_s and read
+        # G' - S_1 meeting N[X] touch.  Settle the source side of Q_s and read
         # off candidates anchored at it plus each boundary vertex w.
-        Q_s = component_with_boundary(gp, S_1, *(closed_neighborhood(gp, X) - S_1))[1]
+        Q_s = component_with_boundary(g, gone_1, *(closed_neighborhood(g, X) - gone_1))[1] - gone
         if not Q_s:
             continue
         candidates.append(Q_s | L)
-        c_s_q, n_s_q = component_with_boundary(gp, Q_s, s)
-        walked[Q_s | L, s] = _in_g(g, L, (c_s_q, n_s_q))
+        c_s_q, n_s_q = component_with_boundary(g, gone | Q_s, s)
+        walked[Q_s | L, s] = (c_s_q, n_s_q)
         d_v = A_v - c_s_q
         for w in sorted(Q_s):
             X_w = c_s_q | {w}
-            side = close_side(gp, X_w, t)
+            side = close_side(g, X_w, t, gone)
             if side is None:
                 continue
-            c_t_w, T_w = side
+            T_w = side[1] - gone
             candidates.append(T_w | L)
-            walked[T_w | L, t] = _in_g(g, L, (c_t_w, T_w))
+            walked[T_w | L, t] = side
             rest = d_v - {w}
             # Anchor the close separator at X_w and the surviving targets as
             # well, when they hang together with X_w; when the plain boundary
             # anchor strands part of A_v this variant is the one that recovers
             # the member.
-            if rest and hangs_together(gp, X_w, rest):
-                side = close_side(gp, X_w | rest, t)
+            if rest and hangs_together(g, X_w, rest):
+                side = close_side(g, X_w | rest, t, gone)
                 if side is not None:
-                    c_t_wd, T_wd = side
+                    T_wd = side[1] - gone
                     candidates.append(T_wd | L)
-                    walked[T_wd | L, t] = _in_g(g, L, (c_t_wd, T_wd))
+                    walked[T_wd | L, t] = side
 
-    family, sides = _definition_filter(g, s, t, A, candidates, walked)
+    family, sides = _definition_filter(g, s, t, A, candidates, walked, R)
     return CloseToRun(family, family_sorted(candidates), sides)
 
 

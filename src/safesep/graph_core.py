@@ -276,21 +276,24 @@ def induced_delete(g: WeightedGraph, X: Iterable[int]) -> WeightedGraph:
     return WeightedGraph._from_parts(g.n, adj, w)
 
 
-def fold_cores(g: WeightedGraph, s, core_s: frozenset, t, core_t: frozenset) -> WeightedGraph:
-    """Contract the core core_s into s and the core core_t into t.
+def fold_cores(g: WeightedGraph, s, core_s: frozenset, t, core_t: frozenset, excluded=EMPTY_SET) -> WeightedGraph:
+    """Contract the core core_s into s and the core core_t into t in G - excluded.
 
     Trusted: each core contains its terminal and induces a connected
-    subgraph, and the two cores are disjoint and non-adjacent; nothing here
-    checks that.  The other core vertices leave the graph, and each terminal
-    keeps its weight and is adjacent to exactly the outside vertices that
-    touched its core.  Only the vertices outside the cores are visited, and
-    each of them with no neighbor inside a core keeps its adjacency set.
+    subgraph, and the two cores are disjoint, non-adjacent and not excluded;
+    nothing here checks that.  The other core vertices leave the graph, and
+    each terminal keeps its weight and is adjacent to exactly the outside
+    vertices that touched its core.  Only the vertices outside the cores are
+    visited, and each of them with no excluded or core neighbor keeps its
+    adjacency set.
     """
     adj = {}
     near_s = []
     near_t = []
-    for x in g._adj.keys() - core_s - core_t:
+    for x in g._adj.keys() - core_s - core_t - excluded:
         nb = g._adj[x]
+        if not nb.isdisjoint(excluded):
+            nb = nb - excluded
         if not nb.isdisjoint(core_s):
             near_s.append(x)
             nb = (nb - core_s) | {s}

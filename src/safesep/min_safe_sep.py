@@ -6,7 +6,7 @@ of A inside a single component, all of B inside a single different component.
 none exists.
 
 Outline: vertices adjacent to both A and B necessarily belong to every safe
-separator, so they are collected (R) and deleted up front.  In the remainder,
+separator, so they are collected (R) and left out of every walk.  In G - R,
 the families of minimal s,t-separators close to the A-side and close to the
 B-side are computed (s and t being representatives of A and B).  Every safe
 separator is sandwiched between a qualifying pair (S_A, S_B) -- one from each
@@ -29,7 +29,9 @@ On graphs that are not AT-free the close families can be wrong, so only the
 guarantees an answer on arbitrary inputs; fast mode skips the scan and
 trusts the caller.  Every other check runs in both modes, and the winner is
 validated against the safety and minimality definitions on the original
-graph before it is returned, both on one partition of G minus the winner.
+graph before it is returned, by two walks of G minus the winner, from A and
+from B.  These walks also decide whether G is connected; only a NONE answer
+or a failed check walks the whole graph for that.
 """
 
 from __future__ import annotations
@@ -43,14 +45,14 @@ from .errors import InternalConsistencyError
 from .graph_core import (
     WeightedGraph,
     closed_neighborhood,
-    component_of,
+    component_with_boundary,
     fold_cores,
-    induced_delete,
+    hangs_together,
     is_connected,
     neighborhood,
 )
 from .min_weight_separator import SplitNetwork
-from .minimal_separators import is_safe_minimal_AB_separator
+from .minimal_separators import safe_minimal_sides
 
 
 @dataclass(frozen=True)
@@ -94,24 +96,24 @@ class SafeSeparatorAnswer:
         return cls(separator=None, weight=None)
 
 
-def _core(g: WeightedGraph, v, sides: dict) -> frozenset:
-    """The part of v's side that every qualifying pair settles: the side
-    itself when one family member qualifies, else the component of v avoiding
-    every qualifying member, which is connected and inside each of their
-    sides."""
+def _core(g: WeightedGraph, R: frozenset, v, sides: dict) -> frozenset:
+    """The part of v's side in G - R that every qualifying pair settles: the
+    side itself when one family member qualifies, else the component of v
+    avoiding every qualifying member, which is connected and inside each of
+    their sides."""
     if len(sides) == 1:
         (side,) = sides.values()
         return side
-    return component_of(g, frozenset().union(*sides), v)
+    return component_with_boundary(g, R.union(*sides), v)[0]
 
 
 def _best_pair_cut(g: WeightedGraph, s, t, pairs, R, weight_R):
     """((weight, sorted vertex tuple), vertex set) of the best candidate over
-    the qualifying pairs (S_A, S_B, c_sA, c_tB), all cut on one network of g
-    with the cores folded in."""
-    core_s = _core(g, s, {S_A: c_sA for S_A, _, c_sA, _ in pairs})
-    core_t = _core(g, t, {S_B: c_tB for _, S_B, _, c_tB in pairs})
-    net = SplitNetwork(fold_cores(g, s, core_s, t, core_t), s, t)
+    the qualifying pairs (S_A, S_B, c_sA, c_tB), all cut on one network of
+    G - R with the cores folded in."""
+    core_s = _core(g, R, s, {S_A: c_sA for S_A, _, c_sA, _ in pairs})
+    core_t = _core(g, R, t, {S_B: c_tB for _, S_B, _, c_tB in pairs})
+    net = SplitNetwork(fold_cores(g, s, core_s, t, core_t, R), s, t)
     best = None
     for _, _, c_sA, c_tB in pairs:
         sep, wt = net.min_cut((c_sA - core_s) | (c_tB - core_t))
@@ -131,17 +133,30 @@ def min_safe_separator(q: QueryInstance, *, verified: bool = False) -> SafeSepar
     necessarily the lexicographically smallest of all minimum-weight safe
     separators.  ``verified=True`` scans the graph once for an asteroidal
     triple and raises ValueError if it finds one; fast mode skips the scan.
-    Raises ValueError on a disconnected graph.  InternalConsistencyError
-    means an internal check failed: the close-family chain, the settled sides
-    of a pair, a cut, or the validation of the winner against the safety
-    definition.  On an AT-free graph none of them fails.  In fast mode on a
-    graph with an asteroidal triple nothing is guaranteed beyond three
-    outcomes: a NONE (possibly wrong), a safe minimal separator (possibly not
-    of minimum weight), or this error.
+    Raises ValueError on a disconnected graph, in both modes and on every
+    path.  InternalConsistencyError means an internal check failed: the
+    close-family chain, the settled sides of a pair, a cut, or the
+    validation of the winner against the safety definition.  On an AT-free
+    graph none of them fails.  In fast mode on a graph with an asteroidal
+    triple nothing is guaranteed beyond three outcomes: a NONE (possibly
+    wrong), a safe minimal separator (possibly not of minimum weight), or
+    this error.  Only a NONE answer or this error walks the whole graph to
+    check connectivity; an answer reads it off the validation of its winner.
     """
-    g, A, B = q.graph, q.A, q.B
-    if not is_connected(g):
+    try:
+        answer = _answer(q.graph, q.A, q.B, verified)
+    except InternalConsistencyError:
+        if is_connected(q.graph):
+            raise
+        raise ValueError("input graph must be connected") from None
+    if not answer.exists and not is_connected(q.graph):
         raise ValueError("input graph must be connected")
+    return answer
+
+
+def _answer(g: WeightedGraph, A: frozenset, B: frozenset, verified: bool) -> SafeSeparatorAnswer:
+    """The query behind :func:`min_safe_separator`; a NONE answer here leaves
+    connectivity unchecked."""
     if verified and not is_at_free(g):
         raise ValueError("input graph is not AT-free")
     if A & closed_neighborhood(g, B):
@@ -150,34 +165,42 @@ def min_safe_separator(q: QueryInstance, *, verified: bool = False) -> SafeSepar
         return SafeSeparatorAnswer.none()
 
     R = neighborhood(g, A) & neighborhood(g, B)
-    g2 = induced_delete(g, R)
     s, t = min(A), min(B)
 
-    # QueryInstance has checked the terminals, and g2 is an induced subgraph
-    # of g, so it is AT-free whenever g is: the close families need no scan.
-    # Each family member comes with its two sides in g2; run_B's are
-    # (C_t(g2-S_B), C_s(g2-S_B)), as t is its source.
-    run_A = close_to_run(g2, s, t, A - {s})
-    run_B = close_to_run(g2, t, s, B - {t})
+    # QueryInstance has checked the terminals, and G - R is an induced
+    # subgraph of g, so it is AT-free whenever g is: the close families need
+    # no scan.  Each family member comes with its two sides in G - R; run_B's
+    # are (C_t(G-R-S_B), C_s(G-R-S_B)), as t is its source.
+    run_A = close_to_run(g, s, t, A - {s}, R)
+    run_B = close_to_run(g, t, s, B - {t}, R)
 
     pairs = []
     for S_B, (c_tB, c_sB) in zip(run_B.family, run_B.sides):
         for S_A, (c_sA, _) in zip(run_A.family, run_A.sides):
-            # Qualifying: S_A <= S_B | C_s(g2-S_B).
+            # Qualifying: S_A <= S_B | C_s(G-R-S_B).
             if not S_A - S_B <= c_sB:
                 continue
-            # N(c_sA) <= S_A, so this also keeps the sides non-adjacent.
+            # N(c_sA) <= S_A | R, so this also keeps the sides non-adjacent.
             if not (c_tB.isdisjoint(c_sA) and c_tB.isdisjoint(S_A)):
                 raise InternalConsistencyError("the settled sides of a qualifying pair meet")
             pairs.append((S_A, S_B, c_sA, c_tB))
     if not pairs:
         return SafeSeparatorAnswer.none()
 
-    (total, _), winner = _best_pair_cut(g2, s, t, pairs, R, g.weight_of(R))
-    if not is_safe_minimal_AB_separator(g, A, B, winner):
+    (total, _), winner = _best_pair_cut(g, s, t, pairs, R, g.weight_of(R))
+    sides = safe_minimal_sides(g, A, B, winner)
+    if sides is None:
         raise InternalConsistencyError(
             "computed winner failed validation against the safety definition"
         )
+    # Each vertex of the winner W touches both full sides, so g[C_A | W | C_B]
+    # is connected if W is not empty, and g is if every other vertex reaches W.
+    c_a, c_b = sides
+    if not winner or (
+        len(c_a) + len(c_b) + len(winner) < g.vertex_count
+        and not hangs_together(g, winner, set(g.vertices).difference(c_a, c_b, winner))
+    ):
+        raise ValueError("input graph must be connected")
     if g.weight_of(winner) != total:
         raise InternalConsistencyError("winner weight disagrees with its vertex set")
     return SafeSeparatorAnswer(separator=winner, weight=total)

@@ -20,6 +20,7 @@ from typing import Iterable
 
 from .errors import NoSeparatorError
 from .graph_core import (
+    EMPTY_SET,
     WeightedGraph,
     closed_neighborhood,
     component_of,
@@ -112,16 +113,24 @@ def is_safe_AB_separator(g: WeightedGraph, A: Iterable[int], B: Iterable[int], S
 
 def is_safe_minimal_AB_separator(g: WeightedGraph, A: Iterable[int], B: Iterable[int], S: Iterable[int]) -> bool:
     """``is_safe_AB_separator(g, A, B, S) and is_minimal_AB_separator(g, A, B, S)``
-    on one partition of G-S.  Once A fills one component C_A and B another,
-    C_B, minimality says exactly S <= N(C_A) and S <= N(C_B)."""
+    from two walks of G-S; see :func:`safe_minimal_sides`."""
     A, B, S = frozenset(A), frozenset(B), frozenset(S)
     _check_ab(g, A, B, S)
-    parts = components(g, S)
-    ia = {parts.index_of(a) for a in A}
-    ib = {parts.index_of(b) for b in B}
-    if len(ia) != 1 or len(ib) != 1 or ia == ib:
-        return False
-    return S <= parts.neighborhoods[ia.pop()] and S <= parts.neighborhoods[ib.pop()]
+    return safe_minimal_sides(g, A, B, S) is not None
+
+
+def safe_minimal_sides(g: WeightedGraph, A: frozenset, B: frozenset, S: frozenset) -> tuple | None:
+    """(C_A, C_B), walked in G-S from min(A) and min(B), when S avoids A and B,
+    A lies inside C_A, B inside C_B, min(B) outside C_A, and S <= N(C_A) and
+    S <= N(C_B); else None.  Once A fills one component and B another, the
+    last two say exactly that S is minimal.  Trusted: A, B and S are sets of
+    active vertices, A and B non-empty."""
+    if S.isdisjoint(A) and S.isdisjoint(B):
+        c_a, n_a = component_with_boundary(g, S, min(A))
+        c_b, n_b = component_with_boundary(g, S, min(B))
+        if A <= c_a and B <= c_b and min(B) not in c_a and S <= n_a and S <= n_b:
+            return c_a, c_b
+    return None
 
 
 def close_separator(g: WeightedGraph, X: Iterable[int], t) -> frozenset:
@@ -147,16 +156,19 @@ def close_separator(g: WeightedGraph, X: Iterable[int], t) -> frozenset:
     return close_side(g, X, t)[1]
 
 
-def close_side(g: WeightedGraph, X: Iterable[int], t) -> tuple | None:
+def close_side(g: WeightedGraph, X: Iterable[int], t, excluded: frozenset = EMPTY_SET) -> tuple | None:
     """(C_t(G - N(X)), N(C_t(G - N(X)))) from one walk, or None when t lies
     in N[X].  The component is also C_t(G - S) for the separator S it
     returns: it avoids S and every neighbor it has lies in S.
 
-    Trusted: X is a non-empty set of active vertices and t an active vertex;
-    nothing here checks that.  X need not be connected: the result is then
-    the close side of s in g with s joined to N[X] - {s}, for any s in X.
+    Trusted: X is a non-empty set of active vertices and t an active vertex,
+    all outside ``excluded``; nothing here checks that.  The walk is then one
+    of G - excluded, whose close separator is the returned N_G(C) minus
+    ``excluded``.  X need not be connected: the result is then the close side
+    of s in g with s joined to N[X] - {s}, for any s in X.
     """
-    closed = set(X)
+    closed = set(excluded)
+    closed.update(X)
     for x in X:
         closed.update(g.neighbors(x))
     if t in closed:

@@ -177,13 +177,21 @@ def _random_weights(n: int, wmax: int, rng: random.Random) -> tuple:
     return tuple(rng.randint(1, wmax) for _ in range(n))
 
 
+def _check_sizes(**sizes):
+    for name, value in sizes.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 def gen_interval(n: int, wmax: int = 1, seed: int = 0) -> WeightedGraph:
     """Random connected interval graph (interval graphs are AT-free).
 
     Intervals get short random lengths so the expected degree stays modest at
     large n; coverage gaps are closed by shifting intervals left, which keeps
-    the model an interval model and guarantees connectivity.
+    the model an interval model and guarantees connectivity.  Raises
+    ValueError unless n and wmax are at least 1.
     """
+    _check_sizes(n=n, wmax=wmax)
     rng = random.Random(f"interval:{n}:{wmax}:{seed}")
     if n == 1:
         return WeightedGraph(1, (), _random_weights(1, wmax, rng))
@@ -230,8 +238,10 @@ def gen_atfree_rejection(n: int, wmax: int = 1, seed: int = 0) -> WeightedGraph:
     graphs until one passes the AT-free check.  Only sensible for small n.
 
     Most draws have an asteroidal triple, and no ordering certificate can
-    prove those AT-free, so each draw goes straight to the scan.
+    prove those AT-free, so each draw goes straight to the scan.  Raises
+    ValueError unless 1 <= n <= 12 and wmax >= 1.
     """
+    _check_sizes(n=n, wmax=wmax)
     if n > 12:
         raise ValueError("rejection sampling is only practical for n <= 12")
     rng = random.Random(f"atfree-reject:{n}:{wmax}:{seed}")

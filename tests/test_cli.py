@@ -356,6 +356,19 @@ class TestGen:
         assert code == 64
         assert "usage error" in err
 
+    @pytest.mark.parametrize(
+        "family, size, wmax, named",
+        [("interval", "0", "1", "n"), ("reject", "0", "1", "n"),
+         ("interval", "5", "0", "wmax"), ("reject", "5", "0", "wmax")],
+    )
+    def test_sizes_below_one_are_usage_errors(self, capsys, family, size, wmax, named):
+        code, out, err = run_cli(
+            capsys, "gen", "--family", family, "--n", size, "--wmax", wmax
+        )
+        assert code == 64
+        assert out == ""
+        assert err.startswith(f"usage error: {named} must be at least 1")
+
 
 class TestVerify:
     def test_small_batch_passes(self, capsys):
@@ -383,6 +396,17 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--seeds", "1", "--n", "5", "--workers", "2")
         assert code == 64
         assert "usage error" in err
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [(("--seeds", "3", "--n", "0"), "n"), (("--seeds", "2", "--n", "5", "--wmax", "0"), "wmax"),
+         (("--seeds", "0", "--n", "5"), "--seeds"), (("--seeds", "-2", "--n", "5"), "--seeds")],
+    )
+    def test_counts_below_one_are_usage_errors(self, capsys, argv, named):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 64
+        assert out == ""
+        assert err.startswith(f"usage error: {named} must be at least 1")
 
 
 class TestErrorPaths:

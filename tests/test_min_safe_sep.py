@@ -1,5 +1,6 @@
 """End-to-end minimum-weight safe separator computation."""
 
+import importlib
 import random
 
 import pytest
@@ -146,9 +147,79 @@ class TestFrozenAnswers:
         assert (ans.separator, ans.weight) == (frozenset({2}), 5)
 
     def test_disconnected_graph_is_rejected(self):
+        # Adjacent sides: the NONE answer of the early return.
         g = WeightedGraph(4, [(0, 1), (2, 3)])
-        with pytest.raises(ValueError):
-            min_safe_separator(QueryInstance(g, {0}, {1}))
+        for verified in (False, True):
+            with pytest.raises(ValueError, match="connected"):
+                min_safe_separator(QueryInstance(g, {0}, {1}), verified=verified)
+
+    def test_disconnected_graph_without_a_qualifying_pair_is_rejected(self):
+        # On the path 0-...-4, A = {0, 4} holds together only through B = {2}:
+        # the A-family is empty.  Vertex 5 stands alone.
+        edges = [(i, i + 1) for i in range(4)]
+        assert not min_safe_separator(QueryInstance(path_graph(5), {0, 4}, {2})).exists
+        g = WeightedGraph(6, edges)
+        for verified in (False, True):
+            with pytest.raises(ValueError, match="connected"):
+                min_safe_separator(QueryInstance(g, {0, 4}, {2}), verified=verified)
+
+    def test_disconnected_graph_with_an_answer_is_rejected(self):
+        # The path 0-1-2 plus the lone vertex 3 has the winner {1}, and two
+        # paths 0-1 and 2-3 the empty winner: each is refused once its
+        # validation walks show the graph falls apart.
+        assert min_safe_separator(QueryInstance(path_graph(3), {0}, {2})).separator == {1}
+        for g in (WeightedGraph(4, [(0, 1), (1, 2)]), WeightedGraph(4, [(0, 1), (2, 3)])):
+            for verified in (False, True):
+                with pytest.raises(ValueError, match="connected"):
+                    min_safe_separator(QueryInstance(g, {0}, {2}), verified=verified)
+
+    def test_disconnected_graph_is_rejected_when_a_check_fails(self, monkeypatch):
+        # The tampered B-run of test_settled_sides_that_meet_are_refused, on
+        # the path 0-...-4 plus the lone vertex 5.
+        honest = min_safe_sep.close_to_run
+
+        def tampered(g, s, t, A, R):
+            run = honest(g, s, t, A, R)
+            if s != 4:
+                return run
+            sides = ((frozenset({1, 4}), frozenset({0, 1})),)
+            return CloseToRun(run.family, run.raw_candidates, sides)
+
+        monkeypatch.setattr(min_safe_sep, "close_to_run", tampered)
+        with pytest.raises(InternalConsistencyError, match="qualifying pair meet"):
+            min_safe_separator(QueryInstance(path_graph(5), {0}, {4}))
+        g = WeightedGraph(6, [(i, i + 1) for i in range(4)])
+        for verified in (False, True):
+            with pytest.raises(ValueError, match="connected"):
+                min_safe_separator(QueryInstance(g, {0}, {4}), verified=verified)
+
+    def test_only_none_answers_walk_the_whole_graph(self, monkeypatch):
+        """An answer reads connectivity off the two walks that validate its
+        winner and copies no graph; a NONE answer checks connectivity with
+        one whole-graph walk."""
+        calls = []
+
+        def counting(name, fn):
+            def spy(*args):
+                calls.append(name)
+                return fn(*args)
+            return spy
+
+        for module in ("graph_core", "min_safe_sep", "close_to", "minimal_separators",
+                       "min_weight_separator"):
+            module = importlib.import_module(f"safesep.{module}")
+            for name in ("is_connected", "components", "induced_delete"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        g = gen_interval(300, wmax=5, seed=3)
+        assert min_safe_separator(QueryInstance(g, {0}, {299})).exists
+        assert calls == []
+        adjacent = min(g.neighbors(0))
+        for A, B in (({0}, {adjacent}), ({0, 299}, {150})):
+            calls.clear()
+            assert not min_safe_separator(QueryInstance(g, A, B)).exists
+            assert calls.count("is_connected") == 1
+            assert set(calls) <= {"is_connected", "components"}
 
     def test_verified_mode_rejects_asteroidal_triples(self):
         g = WeightedGraph(6, [(i, (i + 1) % 6) for i in range(6)])
@@ -167,8 +238,8 @@ class TestFrozenAnswers:
         # reach the flow network.
         honest = min_safe_sep.close_to_run
 
-        def tampered(g, s, t, A):
-            run = honest(g, s, t, A)
+        def tampered(g, s, t, A, R):
+            run = honest(g, s, t, A, R)
             if s != 4:
                 return run
             sides = ((frozenset({1, 4}), frozenset({0, 1})),)
