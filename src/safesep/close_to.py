@@ -13,14 +13,15 @@ neighbors of sA and t (vertices every qualifying separator must contain),
 walks the component structure under the separator closest to s, and reads
 off one close separator N(C_t(G' - N(X))) per anchor set X: s with the
 anchored part of A and one candidate anchor vertex, and in the contraction
-branch a settled source side with one of its boundary vertices.  Each is one
-walk of G' (``close_side``); X need not be connected, and the result
+branch a settled source side with one of its boundary vertices.  Each is
+found from X's side (``near_search``), which walks t's side only as far as
+the first vertex known to reach t; X need not be connected, and the result
 is the close separator of s in G' with s joined to N[X] - {s}.  A final
 definitional filter keeps exactly the family members:
 the raw candidate list is guaranteed to contain the whole family, but single
 candidates produced by the contraction branch can fail closeness, so each
 survivor is checked minimal-with-A-inside and non-dominated against the other
-survivors.  The unfiltered candidates, and the two sides of each member, stay
+survivors.  The unfiltered candidates, and the s-side of each member, stay
 available to callers.
 
 G' is never built: every walk runs in G with L excluded, and collects the
@@ -28,10 +29,13 @@ neighborhood of its component in G on the way; minus L, that is the
 separator of G' the walk finds.  The sides the procedure walks are reused
 rather than walked again.  The gate asks whether sA lies in C_s(G' - N(t)),
 which is the s-side of the separator closest to t, and stops as soon as it
-does.  The walk that finds a close separator T also gives C_t(G' - T), its
-full t-side, and the s-side walk that tests A gives C_s(G' - T).  Both are
-the sides of the candidate T | L in G as well, so the filter is handed them
-and walks only the sides it lacks.
+does.  The search that finds the separator T_s closest to s also yields
+C_s(G' - T_s) from what it walked, and the s-side walk that tests A for
+any other anchor set gives C_s(G' - T).  Each is the s-side of the
+candidate T | L in G - R as well, so the filter is handed it.  No candidate
+the search produced needs its t-side: every vertex of T was seen next to a
+vertex proven to reach t, and L lies in N(t), so N(C_t) = T | L holds by
+construction.  The filter walks only the sides it lacks.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from .graph_core import (
     neighborhood,
     reaches_all,
 )
-from .minimal_separators import close_side
+from .minimal_separators import near_search
 
 # Sentinel distinguishing "no component constrains the anchor choice" from an
 # empty intersection.
@@ -83,26 +87,32 @@ def nested_component_meet(g: WeightedGraph, T_s: frozenset, targets):
 @dataclass(frozen=True)
 class CloseToRun:
     """One close_to invocation: the family that survived the definitional
-    filter, the raw candidates emitted by the procedure, and the sides of each
-    family member.  ``sides[i]`` is (C_s(G-S), C_t(G-S)) for S = family[i],
-    the two full components on which the filter proved S minimal with A on
-    the s-side; each was walked once, by the procedure or by the filter."""
+    filter, the raw candidates emitted by the procedure, and the s-side of
+    each family member.  ``sides[i]`` is C_s(G-S) for S = family[i], the full
+    component on which the filter proved A on the s-side; it was walked
+    once, by the procedure or by the filter."""
 
     family: tuple
     raw_candidates: tuple
     sides: tuple = ()
 
 
-def _definition_filter(g: WeightedGraph, s, t, A: frozenset, candidates, walked=None, R=EMPTY_SET) -> tuple:
+def _definition_filter(
+    g: WeightedGraph, s, t, A: frozenset, candidates, walked=None, full_t=EMPTY_SET, R=EMPTY_SET
+) -> tuple:
     """Keep exactly the separators close to sA in G - R: minimal, A on the
     s-side, and not dominated by another survivor with a strictly smaller
     s-component.  Returns (family, sides) as in :class:`CloseToRun`.
 
-    ``walked`` maps (S, x), for a candidate S and a terminal x, to the side
-    (C_x(G-R-S), N_G(C_x(G-R-S))) when it has already been walked; the filter
-    walks only the sides it is not handed.  Either way all four tests run on
-    them: t outside C_s, A inside C_s, N(C_s) = S and N(C_t) = S in G - R,
-    the last two proving S a minimal s,t-separator."""
+    ``walked`` maps a candidate S to its s-side (C_s(G-R-S), N_G(C_s(G-R-S)))
+    when that has already been walked, and ``full_t`` holds the candidates
+    that :func:`near_search` produced.  All four tests run on every
+    candidate: t outside C_s, A inside C_s, N(C_s) = S and N(C_t) = S in
+    G - R, the last two proving S a minimal s,t-separator.  The filter walks
+    the s-side it is not handed, and the t-side of a candidate outside
+    ``full_t``; for one inside, N(C_t) = S holds by construction, as every
+    vertex of S - L was seen next to a vertex proven to reach t, and
+    L <= N(t)."""
     walked = walked or {}
     survivors = []
     seen = set()
@@ -112,24 +122,23 @@ def _definition_filter(g: WeightedGraph, s, t, A: frozenset, candidates, walked=
         seen.add(S)
         if s in S or t in S:
             continue
-        c_s, n_s = walked.get((S, s)) or component_with_boundary(g, S | R, s)
+        c_s, n_s = walked.get(S) or component_with_boundary(g, S | R, s)
         if t in c_s or not A <= c_s or n_s - R != S:
             continue
-        c_t, n_t = walked.get((S, t)) or component_with_boundary(g, S | R, t)
-        if n_t - R != S:
+        if S not in full_t and component_with_boundary(g, S | R, t)[1] - R != S:
             continue
-        survivors.append((S, c_s, c_t))
+        survivors.append((S, c_s))
     # Distinct minimal separators have distinct source components (each is the
     # neighborhood of its own), so domination is a strict-subset test; sorting
     # by component size lets each survivor check only smaller ones.
     survivors.sort(key=lambda item: len(item[1]))
-    kept = []
-    for i, (S, c_s, c_t) in enumerate(survivors):
-        if any(other < c_s for _, other, _ in survivors[:i]):
-            continue
-        kept.append((S, (c_s, c_t)))
+    kept = [
+        (S, c_s)
+        for i, (S, c_s) in enumerate(survivors)
+        if not any(other < c_s for _, other in survivors[:i])
+    ]
     kept.sort(key=lambda member: tuple(sorted(member[0])))
-    return tuple(S for S, _ in kept), tuple(sides for _, sides in kept)
+    return tuple(S for S, _ in kept), tuple(c_s for _, c_s in kept)
 
 
 def close_to_run(g: WeightedGraph, s, t, A: Iterable[int], R: frozenset = EMPTY_SET) -> CloseToRun:
@@ -160,45 +169,47 @@ def close_to_run(g: WeightedGraph, s, t, A: Iterable[int], R: frozenset = EMPTY_
     if not reaches_all(g, gone | g.neighbors(t), s, sA):
         return CloseToRun(family=(), raw_candidates=())
 
-    # The walk that finds the separator T_s closest to s also yields
-    # C_t(G' - T_s), the t-side of the candidate T_s | L in G - R.
-    c_t_ts, n_t_ts = close_side(g, (s,), t, gone)
-    T_s = n_t_ts - gone
-    gone_ts = gone | T_s
-    c_s_ts, n_s_ts = component_with_boundary(g, gone_ts, s)
+    # The separator T_s closest to s, found from s's side, which also yields
+    # C_s(G' - T_s), the s-side of the candidate T_s | L in G - R.  t lies
+    # outside N[s] and gone, so the search exists.
+    search = near_search(g, (s,), t, gone)
+    T_s = search.separator
+    c_s_ts, n_s_ts = search.near_side()
     if sA <= c_s_ts:
         S = T_s | L
-        walked = {(S, s): (c_s_ts, n_s_ts), (S, t): (c_t_ts, n_t_ts)}
-        family, sides = _definition_filter(g, s, t, A, [S], walked, R)
+        family, sides = _definition_filter(g, s, t, A, [S], {S: (c_s_ts, n_s_ts)}, {S}, R)
         return CloseToRun(family, (S,), sides)
 
-    # The other components of G' - T_s that hold part of A, each walked once
-    # from the first of its A vertices.
+    # The vertices of A in C_s, T_s or C_t(G' - T_s) form the anchored core.
+    # Any other a lies in a pocket of the search, which is its component of
+    # G' - T_s: one per target, from the first of its A vertices.
+    a_core = set()
     targets = []
     for a in sorted(A):
-        if a in c_s_ts or a in T_s or a in c_t_ts or any(a in C for C in targets):
-            continue
-        targets.append(component_with_boundary(g, gone_ts, a)[0])
+        if a in c_s_ts or a in T_s or search.reaches_t(a):
+            a_core.add(a)
+        elif not any(a in C for C in targets):
+            targets.append(search.pocket(a)[0])
+    a_core = frozenset(a_core)
     s_star = nested_component_meet(g, T_s, targets)
 
-    a_core = frozenset(a for a in A if a in c_s_ts or a in T_s or a in c_t_ts)
     anchors = [None] if s_star is NO_CONSTRAINT else sorted(s_star)
     candidates = []
     walked = {}
+    full_t = set()
     for v in anchors:
         A_v = a_core if v is None else a_core | {v}
         X = A_v | {s}
-        side = close_side(g, X, t, gone)
-        if side is None:
+        found = near_search(g, X, t, gone)
+        if found is None:
             # Cannot happen: sA misses N[t], and v in T_s <= N(s) would be in L if in N(t).
             raise InternalConsistencyError("the anchor set meets the closed neighborhood of t")
-        c_t_1, n_t_1 = side
-        S_1 = n_t_1 - gone
+        S_1 = found.separator
         gone_1 = gone | S_1
         c_s_1, n_s_1 = component_with_boundary(g, gone_1, s)
         candidates.append(S_1 | L)
-        walked[S_1 | L, s] = (c_s_1, n_s_1)
-        walked[S_1 | L, t] = side
+        walked[S_1 | L] = (c_s_1, n_s_1)
+        full_t.add(S_1 | L)
         if A_v <= c_s_1:
             # S_1 keeps all of A_v on the source side of G' itself, so it is
             # the only separator this pass can contribute.  (Testing the
@@ -214,29 +225,27 @@ def close_to_run(g: WeightedGraph, s, t, A: Iterable[int], R: frozenset = EMPTY_
             continue
         candidates.append(Q_s | L)
         c_s_q, n_s_q = component_with_boundary(g, gone | Q_s, s)
-        walked[Q_s | L, s] = (c_s_q, n_s_q)
+        walked[Q_s | L] = (c_s_q, n_s_q)
         d_v = A_v - c_s_q
         for w in sorted(Q_s):
             X_w = c_s_q | {w}
-            side = close_side(g, X_w, t, gone)
-            if side is None:
+            found = near_search(g, X_w, t, gone)
+            if found is None:
                 continue
-            T_w = side[1] - gone
-            candidates.append(T_w | L)
-            walked[T_w | L, t] = side
+            candidates.append(found.separator | L)
+            full_t.add(found.separator | L)
             rest = d_v - {w}
             # Anchor the close separator at X_w and the surviving targets as
             # well, when they hang together with X_w; when the plain boundary
             # anchor strands part of A_v this variant is the one that recovers
             # the member.
             if rest and hangs_together(g, X_w, rest):
-                side = close_side(g, X_w | rest, t, gone)
-                if side is not None:
-                    T_wd = side[1] - gone
-                    candidates.append(T_wd | L)
-                    walked[T_wd | L, t] = side
+                found = near_search(g, X_w | rest, t, gone)
+                if found is not None:
+                    candidates.append(found.separator | L)
+                    full_t.add(found.separator | L)
 
-    family, sides = _definition_filter(g, s, t, A, candidates, walked, R)
+    family, sides = _definition_filter(g, s, t, A, candidates, walked, full_t, R)
     return CloseToRun(family, family_sorted(candidates), sides)
 
 

@@ -10,16 +10,17 @@ separator, so they are collected (R) and left out of every walk.  In G - R,
 the families of minimal s,t-separators close to the A-side and close to the
 B-side are computed (s and t being representatives of A and B).  Every safe
 separator is sandwiched between a qualifying pair (S_A, S_B) -- one from each
-family with the A-side of S_A inside the A-side of S_B -- and conversely each
-qualifying pair yields a candidate: a minimum-weight s,t-separator that
-avoids both settled sides, C_s(G-S_A) and C_t(G-S_B).  The best candidate
-over all qualifying pairs, plus R, is the answer.
+family with the A-side of S_A inside the A-side of S_B, which holds exactly
+when the A-side of S_A, connected and holding s, misses S_B -- and
+conversely each qualifying pair yields a candidate: a minimum-weight
+s,t-separator that avoids both settled sides, C_s(G-S_A) and C_t(G-S_B).
+The best candidate over all qualifying pairs, plus R, is the answer.
 
-Each family member comes with its two sides, walked once while the family
-was computed, so the qualifying test and the settled sides of a pair need no
-walk of their own.  All pairs are cut on one flow network per query.  The
-part of each side that every qualifying pair settles (the core) is folded
-into its terminal once, and one base max-flow is run with nothing else
+Each family member comes with its own terminal's side, walked once while the
+family was computed, so the qualifying test and the settled sides of a pair
+need no walk of their own.  All pairs are cut on one flow network per query.
+The part of each side that every qualifying pair settles (the core) is
+folded into its terminal once, and one base max-flow is run with nothing else
 settled.  A pair whose settled sides miss the base cut keeps it.  For any
 other pair, the split arcs of the rest of its settled sides are raised to
 infinity (as if contracted), and augmenting the base flow gives the cut.
@@ -169,16 +170,17 @@ def _answer(g: WeightedGraph, A: frozenset, B: frozenset, verified: bool) -> Saf
 
     # QueryInstance has checked the terminals, and G - R is an induced
     # subgraph of g, so it is AT-free whenever g is: the close families need
-    # no scan.  Each family member comes with its two sides in G - R; run_B's
-    # are (C_t(G-R-S_B), C_s(G-R-S_B)), as t is its source.
+    # no scan.  Each family member comes with its source side in G - R;
+    # run_B's is C_t(G-R-S_B), as t is its source.
     run_A = close_to_run(g, s, t, A - {s}, R)
     run_B = close_to_run(g, t, s, B - {t}, R)
 
     pairs = []
-    for S_B, (c_tB, c_sB) in zip(run_B.family, run_B.sides):
-        for S_A, (c_sA, _) in zip(run_A.family, run_A.sides):
-            # Qualifying: S_A <= S_B | C_s(G-R-S_B).
-            if not S_A - S_B <= c_sB:
+    for S_B, c_tB in zip(run_B.family, run_B.sides):
+        for S_A, c_sA in zip(run_A.family, run_A.sides):
+            # Qualifying: C_s(G-R-S_A) <= C_s(G-R-S_B).  c_sA is connected
+            # and holds s, so that is c_sA missing S_B.
+            if not S_B.isdisjoint(c_sA):
                 continue
             # N(c_sA) <= S_A | R, so this also keeps the sides non-adjacent.
             if not (c_tB.isdisjoint(c_sA) and c_tB.isdisjoint(S_A)):

@@ -9,7 +9,7 @@ Conventions used throughout:
   vacuously.
 * ``close_separator`` raises :class:`NoSeparatorError` (distinct from
   returning the empty set) when the source side reaches into the target's
-  closed neighborhood.  Its trusted walk ``close_side``, on which
+  closed neighborhood.  Its trusted search ``near_search``, on which
   ``close_to`` reads every close separator N(C_t(G - N(X))) of an anchor
   set X, returns None instead, and X may be any set there.
 """
@@ -153,24 +153,106 @@ def close_separator(g: WeightedGraph, X: Iterable[int], t) -> frozenset:
     start = next(iter(X))
     if not hangs_together(g, {start}, X - {start}):
         raise ValueError("g[X] is not connected")
-    return close_side(g, X, t)[1]
+    return near_search(g, X, t).separator
 
 
-def close_side(g: WeightedGraph, X: Iterable[int], t, excluded: frozenset = EMPTY_SET) -> tuple | None:
-    """(C_t(G - N(X)), N(C_t(G - N(X)))) from one walk, or None when t lies
-    in N[X].  The component is also C_t(G - S) for the separator S it
-    returns: it avoids S and every neighbor it has lies in S.
+def near_search(g: WeightedGraph, X: Iterable[int], t, excluded: frozenset = EMPTY_SET) -> NearSearch | None:
+    """The :class:`NearSearch` for the close separator of X in G - excluded,
+    or None when t lies in N[X].
 
     Trusted: X is a non-empty set of active vertices and t an active vertex,
-    all outside ``excluded``; nothing here checks that.  The walk is then one
-    of G - excluded, whose close separator is the returned N_G(C) minus
-    ``excluded``.  X need not be connected: the result is then the close side
-    of s in g with s joined to N[X] - {s}, for any s in X.
+    all outside ``excluded``; nothing here checks that.  X need not be
+    connected: the separator is then the close separator of s in g with s
+    joined to N[X] - {s}, for any s in X.
     """
+    adj = g._adj
+    near_adj = [adj[x] for x in X]
     closed = set(excluded)
-    closed.update(X)
-    for x in X:
-        closed.update(g.neighbors(x))
+    closed.update(X, *near_adj)
     if t in closed:
         return None
-    return component_with_boundary(g, closed, t)
+    return NearSearch(adj, X, t, closed, closed.difference(excluded, X), near_adj)
+
+
+class NearSearch:
+    """The close separator S = N(C_t(G - E - N[X])) - E of an anchor set X,
+    found from X's side, for the excluded set E.
+
+    Each neighbor u of a vertex v in N(X) - E, with u outside E and N[X], is
+    classified by a walk of G - E - N[X] that stops as soon as it touches a
+    vertex already known to reach t (at first only t); its vertices then
+    reach t too, and v joins S.  A walk that runs out first has walked a
+    whole component other than t's, a *pocket*, which is kept with its
+    boundary.  A classified neighbor is not walked again, so no vertex is
+    walked twice, and t's side is walked only as far as the first vertex
+    known to reach t.  Every vertex of S is next to a vertex that reaches t,
+    so N(C_t(G - E - S)) - E = S holds by construction.  Build it with
+    :func:`near_search`.
+    """
+
+    def __init__(self, adj, X, t, closed, border, near_adj):
+        # border is N(X) - E; near_adj holds the neighbors of X, and gains
+        # those of each border vertex outside S.
+        self._adj = adj
+        self._X = X
+        self._closed = closed
+        self._reach = {t}
+        self._pockets = {}
+        self._inner = []
+        self._near_adj = near_adj
+        separator = set()
+        for v in border:
+            nbrs = adj[v]
+            for u in nbrs:
+                if u not in closed and self.reaches_t(u):
+                    separator.add(v)
+                    break
+            else:
+                self._inner.append(v)
+                near_adj.append(nbrs)
+        self.separator = frozenset(separator)
+
+    def reaches_t(self, u) -> bool:
+        """Whether u, a vertex outside E and N[X], lies in C_t(G - E - N[X]),
+        by a walk that stops at the first vertex known to reach t."""
+        reach = self._reach
+        if u in reach:
+            return True
+        if u in self._pockets:
+            return False
+        adj, closed = self._adj, self._closed
+        comp = {u}
+        boundary = set()
+        stack = [u]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w in closed:
+                    boundary.add(w)
+                elif w not in comp:
+                    if w in reach:
+                        reach.update(comp)
+                        return True
+                    comp.add(w)
+                    stack.append(w)
+        pocket = (frozenset(comp), frozenset(boundary))
+        self._pockets.update(dict.fromkeys(comp, pocket))
+        return False
+
+    def pocket(self, u) -> tuple:
+        """(C, N_G(C)) for the component C of G - E - N[X] that holds u, once
+        :meth:`reaches_t` has found that u does not reach t."""
+        return self._pockets[u]
+
+    def near_side(self) -> tuple:
+        """(C, N_G(C)) for C = C_s(G - E - S) when X = {s}, with no walk:
+        C is s, the border vertices outside S, and the pockets those touch,
+        all of which the search has classified."""
+        side = set(self._X)
+        side.update(self._inner)
+        boundary = set().union(*self._near_adj)
+        for u in boundary - self._closed:
+            if u not in side:
+                pocket, pocket_boundary = self._pockets[u]
+                side |= pocket
+                boundary |= pocket_boundary
+        return frozenset(side), frozenset(boundary - side)

@@ -29,6 +29,24 @@ def reachable(g, start, forbidden) -> frozenset:
     return frozenset(seen)
 
 
+def side_with_boundary(g, start, forbidden) -> tuple:
+    """(C, N(C)) for C the vertices reachable from start avoiding forbidden."""
+    comp = reachable(g, start, forbidden)
+    return comp, frozenset(y for c in comp for y in g.neighbors(c)) - comp
+
+
+def close_side(g, X, t, excluded=frozenset()) -> tuple | None:
+    """(C_t(G - E - N[X]), N_G(C_t(G - E - N[X]))) for E = excluded, or None
+    when t lies in N[X].  The reference for ``minimal_separators.near_search``,
+    whose separator is this boundary minus E."""
+    closed = set(excluded) | set(X)
+    for x in X:
+        closed.update(g.neighbors(x))
+    if t in closed:
+        return None
+    return side_with_boundary(g, t, closed)
+
+
 def connected_within(g, X) -> bool:
     """True iff the subgraph induced on X is connected (or X is empty)."""
     X = frozenset(X)

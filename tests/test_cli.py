@@ -2,8 +2,10 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -430,8 +432,12 @@ class TestErrorPaths:
 
 
 def test_help_runs_as_a_program():
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "safesep.cli", "--help"],
+        env=env,
         capture_output=True,
         text=True,
         timeout=60,

@@ -94,12 +94,15 @@ class TestRunDetails:
         assert set(run.family) <= set(run.raw_candidates)
 
     def test_sides_are_the_two_full_components_of_each_member(self):
+        # A run hands on the s-side of each member; the t-side it proved full
+        # without walking it is full as well.
         g = gen_interval(30, wmax=5, seed=7)
         run = close_to_run(g, 0, 29, {3, 4})
         assert run.family
-        assert run.sides == tuple(
-            (component_of(g, S, 0), component_of(g, S, 29)) for S in run.family
-        )
+        assert run.sides == tuple(component_of(g, S, 0) for S in run.family)
+        for S in run.family:
+            assert neighborhood(g, component_of(g, S, 0)) == S
+            assert neighborhood(g, component_of(g, S, 29)) == S
 
     @pytest.mark.parametrize(
         "edges",
@@ -115,26 +118,26 @@ class TestRunDetails:
         candidates = [frozenset({1, 2}), frozenset({1})]
         family, sides = _definition_filter(g, 0, 3, frozenset(), candidates)
         assert family == (frozenset({1}),)
-        assert sides == ((component_of(g, {1}, 0), component_of(g, {1}, 3)),)
-        # The same decision when the filter is handed the sides of {1, 2}
-        # instead of walking them.
+        assert sides == (component_of(g, {1}, 0),)
+        # The same decision when the filter is handed the s-side of {1, 2}
+        # instead of walking it.
         S = frozenset({1, 2})
-        c_s, c_t = component_of(g, S, 0), component_of(g, S, 3)
-        walked = {(S, 0): (c_s, neighborhood(g, c_s)), (S, 3): (c_t, neighborhood(g, c_t))}
+        c_s = component_of(g, S, 0)
+        walked = {S: (c_s, neighborhood(g, c_s))}
         assert _definition_filter(g, 0, 3, frozenset(), candidates, walked) == (family, sides)
 
     def test_gate_stops_queries_whose_set_lies_beyond_t(self, monkeypatch):
         # sA = {0, 6} avoids N[3] = {2, 3, 4}, but 6 lies beyond t, outside
-        # C_s(G - N(t)) = {0, 1}: the gate answers before any close side is
-        # walked.
+        # C_s(G - N(t)) = {0, 1}: the gate answers before any close
+        # separator is searched for.
         g = path_graph(7)
         walks = []
 
         def recording(*args):
             walks.append(args)
-            return minimal_separators.close_side(*args)
+            return minimal_separators.near_search(*args)
 
-        monkeypatch.setattr(close_to_module, "close_side", recording)
+        monkeypatch.setattr(close_to_module, "near_search", recording)
         assert close_to_run(g, 0, 3, {6}) == CloseToRun(family=(), raw_candidates=())
         assert walks == []
         assert close_family_brute(g, 0, 3, {6}) == ()
@@ -144,7 +147,8 @@ class TestRunDetails:
         # closest to s and the filter share their walks instead of repeating
         # them.  Spies sit in the namespaces of the callers, so a walk that
         # graph_core builds from another is seen once; the gate's early-exit
-        # walk returns no set and is not recorded.
+        # walk returns no set and is not recorded.  The near side that the
+        # search reads off its own walks counts as a walk of that side.
         g = gen_interval(30, wmax=5, seed=7)
         walks = []
 
@@ -164,10 +168,30 @@ class TestRunDetails:
             for name, sets_of in returned.items():
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, spy(getattr(module, name), sets_of))
+        near_side = minimal_separators.NearSearch.near_side
+        monkeypatch.setattr(minimal_separators.NearSearch, "near_side", spy(near_side, lambda side: [side[0]]))
         run = close_to_run(g, 0, 29, {3, 4})
         assert len(run.family) == 1 and run.raw_candidates == run.family
         assert walks
         assert len(set(walks)) == len(walks)
+
+    def test_a_near_separator_leaves_the_far_side_unwalked(self):
+        # On a 200-vertex path with s = 20 and t = 22, G' = G - {21} leaves t
+        # unreachable: the run must read that off s's side of 21 vertices,
+        # not walk the 178 vertices beyond t.
+        g = path_graph(200)
+        touched = set()
+
+        class CountingAdjacency(dict):
+            def __getitem__(self, v):
+                touched.add(v)
+                return super().__getitem__(v)
+
+        g._adj = CountingAdjacency(g._adj)
+        run = close_to_run(g, 20, 22, set())
+        assert run.family == (frozenset({21}),)
+        assert run.sides == (frozenset(range(21)),)
+        assert len(touched) <= 30
 
     def test_members_are_minimal_and_keep_a_on_the_source_side(self):
         for seed in range(40):

@@ -12,6 +12,7 @@ from safesep import (
     WeightedGraph,
     atfree,
     closed_neighborhood,
+    component_of,
     gen_atfree_rejection,
     gen_interval,
     is_at_free,
@@ -19,9 +20,10 @@ from safesep import (
     is_safe_AB_separator,
     min_safe_sep,
     min_safe_separator,
+    neighborhood,
     sample_terminals,
 )
-from safesep.close_to import CloseToRun
+from safesep.close_to import CloseToRun, close_to_run
 from safesep.min_weight_separator import FlowNetwork, SplitNetwork
 from safesep.oracle import min_safe_brute
 from tests.brutes import random_weighted_graph
@@ -182,7 +184,7 @@ class TestFrozenAnswers:
             run = honest(g, s, t, A, R)
             if s != 4:
                 return run
-            sides = ((frozenset({1, 4}), frozenset({0, 1})),)
+            sides = (frozenset({1, 4}),)
             return CloseToRun(run.family, run.raw_candidates, sides)
 
         monkeypatch.setattr(min_safe_sep, "close_to_run", tampered)
@@ -242,12 +244,40 @@ class TestFrozenAnswers:
             run = honest(g, s, t, A, R)
             if s != 4:
                 return run
-            sides = ((frozenset({1, 4}), frozenset({0, 1})),)
+            sides = (frozenset({1, 4}),)
             return CloseToRun(run.family, run.raw_candidates, sides)
 
         monkeypatch.setattr(min_safe_sep, "close_to_run", tampered)
         with pytest.raises(InternalConsistencyError, match="qualifying pair meet"):
             min_safe_separator(QueryInstance(path_graph(5), {0}, {4}))
+
+    def test_the_qualifying_test_needs_no_t_side(self):
+        # The pair loop qualifies (S_A, S_B) by C_s(G-R-S_A) missing S_B; for
+        # family members that is the inclusion S_A - S_B <= C_s(G-R-S_B).
+        # Random queries almost never hold a pair that fails, so one is
+        # pinned: the A-side of S_A = {8} holds S_B = {2}.
+        queries = [(gen_atfree_rejection(9, wmax=5, seed=542), {0, 1}, {5, 6})]
+        for seed in range(200):
+            rng = random.Random(f"qualify:{seed}")
+            n = rng.randint(5, 12)
+            g = gen_interval(n, wmax=5, seed=seed) if seed % 2 else gen_atfree_rejection(n, wmax=5, seed=seed)
+            terminals = sample_terminals(g, rng)
+            if terminals is not None:
+                queries.append((g, *terminals))
+        outcomes = set()
+        for g, A, B in queries:
+            A, B = frozenset(A), frozenset(B)
+            R = neighborhood(g, A) & neighborhood(g, B)
+            s, t = min(A), min(B)
+            run_A = close_to_run(g, s, t, A - {s}, R)
+            run_B = close_to_run(g, t, s, B - {t}, R)
+            for S_B in run_B.family:
+                c_sB = component_of(g, R | S_B, s)
+                for S_A, c_sA in zip(run_A.family, run_A.sides):
+                    qualifies = S_A - S_B <= c_sB
+                    assert qualifies == S_B.isdisjoint(c_sA), (sorted(A), sorted(B))
+                    outcomes.add(qualifies)
+        assert outcomes == {True, False}
 
     def test_one_network_per_query_and_one_flow_per_pair(self, monkeypatch):
         """One base flow per query, then one augmentation for each pair whose

@@ -1,5 +1,7 @@
 """Separator predicates and close separators."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -18,10 +20,16 @@ from safesep import (
     is_st_separator,
     neighborhood,
 )
-from safesep.minimal_separators import close_side, is_safe_minimal_AB_separator
+from safesep.minimal_separators import is_safe_minimal_AB_separator, near_search
 from safesep.oracle import enumerate_minimal_st_separators
-from tests.brutes import is_minimal_separator_by_deletion, reachable, separates
-from tests.strategies import connected_graphs, graphs_with_terminals
+from tests.brutes import (
+    close_side,
+    is_minimal_separator_by_deletion,
+    reachable,
+    separates,
+    side_with_boundary,
+)
+from tests.strategies import atfree_graphs, connected_graphs, graphs_with_terminals
 
 
 def path_graph(n):
@@ -169,6 +177,51 @@ class TestCloseSide:
         c_t = reachable(joined, t, joined.neighbors(s))
         boundary = frozenset(y for c in c_t for y in joined.neighbors(c)) - c_t
         assert close_side(g, frozenset(X), t) == (c_t, boundary)
+
+
+class TestNearSearch:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(connected_graphs(min_n=4, max_n=14), atfree_graphs(max_n=14)), st.data())
+    def test_matches_the_walk_of_the_far_side(self, g, data):
+        # The search finds the separator of the far-side walk of close_side,
+        # for connected and disconnected X and an excluded set E that can
+        # split G - E into pieces; for X = {s} its near side is C_s(G - E - S),
+        # and every vertex outside E and N[X] is classified as that walk's.
+        # Over all of this the search reads no vertex's neighbors twice.
+        verts = sorted(g.vertices)
+        t = data.draw(st.sampled_from(verts))
+        X = data.draw(st.sets(st.sampled_from([v for v in verts if v != t]), min_size=1, max_size=4))
+        pool = [v for v in verts if v != t and v not in X]
+        E = data.draw(st.sets(st.sampled_from(pool), max_size=4)) if pool else set()
+        X, E = frozenset(X), frozenset(E)
+        reference = close_side(g, X, t, E)
+        closed = E | closed_neighborhood(g, X)
+        order = data.draw(st.permutations([v for v in verts if v not in closed]))
+        if len(X) == 1:
+            (s,) = X
+            near = side_with_boundary(g, s, E | (reference[1] - E)) if reference else None
+        pockets = {u: side_with_boundary(g, u, closed) for u in order}
+        reads = Counter()
+
+        class CountingAdjacency(dict):
+            def __getitem__(self, v):
+                reads[v] += 1
+                return super().__getitem__(v)
+
+        g._adj = CountingAdjacency(g._adj)
+        search = near_search(g, X, t, E)
+        if reference is None:
+            assert search is None
+            return
+        c_t, boundary = reference
+        assert search.separator == boundary - E
+        if len(X) == 1:
+            assert search.near_side() == near
+        for u in order:
+            assert search.reaches_t(u) == (u in c_t)
+            if u not in c_t:
+                assert search.pocket(u) == pockets[u]
+        assert max(reads.values()) == 1
 
 
 class TestComponentOrder:
