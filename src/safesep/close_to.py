@@ -57,10 +57,6 @@ from .graph_core import (
 )
 from .minimal_separators import near_search
 
-# Sentinel distinguishing "no component constrains the anchor choice" from an
-# empty intersection.
-NO_CONSTRAINT = None
-
 
 def nested_component_meet(g: WeightedGraph, T_s: frozenset, targets):
     """Intersection of the neighborhoods N(C_i) & T_s of the target components.
@@ -69,11 +65,8 @@ def nested_component_meet(g: WeightedGraph, T_s: frozenset, targets):
     G - T_s form a chain under inclusion, so the intersection is the smallest
     of them.  The chain is checked on every call, as the neighborhoods are at
     hand anyway: a broken chain proves the input is not AT-free and raises
-    InternalConsistencyError.  Empty ``targets`` yields the NO_CONSTRAINT
-    sentinel (the caller then runs its loop once, unconstrained).
+    InternalConsistencyError.  ``targets`` must not be empty.
     """
-    if not targets:
-        return NO_CONSTRAINT
     ordered = sorted((neighborhood(g, C) & T_s for C in targets), key=len)
     for small, big in zip(ordered, ordered[1:]):
         if not small <= big:
@@ -191,14 +184,14 @@ def close_to_run(g: WeightedGraph, s, t, A: Iterable[int], R: frozenset = EMPTY_
         elif not any(a in C for C in targets):
             targets.append(search.pocket(a)[0])
     a_core = frozenset(a_core)
-    s_star = nested_component_meet(g, T_s, targets)
-
-    anchors = [None] if s_star is NO_CONSTRAINT else sorted(s_star)
+    # With no pocket to reach, the single pass anchors at s itself: X is the
+    # same set, and s lies on every s-side.
+    anchors = sorted(nested_component_meet(g, T_s, targets)) if targets else [s]
     candidates = []
     walked = {}
     full_t = set()
     for v in anchors:
-        A_v = a_core if v is None else a_core | {v}
+        A_v = a_core | {v}
         X = A_v | {s}
         found = near_search(g, X, t, gone)
         if found is None:

@@ -4,9 +4,9 @@ Every non-terminal vertex v is split into an arc v_in -> v_out of capacity
 w(v); each undirected edge becomes a pair of arcs of effectively infinite
 capacity (1 + total vertex weight, which no vertex cut can reach).  The
 minimum cut of this network crosses only split arcs, and those arcs name the
-separator.  Flow is computed with blocking-flow (level graph) augmentation;
-the source-side residual-reachability cut gives a deterministic minimum-weight
-separator, which is always minimal.
+separator.  Flow is computed along shortest augmenting paths (Edmonds and
+Karp); the source-side residual-reachability cut gives a deterministic
+minimum-weight separator, which is always minimal.
 
 A vertex can also be *settled*: its split arc is raised to the infinite
 capacity, so no finite cut contains it.  Raising a connected side that
@@ -29,7 +29,7 @@ from .minimal_separators import is_minimal_st_separator
 
 
 class FlowNetwork:
-    """Directed network with integer capacities and Dinic's algorithm."""
+    """Directed network with integer capacities and shortest augmenting paths."""
 
     def __init__(self, node_count: int):
         self.node_count = node_count
@@ -49,70 +49,39 @@ class FlowNetwork:
         self.cap.append(0)
         return idx
 
-    def _levels(self, s: int, t: int):
-        level = [-1] * self.node_count
-        level[s] = 0
-        queue = [s]
-        while queue:
-            nxt = []
-            for u in queue:
-                for idx in self.head[u]:
-                    v = self.to[idx]
-                    if self.cap[idx] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        nxt.append(v)
-            queue = nxt
-        return level
-
-    def _blocking_flow(self, s: int, t: int, level) -> int:
-        total = 0
-        it = [0] * self.node_count
-        while True:
-            # iterative DFS for one augmenting path in the level graph
-            path = []
-            u = s
-            while True:
-                if u == t:
-                    pushed = min(self.cap[idx] for idx in path)
-                    for idx in path:
-                        self.cap[idx] -= pushed
-                        self.cap[idx ^ 1] += pushed
-                    total += pushed
-                    # restart from the lowest saturated arc
-                    for k, idx in enumerate(path):
-                        if self.cap[idx] == 0:
-                            path = path[:k]
-                            break
-                    u = self.to[path[-1]] if path else s
-                    continue
-                advanced = False
-                while it[u] < len(self.head[u]):
-                    idx = self.head[u][it[u]]
-                    v = self.to[idx]
-                    if self.cap[idx] > 0 and level[v] == level[u] + 1:
-                        path.append(idx)
-                        u = v
-                        advanced = True
-                        break
-                    it[u] += 1
-                if advanced:
-                    continue
-                if u == s:
-                    return total
-                level[u] = -1  # dead end; prune
-                u = self.to[path[-1] ^ 1]
-                path.pop()
-                it[u] += 1
-
     def max_flow(self, s: int, t: int):
-        """Augment the current flow to a maximum one; returns the flow added and
-        the levels of the last BFS, >= 0 exactly where s reaches in the residual."""
+        """Augment the current flow to a maximum one along shortest augmenting
+        paths (Edmonds and Karp, O(VE^2)); returns the flow added and the
+        marks of the last, failing search, >= 0 exactly where s reaches in the
+        residual.  A node's mark is the arc the breadth-first search reached
+        it by; each search stops at t, and the bottleneck is pushed back
+        along the marked arcs."""
+        head, to, cap = self.head, self.to, self.cap
         flow = 0
         while True:
-            level = self._levels(s, t)
-            if level[t] < 0:
-                return flow, level
-            flow += self._blocking_flow(s, t, level)
+            mark = [-1] * self.node_count
+            mark[s] = 0  # any value >= 0: the walk back stops at s
+            queue = [s]
+            for u in queue:
+                if mark[t] >= 0:
+                    break
+                for idx in head[u]:
+                    v = to[idx]
+                    if cap[idx] > 0 and mark[v] < 0:
+                        mark[v] = idx
+                        queue.append(v)
+            if mark[t] < 0:
+                return flow, mark
+            path = []
+            v = t
+            while v != s:
+                path.append(mark[v])
+                v = to[mark[v] ^ 1]
+            pushed = min(cap[idx] for idx in path)
+            for idx in path:
+                cap[idx] -= pushed
+                cap[idx ^ 1] += pushed
+            flow += pushed
 
 
 class SplitNetwork:
@@ -149,17 +118,17 @@ class SplitNetwork:
             net.add_arc(out_node[u], in_node[v], self.inf)
             net.add_arc(out_node[v], in_node[u], self.inf)
         self.net, self.in_node, self.out_node, self.split_arc = net, in_node, out_node, split_arc
-        self.base, level = net.max_flow(out_node[s], in_node[t])
+        self.base, mark = net.max_flow(out_node[s], in_node[t])
         self.residual = list(net.cap)
-        self.cut = self._cut(level, self.base) if self.base < self.inf else None
+        self.cut = self._cut(mark, self.base) if self.base < self.inf else None
 
-    def _cut(self, level, flow):
-        """The cut named by a maximum flow's last BFS, checked against it."""
+    def _cut(self, mark, flow):
+        """The cut named by a maximum flow's last search, checked against it."""
         if flow == 0:
             return frozenset()
         in_node, out_node, g = self.in_node, self.out_node, self.g
         sep = frozenset(
-            v for v in self.split_arc if level[in_node[v]] >= 0 and level[out_node[v]] < 0
+            v for v in self.split_arc if mark[in_node[v]] >= 0 and mark[out_node[v]] < 0
         )
         if g.weight_of(sep) != flow:
             raise InternalConsistencyError(
@@ -176,7 +145,7 @@ class SplitNetwork:
         The split arcs of the settled vertices are raised to the infinite
         capacity, which is the same as contracting each connected settled
         side into its terminal.  Raising capacities keeps the base flow
-        feasible, so Dinic augments it to a maximum flow of the raised
+        feasible, so augmenting paths raise it to a maximum flow of the raised
         network.  The nodes residual-reachable from s are the same for every
         maximum flow (the source side of the minimal minimum cut), so the cut
         equals the one a flow from zero would give.  It is always a minimal
@@ -195,13 +164,13 @@ class SplitNetwork:
         net.cap[:] = self.residual
         for v in settled:
             net.cap[self.split_arc[v]] += self.inf - g.weight(v)
-        extra, level = net.max_flow(self.out_node[self.s], self.in_node[self.t])
+        extra, mark = net.max_flow(self.out_node[self.s], self.in_node[self.t])
         flow = self.base + extra
         if flow >= self.inf:
             raise InternalConsistencyError(
                 "the flow reached the infinite capacity: the settled sides touch"
             )
-        return self._cut(level, flow), flow
+        return self._cut(mark, flow), flow
 
 
 def min_weight_st_separator(g: WeightedGraph, s, t):
@@ -223,7 +192,10 @@ def min_weight_st_separator(g: WeightedGraph, s, t):
 
 
 def vertex_connectivity_st(g: WeightedGraph, s, t) -> int:
-    """Size of a minimum s,t vertex cut (all weights treated as 1)."""
+    """Size of a minimum s,t vertex cut (all weights treated as 1).
+
+    Raises NoSeparatorError when s and t are adjacent, and ValueError when
+    they are equal or either is not an active vertex."""
     unit = WeightedGraph._from_parts(g.n, g._adj, {v: 1 for v in g._adj})
     _, value = min_weight_st_separator(unit, s, t)
     return value

@@ -111,14 +111,6 @@ def is_safe_AB_separator(g: WeightedGraph, A: Iterable[int], B: Iterable[int], S
     return len(ia) == 1 and len(ib) == 1 and ia != ib
 
 
-def is_safe_minimal_AB_separator(g: WeightedGraph, A: Iterable[int], B: Iterable[int], S: Iterable[int]) -> bool:
-    """``is_safe_AB_separator(g, A, B, S) and is_minimal_AB_separator(g, A, B, S)``
-    from two walks of G-S; see :func:`safe_minimal_sides`."""
-    A, B, S = frozenset(A), frozenset(B), frozenset(S)
-    _check_ab(g, A, B, S)
-    return safe_minimal_sides(g, A, B, S) is not None
-
-
 def safe_minimal_sides(g: WeightedGraph, A: frozenset, B: frozenset, S: frozenset) -> tuple | None:
     """(C_A, C_B), walked in G-S from min(A) and min(B), when S avoids A and B,
     A lies inside C_A, B inside C_B, min(B) outside C_A, and S <= N(C_A) and

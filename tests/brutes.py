@@ -121,6 +121,21 @@ def cold_min_cut(g, s, t, settled):
     return frozenset(v for v in g.vertices if 2 * v in seen and 2 * v + 1 not in seen), flow
 
 
+def min_arc_cut_brute(node_count, arcs, s, t) -> int:
+    """Capacity of a minimum s,t-cut of a directed network given as
+    (u, v, capacity) arcs: the least total capacity of the arcs leaving a node
+    set that holds s and not t, over every such set."""
+    others = [x for x in range(node_count) if x != s and x != t]
+    best = None
+    for k in range(len(others) + 1):
+        for combo in combinations(others, k):
+            side = {s, *combo}
+            value = sum(c for u, v, c in arcs if u in side and v not in side)
+            if best is None or value < best:
+                best = value
+    return best
+
+
 def separates(g, s, t, S) -> bool:
     S = frozenset(S)
     if s in S or t in S:

@@ -17,7 +17,6 @@ from safesep import (
     neighborhood,
 )
 from safesep.close_to import (
-    NO_CONSTRAINT,
     CloseToRun,
     _definition_filter,
     close_to_run,
@@ -261,10 +260,6 @@ class TestNestedComponentMeet:
             self.hub_graph(), frozenset({1, 2, 3}), [frozenset({4}), frozenset({5})]
         )
         assert out == frozenset({1, 2})
-
-    def test_no_targets_means_no_constraint(self):
-        out = nested_component_meet(self.hub_graph(), frozenset({1, 2, 3}), [])
-        assert out is NO_CONSTRAINT
 
     def test_incomparable_neighborhoods_fail_verification(self):
         # two pockets attached to disjoint halves of the boundary: their

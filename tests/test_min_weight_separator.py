@@ -15,11 +15,12 @@ from safesep import (
     vertex_connectivity_st,
 )
 from safesep.graph_core import fold_cores
-from safesep.min_weight_separator import SplitNetwork
+from safesep.min_weight_separator import FlowNetwork, SplitNetwork
 from tests.brutes import (
     cold_min_cut,
     contract_connected_set,
     max_disjoint_paths_brute,
+    min_arc_cut_brute,
     min_weight_separator_brute,
     minimal_st_separators_by_deletion,
     random_weighted_graph,
@@ -61,6 +62,61 @@ def test_validation():
 def test_unit_weight_connectivity():
     g = WeightedGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], [5, 9, 5, 9])
     assert vertex_connectivity_st(g, 0, 2) == 2
+    with pytest.raises(NoSeparatorError):
+        vertex_connectivity_st(g, 0, 1)
+    for s, t in ((0, 0), (0, 7)):
+        with pytest.raises(ValueError):
+            vertex_connectivity_st(g, s, t)
+
+
+def test_flow_network_on_its_own():
+    """On seeded random directed networks of at most 8 nodes with integer
+    capacities, zero included, checked against the arcs as built: the flow
+    is feasible, its value is a minimum s,t arc cut, the nodes marked by the
+    last search are exactly those the residual of that flow reaches from s,
+    and a second call adds nothing.  The corpus must reach flows that need
+    more than one augmenting path."""
+    multi_path = 0
+    for i in range(400):
+        rng = random.Random(f"flow:{i}")
+        n = rng.randint(2, 8)
+        s, t = rng.sample(range(n), 2)
+        arcs = [
+            (u, v, rng.choice((0, 1, 2, 3, 5, 9)))
+            for u in range(n)
+            for v in range(n)
+            if u != v and rng.random() < 0.4
+        ]
+        net = FlowNetwork(n)
+        ids = [net.add_arc(u, v, c) for u, v, c in arcs]
+        value, mark = net.max_flow(s, t)
+        assert value == min_arc_cut_brute(n, arcs, s, t), i
+        flow = [c - net.cap[idx] for (_, _, c), idx in zip(arcs, ids)]
+        excess = [0] * n
+        residual = [[] for _ in range(n)]
+        for (u, v, c), idx, f in zip(arcs, ids, flow):
+            assert 0 <= f <= c and net.cap[idx ^ 1] == f, i
+            excess[u] -= f
+            excess[v] += f
+            if f < c:
+                residual[u].append(v)
+            if f > 0:
+                residual[v].append(u)
+        assert excess[t] == value == -excess[s], i
+        assert all(excess[x] == 0 for x in range(n) if x != s and x != t), i
+        seen = {s}
+        stack = [s]
+        while stack:
+            for y in residual[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        assert {x for x in range(n) if mark[x] >= 0} == seen, i
+        again, mark = net.max_flow(s, t)
+        assert again == 0 and {x for x in range(n) if mark[x] >= 0} == seen, i
+        # one path carries at most the capacity of its first arc
+        multi_path += value > max((c for u, _, c in arcs if u == s), default=0)
+    assert multi_path >= 50, multi_path
 
 
 @settings(max_examples=150, deadline=None)

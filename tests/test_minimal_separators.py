@@ -20,7 +20,7 @@ from safesep import (
     is_st_separator,
     neighborhood,
 )
-from safesep.minimal_separators import is_safe_minimal_AB_separator, near_search
+from safesep.minimal_separators import near_search, safe_minimal_sides
 from safesep.oracle import enumerate_minimal_st_separators
 from tests.brutes import (
     close_side,
@@ -107,7 +107,8 @@ class TestSetPredicates:
             B = data.draw(st.sets(st.sampled_from(far), min_size=1, max_size=2))
             S = data.draw(st.sets(st.sampled_from(verts), max_size=4)) - A - B
         expected = is_safe_AB_separator(g, A, B, S) and is_minimal_AB_separator(g, A, B, S)
-        assert is_safe_minimal_AB_separator(g, A, B, S) == expected
+        sides = safe_minimal_sides(g, frozenset(A), frozenset(B), frozenset(S))
+        assert (sides is not None) == expected
 
     def test_separator_overlapping_the_sets_is_rejected(self):
         g = path_graph(5)
@@ -115,8 +116,6 @@ class TestSetPredicates:
             is_AB_separator(g, {0, 1}, {4}, {1, 2})
         with pytest.raises(ValueError):
             is_safe_AB_separator(g, {0, 1}, {4}, {1, 2})
-        with pytest.raises(ValueError):
-            is_safe_minimal_AB_separator(g, {0, 1}, {4}, {1, 2})
 
 
 class TestCloseSeparator:
