@@ -4,8 +4,10 @@ Minimum-weight vertex cuts
 
 The weighted workhorse: a minimum-weight s,t-separator via max-flow on
 the split network (each vertex becomes an in/out arc carrying its
-weight).  On unit weights the optimum value is the classical count of
-internally vertex-disjoint s,t-paths.
+weight).  The network is never built: the flow is kept only where it
+runs, and every other arc is read off the graph's own adjacency.  On
+unit weights the optimum value is the classical count of internally
+vertex-disjoint s,t-paths.
 """
 
 from safesep.graph_core import WeightedGraph

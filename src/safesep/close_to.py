@@ -16,13 +16,14 @@ anchored part of A and one candidate anchor vertex, and in the contraction
 branch a settled source side with one of its boundary vertices.  Each is
 found from X's side (``near_search``), which walks t's side only as far as
 the first vertex known to reach t; X need not be connected, and the result
-is the close separator of s in G' with s joined to N[X] - {s}.  A final
-definitional filter keeps exactly the family members:
-the raw candidate list is guaranteed to contain the whole family, but single
-candidates produced by the contraction branch can fail closeness, so each
-survivor is checked minimal-with-A-inside and non-dominated against the other
-survivors.  The unfiltered candidates, and the s-side of each member, stay
-available to callers.
+is the close separator of s in G' with s joined to N[X] - {s}.  Several
+anchor vertices share one walk of C_t(G' - Z), Z the closed neighborhood of
+all their anchor sets, which seeds each search.  A final definitional filter
+keeps exactly the family members: the raw candidate list is guaranteed to
+contain the whole family, but single candidates produced by the contraction
+branch can fail closeness, so each survivor is checked minimal-with-A-inside
+and non-dominated against the other survivors.  The unfiltered candidates,
+and the s-side of each member, stay available to callers.
 
 G' is never built: every walk runs in G with L excluded, and collects the
 neighborhood of its component in G on the way; minus L, that is the
@@ -187,13 +188,18 @@ def close_to_run(g: WeightedGraph, s, t, A: Iterable[int], R: frozenset = EMPTY_
     # With no pocket to reach, the single pass anchors at s itself: X is the
     # same set, and s lies on every s-side.
     anchors = sorted(nested_component_meet(g, T_s, targets)) if targets else [s]
+    # Every anchor's N[X] lies in Z = N[{s} | a_core | anchors], so the
+    # vertices of C_t(G' - Z), walked once, reach t in each anchor's search.
+    known = EMPTY_SET
+    if len(anchors) > 1:
+        known = component_with_boundary(g, gone | closed_neighborhood(g, a_core.union(anchors, (s,))), t)[0]
     candidates = []
     walked = {}
     full_t = set()
     for v in anchors:
         A_v = a_core | {v}
         X = A_v | {s}
-        found = near_search(g, X, t, gone)
+        found = near_search(g, X, t, gone, known)
         if found is None:
             # Cannot happen: sA misses N[t], and v in T_s <= N(s) would be in L if in N(t).
             raise InternalConsistencyError("the anchor set meets the closed neighborhood of t")

@@ -18,12 +18,13 @@ The best candidate over all qualifying pairs, plus R, is the answer.
 
 Each family member comes with its own terminal's side, walked once while the
 family was computed, so the qualifying test and the settled sides of a pair
-need no walk of their own.  All pairs are cut on one flow network per query.
-The part of each side that every qualifying pair settles (the core) is
-folded into its terminal once, and one base max-flow is run with nothing else
-settled.  A pair whose settled sides miss the base cut keeps it.  For any
-other pair, the split arcs of the rest of its settled sides are raised to
-infinity (as if contracted), and augmenting the base flow gives the cut.
+need no walk of their own.  All pairs are cut on one flow network per query:
+the part of each side that every qualifying pair settles (the core) is
+folded into its terminal once, and the flow runs on that graph's own
+adjacency, with no network built.  One base max-flow runs with nothing else
+settled, and a pair whose settled sides miss the base cut keeps it.  For any
+other pair, the rest of its settled sides gets infinite capacity (as if
+contracted), and augmenting the base flow gives the cut.
 
 On graphs that are not AT-free the close families can be wrong, so only the
 ``verified`` mode, which first scans the graph for an asteroidal triple,
@@ -52,7 +53,7 @@ from .graph_core import (
     is_connected,
     neighborhood,
 )
-from .min_weight_separator import SplitNetwork
+from .min_weight_separator import FlowNetwork
 from .minimal_separators import safe_minimal_sides
 
 
@@ -114,7 +115,7 @@ def _best_pair_cut(g: WeightedGraph, s, t, pairs, R, weight_R):
     G - R with the cores folded in."""
     core_s = _core(g, R, s, {S_A: c_sA for S_A, _, c_sA, _ in pairs})
     core_t = _core(g, R, t, {S_B: c_tB for _, S_B, _, c_tB in pairs})
-    net = SplitNetwork(fold_cores(g, s, core_s, t, core_t, R), s, t)
+    net = FlowNetwork(fold_cores(g, s, core_s, t, core_t, R), s, t)
     best = None
     for _, _, c_sA, c_tB in pairs:
         sep, wt = net.min_cut((c_sA - core_s) | (c_tB - core_t))

@@ -1,135 +1,140 @@
 """Minimum-weight s,t vertex separator via vertex-capacitated maximum flow.
 
-Every non-terminal vertex v is split into an arc v_in -> v_out of capacity
-w(v); each undirected edge becomes a pair of arcs of effectively infinite
-capacity (1 + total vertex weight, which no vertex cut can reach).  The
-minimum cut of this network crosses only split arcs, and those arcs name the
-separator.  Flow is computed along shortest augmenting paths (Edmonds and
-Karp); the source-side residual-reachability cut gives a deterministic
-minimum-weight separator, which is always minimal.
+The flow runs on the vertex-split network of g: each non-terminal vertex v
+is an arc v_in -> v_out of capacity w(v), and each edge {u, v} the arcs
+u_out -> v_in and v_out -> u_in.  ``FlowNetwork`` never builds it: it keeps
+flow only for the vertices and edge arcs that carry it and reads every
+other arc off g's adjacency, so away from the flow paths a search is a
+plain breadth-first search of g.  Edge arcs are unbounded; a bound of
+1 + total vertex weight (``inf``), which no vertex cut reaches, would leave
+the minimum cuts, and whether the maximum flow reaches inf, unchanged.
+Flow follows shortest augmenting paths (Edmonds and Karp); the source-side
+residual-reachability cut gives a deterministic minimum-weight separator,
+which is always minimal.
 
-A vertex can also be *settled*: its split arc is raised to the infinite
-capacity, so no finite cut contains it.  Raising a connected side that
-contains s (or t) is equivalent to contracting that side into the terminal,
-and yields the same cut.  ``SplitNetwork`` builds the network and computes a
-maximum flow with nothing settled (the base flow) once, then cuts it for any
-number of settled sets.  Settling only raises capacities, so the base flow
-stays feasible and each cut augments from it instead of from zero; the
-source side of the cut is the residual-reachable set, which every maximum
-flow shares, so the cut is the one a cold flow would give.  A settled set
-that misses the base cut, read and checked once, keeps it without a flow.
-``min_weight_st_separator`` is the single cut with nothing settled.
+A vertex can also be *settled*: its split arc is raised to inf, so no
+finite cut contains it.  Raising a connected side that contains s (or t) is
+equivalent to contracting that side into the terminal, and yields the same
+cut.  ``FlowNetwork`` computes a maximum flow with nothing settled (the base
+flow) once, then cuts it for any number of settled sets.  Settling only
+raises capacities, so the base flow stays feasible and each cut augments
+from it instead of from zero; the source side of the cut is the
+residual-reachable set, which every maximum flow shares, so the cut is the
+one a cold flow would give.  A settled set that misses the base cut, read
+and checked once, keeps it without a flow.  ``min_weight_st_separator`` is
+the single cut with nothing settled.
 """
 
 from __future__ import annotations
 
 from .errors import InternalConsistencyError, NoSeparatorError
-from .graph_core import WeightedGraph
+from .graph_core import EMPTY_SET, WeightedGraph
 from .minimal_separators import is_minimal_st_separator
 
 
+def _add(flows: dict, key, amount) -> dict:
+    """Add amount to flows[key], keeping positive entries only."""
+    left = flows.get(key, 0) + amount
+    if left:
+        flows[key] = left
+    else:
+        del flows[key]
+    return flows
+
+
 class FlowNetwork:
-    """Directed network with integer capacities and shortest augmenting paths."""
+    """The vertex-split network of g between s and t, flowed once with
+    nothing settled, then cut once per set of settled vertices.
 
-    def __init__(self, node_count: int):
-        self.node_count = node_count
-        self.head = [[] for _ in range(node_count)]
-        self.to = []
-        self.cap = []
-
-    def add_arc(self, u: int, v: int, capacity: int) -> int:
-        """Add u->v with the given capacity plus a zero-capacity reverse arc;
-        returns the forward arc index (reverse is index+1)."""
-        idx = len(self.to)
-        self.head[u].append(idx)
-        self.to.append(v)
-        self.cap.append(capacity)
-        self.head[v].append(idx + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        return idx
-
-    def max_flow(self, s: int, t: int):
-        """Augment the current flow to a maximum one along shortest augmenting
-        paths (Edmonds and Karp, O(VE^2)); returns the flow added and the
-        marks of the last, failing search, >= 0 exactly where s reaches in the
-        residual.  A node's mark is the arc the breadth-first search reached
-        it by; each search stops at t, and the bottleneck is pushed back
-        along the marked arcs."""
-        head, to, cap = self.head, self.to, self.cap
-        flow = 0
-        while True:
-            mark = [-1] * self.node_count
-            mark[s] = 0  # any value >= 0: the walk back stops at s
-            queue = [s]
-            for u in queue:
-                if mark[t] >= 0:
-                    break
-                for idx in head[u]:
-                    v = to[idx]
-                    if cap[idx] > 0 and mark[v] < 0:
-                        mark[v] = idx
-                        queue.append(v)
-            if mark[t] < 0:
-                return flow, mark
-            path = []
-            v = t
-            while v != s:
-                path.append(mark[v])
-                v = to[mark[v] ^ 1]
-            pushed = min(cap[idx] for idx in path)
-            for idx in path:
-                cap[idx] -= pushed
-                cap[idx ^ 1] += pushed
-            flow += pushed
-
-
-class SplitNetwork:
-    """The vertex-split network of g between s and t, built and flowed once,
-    then cut once per set of settled vertices.
-
-    s and t each get one node; every other vertex v gets v_in -> v_out with
-    capacity w(v).  A maximum flow with nothing settled, the base flow, is
-    computed once and its residual capacities are saved, so each
-    :meth:`min_cut` starts from the same flow.  Its cut, checked once, is
-    ``cut``; it is None when s and t are adjacent and no finite cut exists.
+    s and t are one node each.  ``through[v]`` is the flow on v's split arc
+    and ``inflow[v][u]`` that on the edge arc u_out -> v_in, never netted
+    against the distinct arc v_out -> u_in.  Both keep positive entries
+    only, so a vertex outside ``through`` carries no flow, and (t apart) v
+    has inflow exactly when it has through-flow.  Each :meth:`min_cut`
+    starts from the saved base flow, whose cut, checked once, is ``cut``:
+    None when the base flow reaches inf, as when s and t are adjacent.
     """
 
     def __init__(self, g: WeightedGraph, s, t):
         self.g, self.s, self.t = g, s, t
         self.inf = 1 + sum(g.weight(v) for v in g.vertices)
-        node = 0
-        in_node = {}
-        out_node = {}
-        for v in g.vertices:
-            if v == s or v == t:
-                in_node[v] = out_node[v] = node
-                node += 1
-            else:
-                in_node[v] = node
-                out_node[v] = node + 1
-                node += 2
-        net = FlowNetwork(node)
-        split_arc = {}
-        for v in g.vertices:
-            if v != s and v != t:
-                split_arc[v] = net.add_arc(in_node[v], out_node[v], g.weight(v))
-        for u, v in g.edges():
-            net.add_arc(out_node[u], in_node[v], self.inf)
-            net.add_arc(out_node[v], in_node[u], self.inf)
-        self.net, self.in_node, self.out_node, self.split_arc = net, in_node, out_node, split_arc
-        self.base, mark = net.max_flow(out_node[s], in_node[t])
-        self.residual = list(net.cap)
-        self.cut = self._cut(mark, self.base) if self.base < self.inf else None
+        self.through, self.inflow = {}, {}
+        self.base, reached = self.max_flow()
+        self.saved = self.through, self.inflow
+        self.cut = self._cut(reached, self.base) if self.base < self.inf else None
 
-    def _cut(self, mark, flow):
-        """The cut named by a maximum flow's last search, checked against it."""
+    def max_flow(self, settled=EMPTY_SET):
+        """Augment the current flow along shortest augmenting paths (Edmonds
+        and Karp), with the split arcs of the settled vertices at inf, until
+        it is maximum or has grown by inf; returns the flow added and the
+        (in-nodes, out-nodes) the last search reached.  Each search stops at
+        t, and the bottleneck, at most inf, is pushed back along the arcs
+        that reached each node.  A node's entry names the vertex it was
+        reached from; a vertex's own name means its split arc."""
+        adj, w, s, t, inf = self.g._adj, self.g._w, self.s, self.t, self.inf
+        through, inflow = self.through, self.inflow
+        flow = 0
+        while flow < inf:
+            # A queue entry v is v's in-node, ~v its out-node.
+            in_from, out_from = {s: s}, {s: s}
+            queue = [~s]
+            for x in queue:
+                if t in in_from:
+                    break
+                if x >= 0:
+                    # An in-node that carries flow: its split arc while it
+                    # has room, and the reverse of each edge arc into it.
+                    if x not in out_from and through[x] < (inf if x in settled else w[x]):
+                        out_from[x] = x
+                        queue.append(~x)
+                    for u in inflow[x]:
+                        if u not in out_from:
+                            out_from[u] = x
+                            queue.append(~u)
+                    continue
+                u = ~x
+                if u in through and u not in in_from:
+                    in_from[u] = u
+                    queue.append(u)
+                for v in adj[u]:
+                    if v not in in_from:
+                        in_from[v] = u
+                        if v in through:
+                            queue.append(v)
+                        else:
+                            out_from[v] = v
+                            queue.append(~v)
+            if t not in in_from:
+                return flow, (in_from, out_from)
+            # Walk back from t's in-node to s; a step (v, u, at_in) reached a
+            # node of v from u, along v's own split arc when u == v.
+            path, pushed, v, at_in = [], inf, t, True
+            while v != s or at_in:
+                u = in_from[v] if at_in else out_from[v]
+                path.append((v, u, at_in))
+                if u == v:
+                    pushed = min(pushed, through[v] if at_in else (inf if v in settled else w[v]) - through.get(v, 0))
+                elif not at_in:
+                    pushed = min(pushed, inflow[u][v])
+                v, at_in = u, not at_in
+            for v, u, at_in in path:
+                if u == v:
+                    _add(through, v, -pushed if at_in else pushed)
+                elif at_in:
+                    _add(inflow.setdefault(v, {}), u, pushed)
+                elif not _add(inflow[u], v, -pushed):
+                    del inflow[u]
+            flow += pushed
+        return flow, None
+
+    def _cut(self, reached, flow):
+        """The cut named by a maximum flow's last search, checked against it:
+        the vertices, all carrying flow, whose in-node alone it reached."""
         if flow == 0:
             return frozenset()
-        in_node, out_node, g = self.in_node, self.out_node, self.g
-        sep = frozenset(
-            v for v in self.split_arc if mark[in_node[v]] >= 0 and mark[out_node[v]] < 0
-        )
+        in_from, out_from = reached
+        g = self.g
+        sep = frozenset(v for v in self.through if v in in_from and v not in out_from)
         if g.weight_of(sep) != flow:
             raise InternalConsistencyError(
                 f"cut weight {g.weight_of(sep)} does not match flow value {flow}"
@@ -138,7 +143,7 @@ class SplitNetwork:
             raise InternalConsistencyError("extracted minimum cut is not a minimal separator")
         return sep
 
-    def min_cut(self, settled=()):
+    def min_cut(self, settled=EMPTY_SET):
         """A minimum-weight s,t-separator avoiding the settled vertices, and
         its weight.
 
@@ -154,23 +159,21 @@ class SplitNetwork:
 
         A settled set that misses the base cut keeps it, ties included.  Only
         split arcs rise, and one leaving the base residual-reachable set X
-        belongs to a base-cut vertex (edge arcs never leave X: their residual
-        stays positive below inf).  So X, the cut and the flow stay; and a set
-        missing an s,t-separator cannot join s to t.
+        belongs to a base-cut vertex (edge arcs have no bound, so none leaves
+        X).  So X, the cut and the flow stay; and a set missing an
+        s,t-separator cannot join s to t.
         """
         if self.cut is not None and self.cut.isdisjoint(settled):
             return self.cut, self.base
-        net, g = self.net, self.g
-        net.cap[:] = self.residual
-        for v in settled:
-            net.cap[self.split_arc[v]] += self.inf - g.weight(v)
-        extra, mark = net.max_flow(self.out_node[self.s], self.in_node[self.t])
+        through, inflow = self.saved
+        self.through, self.inflow = dict(through), {v: dict(arcs) for v, arcs in inflow.items()}
+        extra, reached = self.max_flow(settled)
         flow = self.base + extra
         if flow >= self.inf:
             raise InternalConsistencyError(
                 "the flow reached the infinite capacity: the settled sides touch"
             )
-        return self._cut(mark, flow), flow
+        return self._cut(reached, flow), flow
 
 
 def min_weight_st_separator(g: WeightedGraph, s, t):
@@ -188,7 +191,7 @@ def min_weight_st_separator(g: WeightedGraph, s, t):
             raise ValueError(f"terminal {x} is not an active vertex")
     if g.has_edge(s, t):
         raise NoSeparatorError("terminals are adjacent; no s,t-separator exists")
-    return SplitNetwork(g, s, t).min_cut()
+    return FlowNetwork(g, s, t).min_cut()
 
 
 def vertex_connectivity_st(g: WeightedGraph, s, t) -> int:

@@ -148,14 +148,17 @@ def close_separator(g: WeightedGraph, X: Iterable[int], t) -> frozenset:
     return near_search(g, X, t).separator
 
 
-def near_search(g: WeightedGraph, X: Iterable[int], t, excluded: frozenset = EMPTY_SET) -> NearSearch | None:
+def near_search(
+    g: WeightedGraph, X: Iterable[int], t, excluded: frozenset = EMPTY_SET, known: frozenset = EMPTY_SET
+) -> NearSearch | None:
     """The :class:`NearSearch` for the close separator of X in G - excluded,
     or None when t lies in N[X].
 
     Trusted: X is a non-empty set of active vertices and t an active vertex,
     all outside ``excluded``; nothing here checks that.  X need not be
     connected: the separator is then the close separator of s in g with s
-    joined to N[X] - {s}, for any s in X.
+    joined to N[X] - {s}, for any s in X.  ``known`` holds vertices already
+    known to reach t in G - excluded - N[X], which the search starts from.
     """
     adj = g._adj
     near_adj = [adj[x] for x in X]
@@ -163,7 +166,7 @@ def near_search(g: WeightedGraph, X: Iterable[int], t, excluded: frozenset = EMP
     closed.update(X, *near_adj)
     if t in closed:
         return None
-    return NearSearch(adj, X, t, closed, closed.difference(excluded, X), near_adj)
+    return NearSearch(adj, X, t, closed, closed.difference(excluded, X), near_adj, known)
 
 
 class NearSearch:
@@ -172,23 +175,25 @@ class NearSearch:
 
     Each neighbor u of a vertex v in N(X) - E, with u outside E and N[X], is
     classified by a walk of G - E - N[X] that stops as soon as it touches a
-    vertex already known to reach t (at first only t); its vertices then
-    reach t too, and v joins S.  A walk that runs out first has walked a
-    whole component other than t's, a *pocket*, which is kept with its
+    vertex already known to reach t (at first t and the seed); its vertices
+    then reach t too, and v joins S.  A walk that runs out first has walked
+    a whole component other than t's, a *pocket*, which is kept with its
     boundary.  A classified neighbor is not walked again, so no vertex is
     walked twice, and t's side is walked only as far as the first vertex
-    known to reach t.  Every vertex of S is next to a vertex that reaches t,
-    so N(C_t(G - E - S)) - E = S holds by construction.  Build it with
-    :func:`near_search`.
+    known to reach t.  The seed is a set of vertices known to reach t, such
+    as C_t(G - Z) for a Z holding E and N[X]: no walk enters it, and the
+    separator and pockets are those of an unseeded search.  Every vertex of
+    S is next to a vertex that reaches t, so N(C_t(G - E - S)) - E = S holds
+    by construction.  Build it with :func:`near_search`.
     """
 
-    def __init__(self, adj, X, t, closed, border, near_adj):
+    def __init__(self, adj, X, t, closed, border, near_adj, known):
         # border is N(X) - E; near_adj holds the neighbors of X, and gains
         # those of each border vertex outside S.
         self._adj = adj
         self._X = X
         self._closed = closed
-        self._reach = {t}
+        self._reach = {t, *known}
         self._pockets = {}
         self._inner = []
         self._near_adj = near_adj

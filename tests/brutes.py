@@ -88,19 +88,72 @@ def contract_connected_set(g, u, A):
     return WeightedGraph._from_parts(g.n, adj, {x: g.weight(x) for x in adj})
 
 
-def cold_min_cut(g, s, t, settled):
-    """The cut that ``SplitNetwork(g, s, t).min_cut(settled)`` must return,
-    from a network built with the settled split arcs already at the infinite
-    capacity and flowed from zero: (separator, weight), or None when the flow
-    reaches the infinite capacity.  Only the package's ``FlowNetwork`` is
-    reused; the node layout and the residual-reachable source side are
-    computed here.  Every vertex v gets v_in = 2v and v_out = 2v + 1, the
-    terminals' split arcs are infinite too, and the flow runs from s_out to
-    t_in."""
-    from safesep.min_weight_separator import FlowNetwork
+class ArcNetwork:
+    """Directed network with integer capacities, built arc by arc, and
+    shortest augmenting paths: the explicit vertex-split network that
+    ``cold_min_cut`` flows, independent of the package's ``FlowNetwork``."""
 
+    def __init__(self, node_count: int):
+        self.node_count = node_count
+        self.head = [[] for _ in range(node_count)]
+        self.to = []
+        self.cap = []
+
+    def add_arc(self, u: int, v: int, capacity: int) -> int:
+        """Add u->v with the given capacity plus a zero-capacity reverse arc;
+        returns the forward arc index (reverse is index+1)."""
+        idx = len(self.to)
+        self.head[u].append(idx)
+        self.to.append(v)
+        self.cap.append(capacity)
+        self.head[v].append(idx + 1)
+        self.to.append(u)
+        self.cap.append(0)
+        return idx
+
+    def max_flow(self, s: int, t: int):
+        """Augment the current flow to a maximum one along shortest augmenting
+        paths; returns the flow added and the marks of the last, failing
+        search, >= 0 exactly where s reaches in the residual.  A node's mark
+        is the arc the breadth-first search reached it by."""
+        head, to, cap = self.head, self.to, self.cap
+        flow = 0
+        while True:
+            mark = [-1] * self.node_count
+            mark[s] = 0  # any value >= 0: the walk back stops at s
+            queue = [s]
+            for u in queue:
+                if mark[t] >= 0:
+                    break
+                for idx in head[u]:
+                    v = to[idx]
+                    if cap[idx] > 0 and mark[v] < 0:
+                        mark[v] = idx
+                        queue.append(v)
+            if mark[t] < 0:
+                return flow, mark
+            path = []
+            v = t
+            while v != s:
+                path.append(mark[v])
+                v = to[mark[v] ^ 1]
+            pushed = min(cap[idx] for idx in path)
+            for idx in path:
+                cap[idx] -= pushed
+                cap[idx ^ 1] += pushed
+            flow += pushed
+
+
+def cold_min_cut(g, s, t, settled):
+    """The cut that ``FlowNetwork(g, s, t).min_cut(settled)`` must return,
+    from an explicit network built with the settled split arcs already at the
+    infinite capacity and flowed from zero: (separator, weight), or None when
+    the flow reaches the infinite capacity.  Every vertex v gets v_in = 2v
+    and v_out = 2v + 1, the terminals' split arcs and every edge arc get the
+    infinite capacity 1 + total weight, and the flow runs from s_out to
+    t_in; the source side is the residual-reachable set."""
     inf = 1 + sum(g.weight(v) for v in g.vertices)
-    net = FlowNetwork(2 * g.n)
+    net = ArcNetwork(2 * g.n)
     for v in g.vertices:
         raised = v in settled or v == s or v == t
         net.add_arc(2 * v, 2 * v + 1, inf if raised else g.weight(v))
@@ -165,10 +218,11 @@ def minimal_st_separators_by_deletion(g, s, t) -> set:
     return found
 
 
-def min_weight_separator_brute(g, s, t):
-    """(weight, sorted vertex tuple) of the best separator, or None if s and
-    t cannot be separated (adjacent terminals)."""
-    ground = sorted(set(g.vertices) - {s, t})
+def min_weight_separator_brute(g, s, t, settled=()):
+    """(weight, sorted vertex tuple) of the best separator avoiding the
+    settled vertices, or None if there is none (adjacent terminals, or
+    settled vertices that join them)."""
+    ground = sorted(set(g.vertices) - {s, t} - set(settled))
     best = None
     for k in range(len(ground) + 1):
         for combo in combinations(ground, k):

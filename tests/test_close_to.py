@@ -2,6 +2,8 @@
 
 import importlib
 import random
+from collections import Counter
+from itertools import count
 
 import pytest
 
@@ -35,6 +37,36 @@ def path_graph(n):
 
 def cycle_graph(n):
     return WeightedGraph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def fan_gadget(k, body_n, k_b):
+    """The benchmark's fan gadget on a path body, as (g, s, a, t, b).  s = 0
+    and a = 1 are joined to a clique of k middles, each middle to its own
+    exit, and the exits, a clique, to the first body vertex.  The far side
+    mirrors this at the last body vertex with k_b middles, for t and b; with
+    k_b = 0 it is t alone, joined to the last body vertex, and b is None.
+    Close to {s, a}, each middle is an anchor vertex."""
+    edges = []
+    fresh = count()
+
+    def fan(hub, other, size, end):
+        mids = [next(fresh) for _ in range(size)]
+        exits = [next(fresh) for _ in range(size)]
+        for i, (m, x) in enumerate(zip(mids, exits)):
+            edges.extend([(hub, m), (other, m), (m, x), (x, end)])
+            edges.extend((m, y) for y in mids[i + 1:])
+            edges.extend((x, y) for y in exits[i + 1:])
+
+    s, a = next(fresh), next(fresh)
+    body = [next(fresh) for _ in range(body_n)]
+    edges.extend(zip(body, body[1:]))
+    fan(s, a, k, body[0])
+    t, b = next(fresh), (next(fresh) if k_b else None)
+    if k_b:
+        fan(t, b, k_b, body[-1])
+    else:
+        edges.append((body[-1], t))
+    return WeightedGraph(next(fresh), edges), s, a, t, b
 
 
 class TestFrozenFamilies:
@@ -192,6 +224,26 @@ class TestRunDetails:
         assert run.sides == (frozenset(range(21)),)
         assert len(touched) <= 30
 
+    def test_anchors_share_one_walk_of_the_far_side(self):
+        # A fan of three middles on a 60-vertex path body has three anchor
+        # vertices.  The body is walked by the search for the separator
+        # closest to s and by the one walk that seeds all anchor searches,
+        # not once more per anchor.
+        g, s, a, t, _ = fan_gadget(3, 60, 0)
+        body = range(2, 62)
+        reads = Counter()
+
+        class CountingAdjacency(dict):
+            def __getitem__(self, v):
+                reads[v] += 1
+                return super().__getitem__(v)
+
+        g._adj = CountingAdjacency(g._adj)
+        run = close_to_run(g, s, t, {a})
+        mids, exits = range(62, 65), range(65, 68)
+        assert set(run.family) == {frozenset(mids) - {m} | {x} for m, x in zip(mids, exits)}
+        assert max(reads[v] for v in body) <= 2
+
     def test_members_are_minimal_and_keep_a_on_the_source_side(self):
         for seed in range(40):
             rng = random.Random(f"details:{seed}")
@@ -245,6 +297,29 @@ class TestAgainstBruteForce:
         # candidates at each of its boundary vertices.
         assert close_to(g, s, t, A, verified=True) == close_family_brute(g, s, t, A)
         assert close_to_run(g, s, t, A).raw_candidates == tuple(frozenset(S) for S in raw)
+
+
+    @pytest.mark.parametrize(
+        "k, body_n, k_b", [(2, 1, 2), (2, 2, 2), (2, 3, 2), (2, 4, 2), (3, 1, 0), (3, 4, 0), (3, 7, 0)]
+    )
+    def test_fan_gadgets_share_one_walk_among_their_anchors(self, monkeypatch, k, body_n, k_b):
+        # Each run close to a fan of k > 1 middles has k anchor vertices, so
+        # one walk of t's side seeds every anchor search.
+        g, s, a, t, b = fan_gadget(k, body_n, k_b)
+        seeded = []
+
+        def recording(g, X, t, excluded=frozenset(), known=frozenset()):
+            seeded.append(bool(known))
+            return minimal_separators.near_search(g, X, t, excluded, known)
+
+        monkeypatch.setattr(close_to_module, "near_search", recording)
+        runs = [(s, t, {a})] + ([(t, s, {b})] if k_b else [])
+        for x, y, A in runs:
+            seeded.clear()
+            family = close_to(g, x, y, A, verified=True)
+            assert family == close_family_brute(g, x, y, A)
+            assert len(family) == k if x == s else k_b
+            assert seeded.count(True) == (k if x == s else k_b)
 
 
 class TestNestedComponentMeet:

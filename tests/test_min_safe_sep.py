@@ -24,7 +24,7 @@ from safesep import (
     sample_terminals,
 )
 from safesep.close_to import CloseToRun, close_to_run
-from safesep.min_weight_separator import FlowNetwork, SplitNetwork
+from safesep.min_weight_separator import FlowNetwork
 from safesep.oracle import min_safe_brute
 from tests.brutes import random_weighted_graph
 
@@ -283,16 +283,15 @@ class TestFrozenAnswers:
         """One base flow per query, then one augmentation for each pair whose
         settled set meets the base cut; the other pairs keep the base cut."""
         built, flows, meets = [], [], []
-        init, max_flow = FlowNetwork.__init__, FlowNetwork.max_flow
-        min_cut = SplitNetwork.min_cut
+        init, max_flow, min_cut = FlowNetwork.__init__, FlowNetwork.max_flow, FlowNetwork.min_cut
 
-        def counting_init(net, node_count):
-            built.append(node_count)
-            init(net, node_count)
+        def counting_init(net, g, s, t):
+            built.append((s, t))
+            init(net, g, s, t)
 
-        def counting_max_flow(net, s, t):
-            flows.append((s, t))
-            return max_flow(net, s, t)
+        def counting_max_flow(net, *args):
+            flows.append(args)
+            return max_flow(net, *args)
 
         def recording_min_cut(net, settled=()):
             meets.append(not net.cut.isdisjoint(settled))
@@ -300,7 +299,7 @@ class TestFrozenAnswers:
 
         monkeypatch.setattr(FlowNetwork, "__init__", counting_init)
         monkeypatch.setattr(FlowNetwork, "max_flow", counting_max_flow)
-        monkeypatch.setattr(SplitNetwork, "min_cut", recording_min_cut)
+        monkeypatch.setattr(FlowNetwork, "min_cut", recording_min_cut)
         ans = min_safe_separator(fan_query())
         assert (ans.separator, ans.weight) == (frozenset({3, 4}), 6)
         assert len(built) == 1 and len(meets) == 2 * 2

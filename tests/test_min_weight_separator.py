@@ -4,6 +4,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safesep import (
     InternalConsistencyError,
@@ -15,8 +16,9 @@ from safesep import (
     vertex_connectivity_st,
 )
 from safesep.graph_core import fold_cores
-from safesep.min_weight_separator import FlowNetwork, SplitNetwork
+from safesep.min_weight_separator import FlowNetwork
 from tests.brutes import (
+    ArcNetwork,
     cold_min_cut,
     contract_connected_set,
     max_disjoint_paths_brute,
@@ -70,12 +72,12 @@ def test_unit_weight_connectivity():
 
 
 def test_flow_network_on_its_own():
-    """On seeded random directed networks of at most 8 nodes with integer
-    capacities, zero included, checked against the arcs as built: the flow
-    is feasible, its value is a minimum s,t arc cut, the nodes marked by the
-    last search are exactly those the residual of that flow reaches from s,
-    and a second call adds nothing.  The corpus must reach flows that need
-    more than one augmenting path."""
+    """The cold reference ``ArcNetwork``, on seeded random directed networks
+    of at most 8 nodes with integer capacities, zero included, checked
+    against the arcs as built: the flow is feasible, its value is a minimum
+    s,t arc cut, the nodes marked by the last search are exactly those the
+    residual of that flow reaches from s, and a second call adds nothing.
+    The corpus must reach flows that need more than one augmenting path."""
     multi_path = 0
     for i in range(400):
         rng = random.Random(f"flow:{i}")
@@ -87,7 +89,7 @@ def test_flow_network_on_its_own():
             for v in range(n)
             if u != v and rng.random() < 0.4
         ]
-        net = FlowNetwork(n)
+        net = ArcNetwork(n)
         ids = [net.add_arc(u, v, c) for u, v, c in arcs]
         value, mark = net.max_flow(s, t)
         assert value == min_arc_cut_brute(n, arcs, s, t), i
@@ -135,6 +137,50 @@ def test_matches_exhaustive_minimum(gst):
     assert is_minimal_st_separator(g, s, t, sep)
 
 
+@settings(max_examples=200, deadline=None)
+@given(graphs_with_terminals(min_n=3, max_n=9, wmax=8), st.data())
+def test_cuts_with_settled_sets_match_the_subset_oracle(gst, data):
+    """Several cuts of one network, each with its own settled set, against
+    the cheapest separator that avoids the settled vertices: the same
+    weight, a minimal separator avoiding them, or no finite cut when there
+    is none.  Each cut must start again from the base flow."""
+    g, s, t = gst
+    others = [v for v in g.vertices if v not in (s, t)]
+    net = FlowNetwork(g, s, t)
+    sets = st.sets(st.sampled_from(others)) if others else st.just(set())
+    for settled in data.draw(st.lists(sets, min_size=1, max_size=4)):
+        best = min_weight_separator_brute(g, s, t, settled)
+        if best is None:
+            with pytest.raises(InternalConsistencyError, match="infinite capacity"):
+                net.min_cut(settled)
+            continue
+        sep, value = net.min_cut(settled)
+        assert value == best[0] == g.weight_of(sep)
+        assert sep.isdisjoint(settled) and is_minimal_st_separator(g, s, t, sep)
+
+
+def test_a_flow_that_must_undo_an_edge_arc():
+    """Unit weights: the shortest path 0, 1, 2, 3 is found first and blocks
+    the two disjoint paths 0, 1, 4, 5, 3 and 0, 6, 7, 2, 3, so the second
+    augmenting path enters 2 from 7 and takes back the flow on 1 -> 2."""
+    g = WeightedGraph(8, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (5, 3), (0, 6), (6, 7), (7, 2)])
+    net = FlowNetwork(g, 0, 3)
+    assert (net.cut, net.base) == (frozenset({1, 6}), 2)
+    assert net.min_cut({1}) == cold_min_cut(g, 0, 3, {1}) == (frozenset({2, 4}), 2)
+
+
+def test_a_flow_that_must_undo_a_vertex():
+    """Unit weights: the shortest path 0, 1, 2, 3, 4 is found first.  The
+    second augmenting path 0, 5, 6, 7 enters 3, goes back through 2 from its
+    out-node to its in-node, reaches 1 and leaves by 8, 9, 10, so 2 ends up
+    carrying no flow."""
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 6), (6, 7), (7, 3), (1, 8), (8, 9), (9, 10), (10, 4)]
+    g = WeightedGraph(11, edges)
+    net = FlowNetwork(g, 0, 4)
+    assert (net.cut, net.base) == (frozenset({1, 5}), 2) and 2 not in net.through
+    assert net.min_cut({1, 3}) == cold_min_cut(g, 0, 4, {1, 3}) == (frozenset({2, 5, 8}), 3)
+
+
 @settings(max_examples=100, deadline=None)
 @given(graphs_with_terminals(min_n=3, max_n=8))
 def test_unit_cut_equals_max_disjoint_paths(gst):
@@ -153,7 +199,7 @@ def test_raised_sides_cut_like_contracted_sides(gst):
     both sides contracted; folding both sides as cores gives that graph."""
     g, s, t = gst
     seps = minimal_st_separators_by_deletion(g, s, t)
-    net = SplitNetwork(g, s, t)
+    net = FlowNetwork(g, s, t)
     for S_A in seps:
         c_sA = reachable(g, s, S_A)
         for S_B in seps:
@@ -168,7 +214,7 @@ def test_raised_sides_cut_like_contracted_sides(gst):
 
 def test_settled_sides_that_touch_have_no_finite_cut():
     g = WeightedGraph(5, [(i, i + 1) for i in range(4)])
-    net = SplitNetwork(g, 0, 4)
+    net = FlowNetwork(g, 0, 4)
     with pytest.raises(InternalConsistencyError, match="infinite capacity"):
         net.min_cut({1, 2, 3})
     # every cut starts again from the saved capacities
@@ -179,7 +225,7 @@ def test_adjacent_terminals_build_but_have_no_finite_cut():
     """With s and t adjacent the base flow reaches the infinite capacity, so
     there is no base cut to keep: every cut raises, settled or not."""
     g = WeightedGraph(3, [(0, 1), (0, 2)])
-    net = SplitNetwork(g, 0, 1)
+    net = FlowNetwork(g, 0, 1)
     assert net.cut is None
     for settled in ((), {2}):
         with pytest.raises(InternalConsistencyError, match="infinite capacity"):
@@ -200,7 +246,7 @@ def test_augmenting_from_the_base_flow_cuts_like_a_cold_flow():
         p, wmax = rng.choice((0.15, 0.3, 0.5)), rng.choice((1, 4, 9))
         g = random_weighted_graph(n, rng, p=p, wmax=wmax)
         s, t = rng.sample(range(n), 2)
-        net = SplitNetwork(g, s, t)
+        net = FlowNetwork(g, s, t)
         others = [v for v in range(n) if v not in (s, t)]
         for _ in range(8):
             q = rng.choice((0.05, 0.15, 0.3))
