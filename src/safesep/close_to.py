@@ -29,8 +29,10 @@ G' is never built: every walk runs in G with L excluded, and collects the
 neighborhood of its component in G on the way; minus L, that is the
 separator of G' the walk finds.  The sides the procedure walks are reused
 rather than walked again.  The gate asks whether sA lies in C_s(G' - N(t)),
-which is the s-side of the separator closest to t, and stops as soon as it
-does.  The search that finds the separator T_s closest to s also yields
+which is the s-side of the separator closest to t, by a breadth-first walk
+from s that stops at the last vertex of A it reaches, so it reads only the
+ball around s that holds A; a gate that fails walks the whole side.  The
+search that finds the separator T_s closest to s also yields
 C_s(G' - T_s) from what it walked, and the s-side walk that tests A for
 any other anchor set gives C_s(G' - T).  Each is the s-side of the
 candidate T | L in G - R as well, so the filter is handed it.  No candidate
@@ -106,7 +108,13 @@ def _definition_filter(
     the s-side it is not handed, and the t-side of a candidate outside
     ``full_t``; for one inside, N(C_t) = S holds by construction, as every
     vertex of S - L was seen next to a vertex proven to reach t, and
-    L <= N(t)."""
+    L <= N(t).
+
+    The N(C_s) = S test also proves, for every member S, that N_G(C_s) is
+    S | (N_G(C_s) & R): :func:`min_safe_separator` hands the winning pair's
+    settled sides to the winner's validation with those neighborhoods, and
+    reads no walk for them.  Dropping the test needs another proof of that
+    fact."""
     walked = walked or {}
     survivors = []
     seen = set()

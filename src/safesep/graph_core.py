@@ -184,9 +184,29 @@ def component_with_boundary(g: WeightedGraph, X, *starts) -> tuple:
     checks that.
     """
     adj = g._adj
-    comp = set(starts)
+    return component_from_seed(g, X, starts, [w for v in starts for w in adj[v]])
+
+
+def component_from_seed(g: WeightedGraph, X, seed, seed_boundary) -> tuple:
+    """(C, N_G(C)) for C the union of the components of G-X that meet
+    ``seed``, grown from ``seed_boundary`` without reading the adjacency of
+    any seed vertex; a connected seed lies in one component, so C is
+    C_v(G-X) for any v in it.
+
+    Trusted: X is a set, seed a set of active vertices outside it, and
+    seed_boundary an iterable that holds N_G(seed) and may repeat it or
+    hold seed vertices, but holds no other vertex; nothing here checks that.
+    """
+    adj = g._adj
+    comp = set(seed)
     boundary = set()
-    stack = list(comp)
+    stack = []
+    for w in seed_boundary:
+        if w in X:
+            boundary.add(w)
+        elif w not in comp:
+            comp.add(w)
+            stack.append(w)
     while stack:
         for w in adj[stack.pop()]:
             if w in X:
@@ -198,8 +218,10 @@ def component_with_boundary(g: WeightedGraph, X, *starts) -> tuple:
 
 
 def reaches_all(g: WeightedGraph, X, v, targets) -> bool:
-    """Whether every vertex of ``targets`` lies in C_v(G-X), by a walk that
-    stops as soon as the last of them is reached.
+    """Whether every vertex of ``targets`` lies in C_v(G-X), by a
+    breadth-first walk that stops as soon as the last of them is reached, so
+    it reads the adjacency only of vertices nearer to v than the farthest
+    target.
 
     Trusted as :func:`component_with_boundary`.
     """
@@ -209,16 +231,16 @@ def reaches_all(g: WeightedGraph, X, v, targets) -> bool:
         return True
     adj = g._adj
     seen = {v}
-    stack = [v]
-    while stack:
-        for w in adj[stack.pop()]:
+    queue = [v]
+    for u in queue:
+        for w in adj[u]:
             if w not in X and w not in seen:
                 if w in missing:
                     missing.discard(w)
                     if not missing:
                         return True
                 seen.add(w)
-                stack.append(w)
+                queue.append(w)
     return False
 
 

@@ -31,9 +31,12 @@ On graphs that are not AT-free the close families can be wrong, so only the
 guarantees an answer on arbitrary inputs; fast mode skips the scan and
 trusts the caller.  Every other check runs in both modes, and the winner is
 validated against the safety and minimality definitions on the original
-graph before it is returned, by two walks of G minus the winner, from A and
-from B.  These walks also decide whether G is connected; only a NONE answer
-or a failed check walks the whole graph for that.
+graph before it is returned, on the full sides of G minus the winner that
+hold A and B.  Each side is grown from the settled side of the winning pair
+that it contains, whose neighborhood is known without a walk, so the
+validation reads the adjacency only of the vertices it adds to those
+settled sides.  The full sides also decide whether G is connected; only a
+NONE answer or a failed check walks the whole graph for that.
 """
 
 from __future__ import annotations
@@ -110,19 +113,20 @@ def _core(g: WeightedGraph, R: frozenset, v, sides: dict) -> frozenset:
 
 
 def _best_pair_cut(g: WeightedGraph, s, t, pairs, R, weight_R):
-    """((weight, sorted vertex tuple), vertex set) of the best candidate over
-    the qualifying pairs (S_A, S_B, c_sA, c_tB), all cut on one network of
-    G - R with the cores folded in."""
+    """((weight, sorted vertex tuple), vertex set, pair) of the best candidate
+    over the qualifying pairs (S_A, S_B, c_sA, c_tB), all cut on one network
+    of G - R with the cores folded in; pair is the one whose cut won."""
     core_s = _core(g, R, s, {S_A: c_sA for S_A, _, c_sA, _ in pairs})
     core_t = _core(g, R, t, {S_B: c_tB for _, S_B, _, c_tB in pairs})
     net = FlowNetwork(fold_cores(g, s, core_s, t, core_t, R), s, t)
     best = None
-    for _, _, c_sA, c_tB in pairs:
+    for pair in pairs:
+        _, _, c_sA, c_tB = pair
         sep, wt = net.min_cut((c_sA - core_s) | (c_tB - core_t))
         answer_set = sep | R
         key = (wt + weight_R, tuple(sorted(answer_set)))
         if best is None or key < best[0]:
-            best = (key, answer_set)
+            best = (key, answer_set, pair)
     return best
 
 
@@ -143,7 +147,9 @@ def min_safe_separator(q: QueryInstance, *, verified: bool = False) -> SafeSepar
     triple nothing is guaranteed beyond three outcomes: a NONE (possibly
     wrong), a safe minimal separator (possibly not of minimum weight), or
     this error.  Only a NONE answer or this error walks the whole graph to
-    check connectivity; an answer reads it off the validation of its winner.
+    check connectivity; an answer reads it off the validation of its winner,
+    whose two full sides are grown from the settled sides of the pair that
+    won.
     """
     try:
         answer = _answer(q.graph, q.A, q.B, verified)
@@ -190,8 +196,12 @@ def _answer(g: WeightedGraph, A: frozenset, B: frozenset, verified: bool) -> Saf
     if not pairs:
         return SafeSeparatorAnswer.none()
 
-    (total, _), winner = _best_pair_cut(g, s, t, pairs, R, g.weight_of(R))
-    sides = safe_minimal_sides(g, A, B, winner)
+    (total, _), winner, (S_A, S_B, c_sA, c_tB) = _best_pair_cut(g, s, t, pairs, R, g.weight_of(R))
+    # The winning pair's settled sides seed the two walks of the validation,
+    # each with its neighborhood and no walk: the filter proved
+    # N(c_sA) - R = S_A, and every vertex of R = N(A) & N(B) touches
+    # A <= c_sA, so N(c_sA) = S_A | R; likewise N(c_tB) = S_B | R.
+    sides = safe_minimal_sides(g, A, B, winner, (c_sA, S_A | R), (c_tB, S_B | R))
     if sides is None:
         raise InternalConsistencyError(
             "computed winner failed validation against the safety definition"

@@ -23,6 +23,7 @@ from .graph_core import (
     EMPTY_SET,
     WeightedGraph,
     closed_neighborhood,
+    component_from_seed,
     component_of,
     component_with_boundary,
     components,
@@ -111,15 +112,31 @@ def is_safe_AB_separator(g: WeightedGraph, A: Iterable[int], B: Iterable[int], S
     return len(ia) == 1 and len(ib) == 1 and ia != ib
 
 
-def safe_minimal_sides(g: WeightedGraph, A: frozenset, B: frozenset, S: frozenset) -> tuple | None:
-    """(C_A, C_B), walked in G-S from min(A) and min(B), when S avoids A and B,
-    A lies inside C_A, B inside C_B, min(B) outside C_A, and S <= N(C_A) and
-    S <= N(C_B); else None.  Once A fills one component and B another, the
-    last two say exactly that S is minimal.  Trusted: A, B and S are sets of
-    active vertices, A and B non-empty."""
-    if S.isdisjoint(A) and S.isdisjoint(B):
-        c_a, n_a = component_with_boundary(g, S, min(A))
-        c_b, n_b = component_with_boundary(g, S, min(B))
+def safe_minimal_sides(
+    g: WeightedGraph, A: frozenset, B: frozenset, S: frozenset, seed_a: tuple, seed_b: tuple
+) -> tuple | None:
+    """(C_A, C_B), the full components of G-S that hold min(A) and min(B),
+    when S avoids A and B, A lies inside C_A, B inside C_B, min(B) outside
+    C_A, and S <= N(C_A) and S <= N(C_B); else None.  Once A fills one
+    component and B another, the last two say exactly that S is minimal.
+
+    Each side is grown from its seed (D, N_G(D)), a connected set D with its
+    neighborhood, by one walk that never reads the adjacency of a vertex of
+    D; a seed that meets S or misses min(A) (for seed_b, min(B)) gives None.
+    With no seed at hand, ({v}, N(v)) for v = min(A) (min(B)) walks the
+    whole side.  Trusted: A, B and S are sets of active vertices, A and B
+    non-empty, and each seed is connected with its exact neighborhood."""
+    (d_a, nd_a), (d_b, nd_b) = seed_a, seed_b
+    if (
+        S.isdisjoint(A)
+        and S.isdisjoint(B)
+        and S.isdisjoint(d_a)
+        and S.isdisjoint(d_b)
+        and min(A) in d_a
+        and min(B) in d_b
+    ):
+        c_a, n_a = component_from_seed(g, S, d_a, nd_a)
+        c_b, n_b = component_from_seed(g, S, d_b, nd_b)
         if A <= c_a and B <= c_b and min(B) not in c_a and S <= n_a and S <= n_b:
             return c_a, c_b
     return None

@@ -1,0 +1,271 @@
+"""Mutation gate for the program's checks.
+
+    python tests/mutants.py             # every entry of MUTANTS
+    python tests/mutants.py NAME ...    # the named entries only
+
+Each entry breaks one check: it names a file (relative to the repository
+root), an exact old text that must occur there exactly once, the new text,
+and the tests expected to kill the mutant.  For each entry the runner copies
+``src/``, ``tests/`` and ``pyproject.toml`` to a temporary directory, applies
+the one edit there, runs only the named tests against the copy, and reports
+whether any of them failed.  A *known survivor* carries the reason it
+survives and the work that would settle it; its tests are the query-level
+tests it survives.
+
+Exit status 1 on an unexpected survivor, or on an entry whose old text is
+missing or occurs more than once; a known survivor that is killed is
+reported, so that the table can be updated, but does not fail the gate.
+The gate is not part of the tier-1 suite: run it by hand after touching a
+check, and quote its summary.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 900
+
+MWS = "src/safesep/min_weight_separator.py"
+CLOSE_TO = "src/safesep/close_to.py"
+MSS = "src/safesep/min_safe_sep.py"
+MINSEP = "src/safesep/minimal_separators.py"
+
+FLOW_ORACLES = (
+    "tests/test_min_weight_separator.py::test_cuts_with_settled_sets_match_the_subset_oracle",
+    "tests/test_min_weight_separator.py::test_a_flow_that_must_undo_an_edge_arc",
+    "tests/test_min_weight_separator.py::test_a_flow_that_must_undo_a_vertex",
+    "tests/test_min_weight_separator.py::test_augmenting_from_the_base_flow_cuts_like_a_cold_flow",
+)
+QUERY_LEVEL = (
+    "tests/test_close_to.py::TestAgainstBruteForce",
+    "tests/test_close_to.py::TestRunDetails::test_members_are_minimal_and_keep_a_on_the_source_side",
+    "tests/test_min_safe_sep.py::TestAgainstBruteForce",
+    "tests/test_min_safe_sep.py::TestPinnedAnswers",
+    "tests/test_acceptance.py",
+)
+BAD_WINNER = "tests/test_min_safe_sep.py::TestFrozenAnswers::test_the_final_check_refuses_a_bad_winner"
+SEED_CONTRACT = (
+    "tests/test_minimal_separators.py::TestSetPredicates"
+    "::test_validation_grows_each_side_from_a_seed_that_holds_its_terminal"
+)
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple
+    survivor: str | None = None  # why it survives, for a known survivor
+
+
+MUTANTS = (
+    # The cold reference network of tests/brutes.py, which the flow tests
+    # compare against.
+    Mutant(
+        "reference flow: no reverse-arc update",
+        "tests/brutes.py",
+        "                cap[idx ^ 1] += pushed\n",
+        "",
+        ("tests/test_min_weight_separator.py::test_flow_network_on_its_own",),
+    ),
+    Mutant(
+        "reference flow: s left unmarked",
+        "tests/brutes.py",
+        "            mark[s] = 0  # any value >= 0: the walk back stops at s\n",
+        "",
+        ("tests/test_min_weight_separator.py::test_flow_network_on_its_own",),
+    ),
+    # FlowNetwork.max_flow and min_cut.
+    Mutant(
+        "flow: reverse edge arcs ignored",
+        MWS,
+        "                    for u in inflow[x]:\n"
+        "                        if u not in out_from:\n"
+        "                            out_from[u] = x\n"
+        "                            queue.append(~u)\n",
+        "",
+        FLOW_ORACLES,
+    ),
+    Mutant(
+        "flow: reverse split arcs ignored",
+        MWS,
+        "                if u in through and u not in in_from:\n"
+        "                    in_from[u] = u\n"
+        "                    queue.append(u)\n",
+        "",
+        FLOW_ORACLES,
+    ),
+    Mutant(
+        "flow: the flow-free shortcut on a flow-carrying vertex with room",
+        MWS,
+        "                        if v in through:\n",
+        "                        if v in through and through[v] >= w[v]:\n",
+        FLOW_ORACLES,
+    ),
+    Mutant(
+        "flow: the saved base flow not restored",
+        MWS,
+        "        self.through, self.inflow = dict(through), {v: dict(arcs) for v, arcs in inflow.items()}\n",
+        "",
+        FLOW_ORACLES,
+    ),
+    # Checks that run on every query.
+    Mutant(
+        "the component-neighborhood chain check",
+        CLOSE_TO,
+        "        if not small <= big:\n",
+        "        if False:\n",
+        ("tests/test_close_to.py::TestNestedComponentMeet",
+         "tests/test_min_safe_sep.py::TestFrozenAnswers::test_fast_mode_reports_a_broken_chain"),
+    ),
+    Mutant(
+        "the settled sides of a qualifying pair",
+        MSS,
+        "            if not (c_tB.isdisjoint(c_sA) and c_tB.isdisjoint(S_A)):\n",
+        "            if False:\n",
+        ("tests/test_min_safe_sep.py::TestFrozenAnswers::test_settled_sides_that_meet_are_refused",),
+    ),
+    Mutant(
+        "the winner's weight check",
+        MSS,
+        "    if g.weight_of(winner) != total:\n",
+        "    if False:\n",
+        (BAD_WINNER,),
+    ),
+    # The winner's validation, grown from the winning pair's settled sides.
+    Mutant(
+        "validation: a seed that meets the winner",
+        MINSEP,
+        "        and S.isdisjoint(d_a)\n        and S.isdisjoint(d_b)\n",
+        "",
+        (SEED_CONTRACT,),
+    ),
+    Mutant(
+        "validation: a seed without min(A) or min(B)",
+        MINSEP,
+        "        and min(A) in d_a\n        and min(B) in d_b\n",
+        "",
+        (SEED_CONTRACT,),
+    ),
+    Mutant(
+        "validation: S <= N(C_A) dropped",
+        MINSEP,
+        "and S <= n_a and S <= n_b:",
+        "and S <= n_b:",
+        (BAD_WINNER,),
+    ),
+    Mutant(
+        "validation: S <= N(C_B) dropped",
+        MINSEP,
+        "and S <= n_a and S <= n_b:",
+        "and S <= n_a:",
+        (BAD_WINNER,),
+    ),
+    Mutant(
+        "validation: min(B) outside C_A dropped",
+        MINSEP,
+        " and min(B) not in c_a and ",
+        " and ",
+        (BAD_WINNER,),
+    ),
+    Mutant(
+        "validation: the R part of the seed boundary dropped",
+        MSS,
+        "(c_sA, S_A | R), (c_tB, S_B | R)",
+        "(c_sA, S_A), (c_tB, S_B)",
+        ("tests/test_min_safe_sep.py::test_seeded_validation_walks_the_sides_of_an_unseeded_one",),
+    ),
+    # Known survivors: no candidate that a real run produces reaches them.
+    Mutant(
+        "filter: the N(C_s) = S test",
+        CLOSE_TO,
+        "        if t in c_s or not A <= c_s or n_s - R != S:\n",
+        "        if t in c_s or not A <= c_s:\n",
+        QUERY_LEVEL,
+        survivor="only the hand-fed test_filter_drops_separators_that_are_not_minimal kills it; "
+        "settled by the small-graph corpus (ROADMAP item 6) or a proof that no produced "
+        "candidate fails it (item 7)",
+    ),
+    Mutant(
+        "filter: the full t-side test",
+        CLOSE_TO,
+        "        if S not in full_t and component_with_boundary(g, S | R, t)[1] - R != S:\n"
+        "            continue\n",
+        "",
+        QUERY_LEVEL,
+        survivor="only the hand-fed test_filter_drops_separators_that_are_not_minimal kills it; "
+        "settled as the N(C_s) = S test is (ROADMAP items 6 and 7)",
+    ),
+    Mutant(
+        "contraction branch: the T_wd skip",
+        CLOSE_TO,
+        "            if rest and hangs_together(g, X_w, rest):\n",
+        "            if rest:\n",
+        QUERY_LEVEL,
+        survivor="changes families only on graphs with an asteroidal triple (CHANGES.md); "
+        "settled by the small-graph corpus (ROADMAP items 6 and 7)",
+    ),
+)
+
+
+def run(mutant: Mutant) -> tuple[str, str]:
+    """(outcome, detail), outcome one of killed, survived, error."""
+    text = (ROOT / mutant.path).read_text()
+    found = text.count(mutant.old)
+    if found != 1:
+        return "error", f"old text found {found} times in {mutant.path}"
+    with tempfile.TemporaryDirectory(prefix="safesep-mutant-") as tmp:
+        tmp = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, tmp / part, ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", tmp / "pyproject.toml")
+        (tmp / mutant.path).write_text(text.replace(mutant.old, mutant.new))
+        env = dict(os.environ, PYTHONPATH=str(tmp / "src"), PYTHONDONTWRITEBYTECODE="1")
+        cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests]
+        try:
+            proc = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return "killed", f"timed out after {TIMEOUT_S} s"
+    last = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+    if proc.returncode == 0:
+        return "survived", last
+    if proc.returncode == 1:
+        return "killed", last
+    return "error", f"pytest exited with {proc.returncode}: {last or proc.stderr.strip()[-300:]}"
+
+
+def main(names) -> int:
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"no such entries: {sorted(unknown)}")
+        return 1
+    failures = 0
+    counts = {"killed": 0, "known survivor": 0, "unexpected survivor": 0, "error": 0}
+    for m in chosen:
+        start = time.perf_counter()
+        outcome, detail = run(m)
+        if outcome == "survived":
+            outcome = "known survivor" if m.survivor else "unexpected survivor"
+        elif outcome == "killed" and m.survivor:
+            detail += " (listed as a known survivor: update the table)"
+        counts[outcome] += 1
+        failures += outcome in ("unexpected survivor", "error")
+        print(f"{outcome:>20}  {m.name}  [{time.perf_counter() - start:.0f} s] {detail}", flush=True)
+    print("summary: " + ", ".join(f"{n} {k}" for k, n in counts.items()) + f" of {len(chosen)}")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -1,7 +1,7 @@
 """Graph container and basic operations."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from safesep import (
@@ -16,7 +16,7 @@ from safesep import (
     neighborhood,
     subdivide,
 )
-from safesep.graph_core import component_with_boundary, hangs_together, reaches_all
+from safesep.graph_core import component_from_seed, component_with_boundary, hangs_together, reaches_all
 from tests.brutes import connected_within, contract_connected_set
 from tests.strategies import connected_graphs
 
@@ -132,6 +132,22 @@ class TestComponents:
         rest = data.draw(st.sets(st.sampled_from(verts), max_size=4)) - core
         wired = WeightedGraph(g.n, [*g.edges(), *((u, v) for u in core for v in core if u < v)])
         assert hangs_together(g, frozenset(core), frozenset(rest)) == connected_within(wired, core | rest)
+
+    @settings(max_examples=100, deadline=None)
+    @given(connected_graphs(max_n=9), st.data())
+    def test_a_side_grown_from_a_seed_is_the_component(self, g, data):
+        verts = sorted(g.vertices)
+        removed = frozenset(data.draw(st.sets(st.sampled_from(verts), max_size=4)))
+        v = data.draw(st.sampled_from(verts))
+        assume(v not in removed)
+        c_v = component_of(g, removed, v)
+        # A connected seed that avoids the removed set: v, then one vertex of
+        # the component next to the seed at a time.
+        seed = {v}
+        for _ in range(data.draw(st.integers(0, len(c_v) - 1))):
+            seed.add(data.draw(st.sampled_from(sorted(neighborhood(g, seed) & c_v))))
+        grown = component_from_seed(g, removed, frozenset(seed), neighborhood(g, seed))
+        assert grown == component_with_boundary(g, removed, v)
 
 
 class TestDeletionAndContraction:

@@ -4,6 +4,8 @@ import importlib
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from safesep import (
     InternalConsistencyError,
@@ -25,8 +27,10 @@ from safesep import (
 )
 from safesep.close_to import CloseToRun, close_to_run
 from safesep.min_weight_separator import FlowNetwork
+from safesep.minimal_separators import safe_minimal_sides
 from safesep.oracle import min_safe_brute
-from tests.brutes import random_weighted_graph
+from tests.brutes import connected_within, random_weighted_graph
+from tests.strategies import atfree_graphs, connected_graphs
 
 
 def path_graph(n, weights=None):
@@ -251,6 +255,31 @@ class TestFrozenAnswers:
         with pytest.raises(InternalConsistencyError, match="qualifying pair meet"):
             min_safe_separator(QueryInstance(path_graph(5), {0}, {4}))
 
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (lambda sep, weight: (sep - {3}, weight), "failed validation"),
+            (lambda sep, weight: (sep | {1}, weight), "failed validation"),
+            (lambda sep, weight: (sep | {4}, weight), "failed validation"),
+            (lambda sep, weight: (sep, weight + 1), "weight disagrees"),
+        ],
+        ids=["a cut vertex dropped", "a neighbor added on A's side", "a neighbor added on B's side",
+             "a wrong weight"],
+    )
+    def test_the_final_check_refuses_a_bad_winner(self, monkeypatch, tamper, message):
+        # Two triangles 0-1-2 and 4-5-6 joined through the light vertex 3,
+        # with A = {0}, B = {6}: the families are {1, 2} and {4, 5}, and the
+        # one pair's cut is {3}.  A flow that drops 3 leaves no separator; one
+        # that adds 1 (or 4) leaves a separator that is not minimal, as 1
+        # touches only A's side (4 only B's).
+        edges = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5), (4, 6), (5, 6)]
+        q = QueryInstance(WeightedGraph(7, edges, [1, 9, 9, 1, 9, 9, 1]), {0}, {6})
+        assert min_safe_separator(q).separator == {3}
+        honest = FlowNetwork.min_cut
+        monkeypatch.setattr(FlowNetwork, "min_cut", lambda self, settled: tamper(*honest(self, settled)))
+        with pytest.raises(InternalConsistencyError, match=message):
+            min_safe_separator(q)
+
     def test_the_qualifying_test_needs_no_t_side(self):
         # The pair loop qualifies (S_A, S_B) by C_s(G-R-S_A) missing S_B; for
         # family members that is the inclusion S_A - S_B <= C_s(G-R-S_B).
@@ -371,6 +400,33 @@ class TestAgainstBruteForce:
                 assert fast.weight == brute.weight, label
                 assert is_safe_AB_separator(g, A, B, fast.separator)
                 assert is_minimal_AB_separator(g, A, B, fast.separator)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(atfree_graphs(max_n=12), connected_graphs(min_n=4, max_n=10)), st.integers(0, 10**6))
+def test_seeded_validation_walks_the_sides_of_an_unseeded_one(g, seed):
+    """The winner's validation grows its sides from the winning pair's
+    settled sides, each seed a connected set handed over with its exact
+    neighborhood, and returns what seeds of one vertex return."""
+    picked = sample_terminals(g, random.Random(seed))
+    assume(picked is not None)
+    A, B = picked
+
+    def compared(g, A, B, S, seed_a, seed_b):
+        for seed_set, boundary in (seed_a, seed_b):
+            assert connected_within(g, seed_set)
+            assert boundary == neighborhood(g, seed_set)
+        a, b = min(A), min(B)
+        sides = safe_minimal_sides(g, A, B, S, seed_a, seed_b)
+        assert sides == safe_minimal_sides(g, A, B, S, ({a}, g.neighbors(a)), ({b}, g.neighbors(b)))
+        return sides
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(min_safe_sep, "safe_minimal_sides", compared)
+        try:
+            min_safe_separator(QueryInstance(g, A, B))
+        except InternalConsistencyError:
+            pass
 
 
 def test_fast_mode_contract_on_graphs_with_asteroidal_triples():

@@ -107,8 +107,24 @@ class TestSetPredicates:
             B = data.draw(st.sets(st.sampled_from(far), min_size=1, max_size=2))
             S = data.draw(st.sets(st.sampled_from(verts), max_size=4)) - A - B
         expected = is_safe_AB_separator(g, A, B, S) and is_minimal_AB_separator(g, A, B, S)
-        sides = safe_minimal_sides(g, frozenset(A), frozenset(B), frozenset(S))
+        a, b = min(A), min(B)
+        seeds = ({a}, g.neighbors(a)), ({b}, g.neighbors(b))
+        sides = safe_minimal_sides(g, frozenset(A), frozenset(B), frozenset(S), *seeds)
         assert (sides is not None) == expected
+
+    def test_validation_grows_each_side_from_a_seed_that_holds_its_terminal(self):
+        # Path 0-...-4 with A = {0}, B = {4}: {2} is a safe minimal separator,
+        # with the sides {0, 1} and {3, 4}.
+        g = path_graph(5)
+        A, B, S = frozenset({0}), frozenset({4}), frozenset({2})
+        one_a, one_b = ({0}, {1}), ({4}, {3})
+        assert safe_minimal_sides(g, A, B, S, one_a, one_b) == ({0, 1}, {3, 4})
+        assert safe_minimal_sides(g, A, B, S, ({0, 1}, {2}), ({3, 4}, {2})) == ({0, 1}, {3, 4})
+        # A seed that meets S, or misses min(A) (min(B)), is refused.
+        assert safe_minimal_sides(g, A, B, S, ({0, 1, 2}, {3}), one_b) is None
+        assert safe_minimal_sides(g, A, B, S, one_a, ({2, 3, 4}, {1})) is None
+        assert safe_minimal_sides(g, A, B, S, ({1}, {0, 2}), one_b) is None
+        assert safe_minimal_sides(g, A, B, S, one_a, ({3}, {2, 4})) is None
 
     def test_separator_overlapping_the_sets_is_rejected(self):
         g = path_graph(5)
