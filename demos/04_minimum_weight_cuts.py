@@ -11,10 +11,7 @@ vertex-disjoint s,t-paths.
 """
 
 from safesep.graph_core import WeightedGraph
-from safesep.min_weight_separator import (
-    min_weight_st_separator,
-    vertex_connectivity_st,
-)
+from safesep.min_weight_separator import min_weight_st_separator
 
 ###############################################################################
 # On a weighted path any interior vertex is a cut; the flow picks the
@@ -35,9 +32,10 @@ sep, weight = min_weight_st_separator(g, 0, 7)
 print("cut through the channels:", sorted(sep), "weight", weight)
 
 ###############################################################################
-# Ignoring the weights, the same flow counts internally vertex-disjoint
-# paths between the terminals.
-print("disjoint 0,7-paths:", vertex_connectivity_st(g, 0, 7))
+# Ignoring the weights (every vertex of weight 1), the same flow counts
+# internally vertex-disjoint paths between the terminals.
+unit = WeightedGraph(g.n, g.edges())
+print("disjoint 0,7-paths:", min_weight_st_separator(unit, 0, 7)[1])
 
 ###############################################################################
 # Disconnected pairs need no cut at all, and the empty separator with

@@ -26,7 +26,7 @@ from .graph_core import (
     subdivide,
 )
 from .min_safe_sep import QueryInstance, SafeSeparatorAnswer, min_safe_separator
-from .min_weight_separator import min_weight_st_separator, vertex_connectivity_st
+from .min_weight_separator import min_weight_st_separator
 from .minimal_separators import (
     close_separator,
     is_AB_separator,
@@ -84,5 +84,4 @@ __all__ = [
     "sample_terminals",
     "subdivide",
     "two_dcs_brute",
-    "vertex_connectivity_st",
 ]

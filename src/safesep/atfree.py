@@ -151,7 +151,7 @@ def _has_cocomparability_ordering(g: WeightedGraph) -> bool:
     """
     verts = g.vertices
     index = {v: i for i, v in enumerate(verts)}
-    nbrs = [[index[w] for w in g.neighbors(v)] for v in verts]
+    nbrs = [[index[w] for w in g._adj[v]] for v in verts]
     order = list(range(len(verts)))
     seen = set()
     for _ in range(SWEEPS):

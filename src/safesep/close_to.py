@@ -168,7 +168,7 @@ def close_to_run(g: WeightedGraph, s, t, A: Iterable[int], R: frozenset = EMPTY_
     # keeps all of A on the s-side.  That separator is T_t = N(C), with
     # C = C_s(G' - N(t)), and C is also C_s(G' - T_t), so the gate asks
     # whether sA lies in C.
-    if not reaches_all(g, gone | g.neighbors(t), s, sA):
+    if not reaches_all(g, gone.union(g._adj[t]), s, sA):
         return CloseToRun(family=(), raw_candidates=())
 
     # The separator T_s closest to s, found from s's side, which also yields

@@ -5,17 +5,15 @@ under deletion and contraction: surviving vertices keep their identifiers, so
 a vertex set computed in a derived graph is directly a vertex set of every
 ancestor graph (no lifting step).  All values are immutable after
 construction; every operation returns a new graph.
+
+Every graph stores each adjacency as a strictly increasing tuple of
+neighbors; set operations against it run on the set side (X.isdisjoint(nb)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
-
-# A VertexSet is a frozenset of vertex identifiers.  Wherever iteration order
-# matters (traversals, tie-breaks, output) the code iterates in ascending
-# order via sorted().
-VertexSet = frozenset
 
 EMPTY_SET: frozenset = frozenset()
 
@@ -28,31 +26,29 @@ class WeightedGraph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), weights=None):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        if weights is None:
-            weights = [1] * n
-        else:
-            weights = list(weights)
+        weights = [1] * n if weights is None else list(weights)
         if len(weights) != n:
             raise ValueError(f"expected {n} weights, got {len(weights)}")
         for v, w in enumerate(weights):
             if not isinstance(w, int) or isinstance(w, bool) or w < 1:
                 raise ValueError(f"weight of vertex {v} must be a positive integer, got {w!r}")
-        adj = {v: set() for v in range(n)}
+        adj = [[] for _ in range(n)]
         for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if u not in adj or v not in adj:
-                raise ValueError(f"edge ({u},{v}) references an unknown vertex")
-            adj[u].add(v)
-            adj[v].add(u)
+            if type(u) is not int or type(v) is not int or u == v or not (0 <= u < n and 0 <= v < n):
+                u, v = _checked_edge(u, v, n)
+            adj[u].append(v)
+            adj[v].append(u)
+        for v, nb in enumerate(adj):
+            adj[v] = tuple(sorted(set(nb)))  # repeated edges merge
         self.n = n
-        self._adj = {v: frozenset(nb) for v, nb in adj.items()}
+        self._adj = dict(enumerate(adj))
         self._w = {v: weights[v] for v in range(n)}
         self._vertices = tuple(range(n))
 
     @classmethod
     def _from_parts(cls, n: int, adj: dict, w: dict) -> "WeightedGraph":
-        """Internal constructor for derived graphs; inputs are trusted."""
+        """Internal constructor for derived graphs; inputs are trusted:
+        adjacency values are strictly increasing tuples, keyed as ``w``."""
         g = object.__new__(cls)
         g.n = n
         g._adj = adj
@@ -79,11 +75,12 @@ class WeightedGraph:
         return v in self._adj
 
     def has_edge(self, u, v) -> bool:
-        return v in self._adj.get(u, EMPTY_SET)
+        return v in self._adj.get(u, ())
 
     def neighbors(self, v) -> frozenset:
+        """The neighbors of v, as a frozenset built from the stored tuple."""
         try:
-            return self._adj[v]
+            return frozenset(self._adj[v])
         except KeyError:
             raise ValueError(f"vertex {v} is not active") from None
 
@@ -99,7 +96,7 @@ class WeightedGraph:
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in ascending order."""
         for u in self._vertices:
-            for v in sorted(self._adj[u]):
+            for v in self._adj[u]:
                 if u < v:
                     yield (u, v)
 
@@ -109,10 +106,22 @@ class WeightedGraph:
         return self.n == other.n and self._adj == other._adj and self._w == other._w
 
     def __hash__(self):
-        return hash((self.n, tuple(sorted((v, tuple(sorted(nb))) for v, nb in self._adj.items()))))
+        return hash((self.n, tuple(sorted(self._adj.items()))))
 
     def __repr__(self):
         return f"WeightedGraph(n={self.n}, active={len(self._adj)}, m={self.edge_count})"
+
+
+def _checked_edge(u, v, n: int) -> tuple:
+    """(u, v) as plain ints, or ValueError for an endpoint that is not an
+    int (or is a bool), a self-loop, or an endpoint outside 0..n-1."""
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in (u, v)):
+        raise ValueError(f"edge ({u!r},{v!r}): vertex ids must be integers")
+    if u == v:
+        raise ValueError(f"self-loop at vertex {u}")
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"edge ({u},{v}) references an unknown vertex")
+    return int(u), int(v)
 
 
 @dataclass(frozen=True)
@@ -161,19 +170,13 @@ def _check_subset(g: WeightedGraph, T: Iterable[int], what: str) -> frozenset:
 def neighborhood(g: WeightedGraph, T: Iterable[int]) -> frozenset:
     """Open neighborhood N_G(T) = union of neighbors of T, minus T itself."""
     T = _check_subset(g, T, "T")
-    out = set()
-    for v in T:
-        out.update(g.neighbors(v))
-    return frozenset(out - T)
+    return frozenset().union(*(g._adj[v] for v in T)) - T
 
 
 def closed_neighborhood(g: WeightedGraph, T: Iterable[int]) -> frozenset:
     """Closed neighborhood N_G[T] = N_G(T) | T."""
     T = _check_subset(g, T, "T")
-    out = set(T)
-    for v in T:
-        out.update(g.neighbors(v))
-    return frozenset(out)
+    return T.union(*(g._adj[v] for v in T))
 
 
 def component_with_boundary(g: WeightedGraph, X, *starts) -> tuple:
@@ -251,7 +254,7 @@ def hangs_together(g: WeightedGraph, core, rest) -> bool:
     Trusted: core and rest are disjoint sets of active vertices.
     """
     adj = g._adj
-    seen = {r for r in rest if not adj[r].isdisjoint(core)}
+    seen = {r for r in rest if not core.isdisjoint(adj[r])}
     stack = list(seen)
     while stack:
         for w in adj[stack.pop()]:
@@ -293,7 +296,8 @@ def induced_delete(g: WeightedGraph, X: Iterable[int]) -> WeightedGraph:
     X = _check_subset(g, X, "X")
     if not X:
         return g
-    adj = {v: nb if nb.isdisjoint(X) else nb - X for v, nb in g._adj.items() if v not in X}
+    adj = {v: nb if X.isdisjoint(nb) else tuple(u for u in nb if u not in X)
+           for v, nb in g._adj.items() if v not in X}
     w = {v: g._w[v] for v in adj}
     return WeightedGraph._from_parts(g.n, adj, w)
 
@@ -307,24 +311,23 @@ def fold_cores(g: WeightedGraph, s, core_s: frozenset, t, core_t: frozenset, exc
     each terminal keeps its weight and is adjacent to exactly the outside
     vertices that touched its core.  Only the vertices outside the cores are
     visited, and each of them with no excluded or core neighbor keeps its
-    adjacency set.
+    adjacency tuple.
     """
     adj = {}
     near_s = []
     near_t = []
     for x in g._adj.keys() - core_s - core_t - excluded:
         nb = g._adj[x]
-        if not nb.isdisjoint(excluded):
-            nb = nb - excluded
-        if not nb.isdisjoint(core_s):
-            near_s.append(x)
-            nb = (nb - core_s) | {s}
-        if not nb.isdisjoint(core_t):
-            near_t.append(x)
-            nb = (nb - core_t) | {t}
+        if not (excluded.isdisjoint(nb) and core_s.isdisjoint(nb) and core_t.isdisjoint(nb)):
+            nb = {s if y in core_s else t if y in core_t else y for y in nb if y not in excluded}
+            if s in nb:
+                near_s.append(x)
+            if t in nb:
+                near_t.append(x)
+            nb = tuple(sorted(nb))
         adj[x] = nb
-    adj[s] = frozenset(near_s)
-    adj[t] = frozenset(near_t)
+    adj[s] = tuple(sorted(near_s))
+    adj[t] = tuple(sorted(near_t))
     w = {x: g._w[x] for x in adj}
     return WeightedGraph._from_parts(g.n, adj, w)
 
@@ -338,25 +341,27 @@ def subdivide(g: WeightedGraph, subdivision_weight: int = 1):
     """
     if not isinstance(subdivision_weight, int) or subdivision_weight < 1:
         raise ValueError("subdivision weight must be a positive integer")
-    adj = {v: set() for v in g._adj}
+    adj = {v: [] for v in g._adj}
     w = dict(g._w)
     placed = {}
     fresh = g.n
+    # Edges, and so fresh ids, ascend: every list is built in ascending order.
     for u, v in g.edges():
-        adj[fresh] = {u, v}
-        adj[u].add(fresh)
-        adj[v].add(fresh)
+        adj[fresh] = (u, v)
+        adj[u].append(fresh)
+        adj[v].append(fresh)
         w[fresh] = subdivision_weight
         placed[fresh] = (u, v)
         fresh += 1
-    frozen = {v: frozenset(nb) for v, nb in adj.items()}
-    return WeightedGraph._from_parts(fresh, frozen, w), placed
+    adj = {v: tuple(nb) for v, nb in adj.items()}
+    return WeightedGraph._from_parts(fresh, adj, w), placed
 
 
 def is_connected(g: WeightedGraph) -> bool:
+    """Whether g is connected: one walk from its first vertex reaches all."""
     if not g._adj:
         return True
-    return len(components(g, EMPTY_SET)) == 1
+    return len(component_with_boundary(g, EMPTY_SET, g._vertices[0])[0]) == len(g._adj)
 
 
 def bfs_path(g: WeightedGraph, src, dst, forbidden: frozenset = EMPTY_SET):
@@ -369,12 +374,15 @@ def bfs_path(g: WeightedGraph, src, dst, forbidden: frozenset = EMPTY_SET):
         return None
     if src == dst:
         return (src,)
+    if not g.has_vertex(src):
+        raise ValueError(f"vertex {src} is not active")
+    adj = g._adj
     parent = {src: None}
     queue = [src]
     while queue:
         nxt = []
         for u in queue:
-            for v in sorted(g.neighbors(u)):
+            for v in adj[u]:
                 if v in forbidden or v in parent:
                     continue
                 parent[v] = u

@@ -65,8 +65,9 @@ class QueryInstance:
     """A safe-separator query: a weighted graph and the two terminal sets.
 
     The one place a query is checked: both sets must be non-empty, disjoint
-    and made of active vertices, or construction raises ValueError.  Sets
-    that are merely adjacent are a valid query whose answer is NONE.
+    and made of active vertices (ints, not bools), or construction raises
+    ValueError.  Sets that are merely adjacent are a valid query whose
+    answer is NONE.
     """
 
     graph: WeightedGraph
@@ -81,8 +82,8 @@ class QueryInstance:
         if self.A & self.B:
             raise ValueError("terminal sets must be disjoint")
         for v in self.A | self.B:
-            if not self.graph.has_vertex(v):
-                raise ValueError(f"terminal {v} is not an active vertex")
+            if not isinstance(v, int) or isinstance(v, bool) or not self.graph.has_vertex(v):
+                raise ValueError(f"terminal {v!r} is not an active vertex")
 
 
 @dataclass(frozen=True)

@@ -192,13 +192,3 @@ def min_weight_st_separator(g: WeightedGraph, s, t):
     if g.has_edge(s, t):
         raise NoSeparatorError("terminals are adjacent; no s,t-separator exists")
     return FlowNetwork(g, s, t).min_cut()
-
-
-def vertex_connectivity_st(g: WeightedGraph, s, t) -> int:
-    """Size of a minimum s,t vertex cut (all weights treated as 1).
-
-    Raises NoSeparatorError when s and t are adjacent, and ValueError when
-    they are equal or either is not an active vertex."""
-    unit = WeightedGraph._from_parts(g.n, g._adj, {v: 1 for v in g._adj})
-    _, value = min_weight_st_separator(unit, s, t)
-    return value

@@ -3,14 +3,17 @@
 Everything here favors the most literal reading of each definition over
 speed, and relies only on the basic WeightedGraph surface (vertices,
 neighbors, has_edge, weights) with its own traversals, so the package
-helpers under test are never part of the yardstick.
+helpers under test are never part of the yardstick.  The one exception,
+``vertex_connectivity_st``, is no reference: it is the package's
+minimum-weight cut on unit weights, kept here because only tests use it,
+and is itself checked against ``max_disjoint_paths_brute``.
 """
 
 import random
 from functools import lru_cache
 from itertools import combinations, product
 
-from safesep import WeightedGraph
+from safesep import WeightedGraph, min_weight_st_separator
 
 
 def reachable(g, start, forbidden) -> frozenset:
@@ -69,7 +72,8 @@ def contract_connected_set(g, u, A):
     vertices of A leave, and u keeps its weight and sees every vertex outside
     the set that touched it.  The reference for ``graph_core.fold_cores``;
     it uses the internal constructor so that, as in the package's derived
-    graphs, the ids of the contracted vertices stay unused."""
+    graphs, the ids of the contracted vertices stay unused, and hands it
+    each adjacency as the strictly increasing tuple it stores."""
     A = frozenset(A)
     if not A:
         return g
@@ -85,6 +89,7 @@ def contract_connected_set(g, u, A):
         if nb & blob:
             adj[x] = (nb - blob) | {u}
     adj[u] = frozenset().union(*(g.neighbors(b) for b in blob)) - blob
+    adj = {x: tuple(sorted(nb)) for x, nb in adj.items()}
     return WeightedGraph._from_parts(g.n, adj, {x: g.weight(x) for x in adj})
 
 
@@ -187,6 +192,17 @@ def min_arc_cut_brute(node_count, arcs, s, t) -> int:
             if best is None or value < best:
                 best = value
     return best
+
+
+def vertex_connectivity_st(g, s, t) -> int:
+    """Size of a minimum s,t vertex cut: ``min_weight_st_separator`` on g
+    with every weight treated as 1.  Compared against
+    :func:`max_disjoint_paths_brute` (Menger).
+
+    Raises NoSeparatorError when s and t are adjacent, and ValueError when
+    they are equal or either is not an active vertex."""
+    unit = WeightedGraph._from_parts(g.n, g._adj, dict.fromkeys(g.vertices, 1))
+    return min_weight_st_separator(unit, s, t)[1]
 
 
 def separates(g, s, t, S) -> bool:

@@ -37,6 +37,7 @@ MWS = "src/safesep/min_weight_separator.py"
 CLOSE_TO = "src/safesep/close_to.py"
 MSS = "src/safesep/min_safe_sep.py"
 MINSEP = "src/safesep/minimal_separators.py"
+GRAPH = "src/safesep/graph_core.py"
 
 FLOW_ORACLES = (
     "tests/test_min_weight_separator.py::test_cuts_with_settled_sets_match_the_subset_oracle",
@@ -52,6 +53,7 @@ QUERY_LEVEL = (
     "tests/test_acceptance.py",
 )
 BAD_WINNER = "tests/test_min_safe_sep.py::TestFrozenAnswers::test_the_final_check_refuses_a_bad_winner"
+CONSTRUCTION = "tests/test_graph_core.py::TestConstruction"
 SEED_CONTRACT = (
     "tests/test_minimal_separators.py::TestSetPredicates"
     "::test_validation_grows_each_side_from_a_seed_that_holds_its_terminal"
@@ -69,6 +71,59 @@ class Mutant:
 
 
 MUTANTS = (
+    # The WeightedGraph constructor's checks, each edge's ids first tested on
+    # a fast path and diagnosed by _checked_edge, and its merge of repeated
+    # edges.
+    Mutant(
+        "constructor: the fast path's type test",
+        GRAPH,
+        "            if type(u) is not int or type(v) is not int or u == v",
+        "            if u == v",
+        (CONSTRUCTION,),
+    ),
+    Mutant(
+        "constructor: integer ids",
+        GRAPH,
+        "    if not all(isinstance(x, int) and not isinstance(x, bool) for x in (u, v)):\n",
+        "    if False:\n",
+        (CONSTRUCTION,),
+    ),
+    Mutant(
+        "constructor: self-loop",
+        GRAPH,
+        "    if u == v:\n        raise ValueError(f\"self-loop",
+        "    if False:\n        raise ValueError(f\"self-loop",
+        (CONSTRUCTION,),
+    ),
+    Mutant(
+        "constructor: unknown endpoint",
+        GRAPH,
+        "    if not (0 <= u < n and 0 <= v < n):\n",
+        "    if False:\n",
+        (CONSTRUCTION,),
+    ),
+    Mutant(
+        "constructor: repeated edges merged",
+        GRAPH,
+        "            adj[v] = tuple(sorted(set(nb)))",
+        "            adj[v] = tuple(sorted(nb))",
+        ("tests/test_graph_core.py::TestAdjacencyTuples::test_edge_order_and_repeats_do_not_matter",),
+    ),
+    Mutant(
+        "query: integer terminal ids",
+        MSS,
+        "            if not isinstance(v, int) or isinstance(v, bool) or not self.graph.has_vertex(v):\n",
+        "            if not self.graph.has_vertex(v):\n",
+        ("tests/test_min_safe_sep.py::TestAnswerType::test_query_rejects_vertex_ids_that_are_not_integers",),
+    ),
+    Mutant(
+        "connectivity: one walk must reach every vertex",
+        GRAPH,
+        "[0]) == len(g._adj)",
+        "[0]) > 0",
+        ("tests/test_graph_core.py::TestConnectivity",
+         "tests/test_min_safe_sep.py::TestFrozenAnswers::test_disconnected_graph_is_rejected"),
+    ),
     # The cold reference network of tests/brutes.py, which the flow tests
     # compare against.
     Mutant(

@@ -17,10 +17,7 @@ from safesep.close_to import close_to
 from safesep.errors import NoSeparatorError
 from safesep.graph_core import WeightedGraph, neighborhood, subdivide
 from safesep.min_safe_sep import QueryInstance, min_safe_separator
-from safesep.min_weight_separator import (
-    min_weight_st_separator,
-    vertex_connectivity_st,
-)
+from safesep.min_weight_separator import min_weight_st_separator
 from safesep.minimal_separators import (
     close_separator,
     is_minimal_AB_separator,
@@ -44,6 +41,7 @@ from .brutes import (
     max_disjoint_paths_brute,
     min_weight_separator_brute,
     random_weighted_graph,
+    vertex_connectivity_st,
 )
 
 CORPUS_DRAWS = 560

@@ -1,5 +1,7 @@
 """Graph container and basic operations."""
 
+import random
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -16,8 +18,14 @@ from safesep import (
     neighborhood,
     subdivide,
 )
-from safesep.graph_core import component_from_seed, component_with_boundary, hangs_together, reaches_all
-from tests.brutes import connected_within, contract_connected_set
+from safesep.graph_core import (
+    component_from_seed,
+    component_with_boundary,
+    fold_cores,
+    hangs_together,
+    reaches_all,
+)
+from tests.brutes import connected_within, contract_connected_set, random_weighted_graph
 from tests.strategies import connected_graphs
 
 
@@ -27,6 +35,16 @@ def path_graph(n, weights=None):
 
 def cycle_graph(n, weights=None):
     return WeightedGraph(n, [(i, (i + 1) % n) for i in range(n)], weights)
+
+
+def assert_adjacency_tuples(g):
+    """Every stored adjacency is a strictly increasing tuple of active
+    vertices, and the adjacency is symmetric."""
+    for v, nb in g._adj.items():
+        assert type(nb) is tuple, (v, nb)
+        assert all(a < b for a, b in zip(nb, nb[1:])), (v, nb)
+        assert all(type(u) is int and v in g._adj[u] for u in nb), (v, nb)
+    assert g._adj.keys() == g._w.keys()
 
 
 class TestConstruction:
@@ -49,6 +67,21 @@ class TestConstruction:
     def test_rejects_unknown_vertex_in_edge(self):
         with pytest.raises(ValueError):
             WeightedGraph(2, [(0, 5)])
+        with pytest.raises(ValueError, match="unknown vertex"):
+            WeightedGraph(3, [(0, 1), (-1, 2)])
+
+    def test_rejects_vertex_ids_that_are_not_integers(self):
+        for edge in ((0, 1.0), (1.0, 0), (True, 2), (0, False), (0, "1"), (0, None)):
+            with pytest.raises(ValueError, match="integers"):
+                WeightedGraph(3, [(1, 2), edge])
+
+    def test_int_subclass_ids_are_stored_as_ints(self):
+        class Id(int):
+            pass
+
+        g = WeightedGraph(3, [(Id(0), Id(1)), (1, 2)])
+        assert g == path_graph(3)
+        assert all(type(x) is int for e in g.edges() for x in e)
 
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):
@@ -66,6 +99,61 @@ class TestConstruction:
             g.neighbors(1)
         with pytest.raises(ValueError):
             g.weight(1)
+
+
+class TestAdjacencyTuples:
+    """Seeded graphs of up to 60 vertices, large enough that a set of
+    neighbors often iterates out of ascending order."""
+
+    @staticmethod
+    def graphs(label, count):
+        for seed in range(count):
+            rng = random.Random(f"{label}:{seed}")
+            n = rng.randint(2, 60)
+            yield random_weighted_graph(n, rng, p=min(0.5, 3 / n)), rng
+
+    def test_edge_order_and_repeats_do_not_matter(self):
+        for g, rng in self.graphs("order", 30):
+            edges = list(g.edges())
+            shuffled = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+            rng.shuffle(shuffled)
+            weights = [g.weight(v) for v in g.vertices]
+            for variant in (shuffled, [(v, u) for u, v in reversed(edges)], edges + shuffled + edges[:3]):
+                h = WeightedGraph(g.n, variant, weights)
+                assert_adjacency_tuples(h)
+                assert h == g and hash(h) == hash(g)
+                assert list(h.edges()) == edges
+                assert h.edge_count == len(edges)
+                for v in h.vertices:
+                    assert type(h.neighbors(v)) is frozenset
+                    assert h.neighbors(v) == {u for e in edges if v in e for u in e} - {v}
+
+    def test_derived_graphs_keep_adjacency_tuples(self):
+        folds = 0
+        for g, rng in self.graphs("derived", 60):
+            verts = sorted(g.vertices)
+            removed = frozenset(rng.sample(verts, rng.randint(0, len(verts) // 4)))
+            h = induced_delete(g, removed)
+            assert_adjacency_tuples(h)
+            assert set(h.edges()) == {e for e in g.edges() if removed.isdisjoint(e)}
+            assert_adjacency_tuples(subdivide(h)[0])
+            # Fold a core of s and one of t: the core of t is N[t], the core
+            # of s lies at distance 3 or more from t, so the two cannot touch.
+            s, t = rng.choice(verts), rng.choice(verts)
+            core_t = closed_neighborhood(g, {t})
+            far = closed_neighborhood(g, core_t)
+            if s in far:
+                continue
+            core_s = component_of(g, far, s)
+            excluded = removed - core_s - core_t
+            folded = fold_cores(g, s, core_s, t, core_t, excluded)
+            assert_adjacency_tuples(folded)
+            rest = induced_delete(g, excluded)
+            assert folded == contract_connected_set(
+                contract_connected_set(rest, s, core_s - {s}), t, core_t - {t}
+            )
+            folds += 1
+        assert folds >= 10
 
 
 class TestNeighborhoods:
@@ -189,6 +277,17 @@ class TestSubdivide:
             assert h.neighbors(fresh) == frozenset({u, v})
             assert not h.has_edge(u, v)
         assert is_connected(h) == is_connected(g)
+
+
+class TestConnectivity:
+    def test_is_connected_is_one_component(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            g = random_weighted_graph(rng.randint(1, 9), rng, p=rng.choice((0.15, 0.3, 0.5)))
+            removed = set(rng.sample(sorted(g.vertices), rng.randint(0, g.vertex_count - 1)))
+            for h in (g, induced_delete(g, removed)):
+                assert is_connected(h) == (len(components(h, ())) == 1)
+        assert is_connected(WeightedGraph(0))
 
 
 class TestTraversal:

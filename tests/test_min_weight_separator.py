@@ -13,7 +13,6 @@ from safesep import (
     induced_delete,
     is_minimal_st_separator,
     min_weight_st_separator,
-    vertex_connectivity_st,
 )
 from safesep.graph_core import fold_cores
 from safesep.min_weight_separator import FlowNetwork
@@ -27,6 +26,7 @@ from tests.brutes import (
     minimal_st_separators_by_deletion,
     random_weighted_graph,
     reachable,
+    vertex_connectivity_st,
 )
 from tests.strategies import graphs_with_terminals
 
