@@ -5,7 +5,7 @@ Weighted graphs and the document format
 The package works on undirected graphs with positive integer vertex
 weights.  This script builds one, pokes at its accessors, round-trips it
 through the line-oriented document format the CLI reads, and shows the
-structural operations (deletion, subdivision) the separator algorithms are
+structural operations (components, subdivision) the separator algorithms are
 built on.
 """
 
@@ -13,7 +13,6 @@ from safesep.cli import parse_graph, serialize_graph
 from safesep.graph_core import (
     WeightedGraph,
     components,
-    induced_delete,
     neighborhood,
     subdivide,
 )
@@ -43,14 +42,13 @@ parsed, named = parse_graph(doc)
 print("round-trip ok:", list(parsed.edges()) == list(g.edges()), dict(named))
 
 ###############################################################################
-# Deleting vertices keeps the surviving ids stable, so separator sets read
-# off a modified graph still name vertices of the original.  The component
-# partition of G - X also records each component's neighborhood inside X.
-part = components(g, {0, 3})
+# The components of G - X come as (C, N(C)) pairs in the order of their
+# least vertex; each neighborhood lies inside X.  Vertex ids never change, so
+# every set read off them names vertices of g itself.
+pairs = components(g, {0, 3})
 print()
-print("components of g - {0, 3}:", [sorted(c) for c in part.components])
-print("their neighborhoods:", [sorted(nb) for nb in part.neighborhoods])
-print("g - {0, 3} keeps its ids:", induced_delete(g, {0, 3}).vertices)
+print("components of g - {0, 3}:", [sorted(c) for c, _ in pairs])
+print("their neighborhoods:", [sorted(nb) for _, nb in pairs])
 
 ###############################################################################
 # Subdivision puts a fresh vertex in the middle of every edge and reports

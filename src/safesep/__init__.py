@@ -13,14 +13,12 @@ from .atfree import AtWitness, find_asteroidal_triple, is_at_free
 from .close_to import close_to
 from .errors import InternalConsistencyError, NoSeparatorError
 from .graph_core import (
-    ComponentPartition,
     WeightedGraph,
     bfs_path,
     closed_neighborhood,
     component_of,
     components,
     family_sorted,
-    induced_delete,
     is_connected,
     neighborhood,
     subdivide,
@@ -50,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AtWitness",
-    "ComponentPartition",
     "InternalConsistencyError",
     "NoSeparatorError",
     "QueryInstance",
@@ -69,7 +66,6 @@ __all__ = [
     "find_asteroidal_triple",
     "gen_atfree_rejection",
     "gen_interval",
-    "induced_delete",
     "is_AB_separator",
     "is_at_free",
     "is_connected",

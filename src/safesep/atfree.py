@@ -198,11 +198,15 @@ def scan_asteroidal_triple(g: WeightedGraph):
     if len(verts) < 3:
         return None
     closed = {c: closed_neighborhood(g, (c,)) for c in verts}
-    table = {c: components(g, closed[c]) for c in verts}
+    # table[c] maps each vertex outside N[c] to the index of its component.
+    table = {
+        c: {v: i for i, (C, _) in enumerate(components(g, closed[c])) for v in C}
+        for c in verts
+    }
 
     def together(c, x, y) -> bool:
-        i = table[c].index_of(x)
-        return i is not None and i == table[c].index_of(y)
+        i = table[c].get(x)
+        return i is not None and i == table[c].get(y)
 
     for a, b, c in combinations(verts, 3):
         if b in closed[a] or c in closed[a] or c in closed[b]:

@@ -61,16 +61,17 @@ from .graph_core import (
 from .minimal_separators import near_search
 
 
-def nested_component_meet(g: WeightedGraph, T_s: frozenset, targets):
-    """Intersection of the neighborhoods N(C_i) & T_s of the target components.
+def nested_component_meet(T_s: frozenset, boundaries):
+    """Intersection of the neighborhoods N(C_i) & T_s of the target
+    components, given their neighborhoods N_G(C_i) in ``boundaries``.
 
     On AT-free inputs the neighborhoods of the non-source components of
     G - T_s form a chain under inclusion, so the intersection is the smallest
     of them.  The chain is checked on every call, as the neighborhoods are at
     hand anyway: a broken chain proves the input is not AT-free and raises
-    InternalConsistencyError.  ``targets`` must not be empty.
+    InternalConsistencyError.  ``boundaries`` must not be empty.
     """
-    ordered = sorted((neighborhood(g, C) & T_s for C in targets), key=len)
+    ordered = sorted((NC & T_s for NC in boundaries), key=len)
     for small, big in zip(ordered, ordered[1:]):
         if not small <= big:
             raise InternalConsistencyError(
@@ -183,19 +184,21 @@ def close_to_run(g: WeightedGraph, s, t, A: Iterable[int], R: frozenset = EMPTY_
         return CloseToRun(family, (S,), sides)
 
     # The vertices of A in C_s, T_s or C_t(G' - T_s) form the anchored core.
-    # Any other a lies in a pocket of the search, which is its component of
-    # G' - T_s: one per target, from the first of its A vertices.
+    # Any other a lies in a pocket P of the search, which is its component of
+    # G' - T_s; P is a full component of G - gone - N[s], so the boundary the
+    # search kept with it is N_G(P).  One target per pocket.
     a_core = set()
-    targets = []
+    pockets = {}
     for a in sorted(A):
         if a in c_s_ts or a in T_s or search.reaches_t(a):
             a_core.add(a)
-        elif not any(a in C for C in targets):
-            targets.append(search.pocket(a)[0])
+        else:
+            P, NP = search.pocket(a)
+            pockets[P] = NP
     a_core = frozenset(a_core)
     # With no pocket to reach, the single pass anchors at s itself: X is the
     # same set, and s lies on every s-side.
-    anchors = sorted(nested_component_meet(g, T_s, targets)) if targets else [s]
+    anchors = sorted(nested_component_meet(T_s, pockets.values())) if pockets else [s]
     # Every anchor's N[X] lies in Z = N[{s} | a_core | anchors], so the
     # vertices of C_t(G' - Z), walked once, reach t in each anchor's search.
     known = EMPTY_SET

@@ -1,10 +1,10 @@
 """Weighted undirected graphs and the structural operations everything else builds on.
 
 Vertex identifiers are dense ``0..n-1`` at construction time and stay stable
-under deletion and contraction: surviving vertices keep their identifiers, so
-a vertex set computed in a derived graph is directly a vertex set of every
-ancestor graph (no lifting step).  All values are immutable after
-construction; every operation returns a new graph.
+in the derived graphs (``fold_cores``, ``subdivide``): surviving vertices keep
+their identifiers, so a vertex set computed in a derived graph is directly a
+vertex set of the graph it came from (no lifting step).  All values are
+immutable after construction; every operation returns a new graph.
 
 Every graph stores each adjacency as a strictly increasing tuple of
 neighbors; set operations against it run on the set side (X.isdisjoint(nb)).
@@ -12,7 +12,6 @@ neighbors; set operations against it run on the set side (X.isdisjoint(nb)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 EMPTY_SET: frozenset = frozenset()
@@ -24,8 +23,9 @@ class WeightedGraph:
     __slots__ = ("n", "_adj", "_w", "_vertices")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), weights=None):
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+            raise ValueError(f"vertex count must be a nonnegative integer, got {n!r}")
+        n = int(n)
         weights = [1] * n if weights is None else list(weights)
         if len(weights) != n:
             raise ValueError(f"expected {n} weights, got {len(weights)}")
@@ -122,41 +122,6 @@ def _checked_edge(u, v, n: int) -> tuple:
     if not (0 <= u < n and 0 <= v < n):
         raise ValueError(f"edge ({u},{v}) references an unknown vertex")
     return int(u), int(v)
-
-
-@dataclass(frozen=True)
-class ComponentPartition:
-    """The partition C(G-X): connected components left after removing X.
-
-    ``neighborhoods[i]`` is N_G(components[i]), which always lies inside the
-    removed set X.
-    """
-
-    components: tuple
-    neighborhoods: tuple
-    _index: dict = field(repr=False)
-
-    def __len__(self):
-        return len(self.components)
-
-    def __iter__(self):
-        return iter(self.components)
-
-    def index_of(self, v):
-        """Position of v's component, or None if v was removed / inactive."""
-        return self._index.get(v)
-
-    def of(self, v) -> frozenset:
-        i = self._index.get(v)
-        if i is None:
-            raise ValueError(f"vertex {v} is not in any component")
-        return self.components[i]
-
-    def neighborhood_of(self, v) -> frozenset:
-        i = self._index.get(v)
-        if i is None:
-            raise ValueError(f"vertex {v} is not in any component")
-        return self.neighborhoods[i]
 
 
 def _check_subset(g: WeightedGraph, T: Iterable[int], what: str) -> frozenset:
@@ -264,21 +229,18 @@ def hangs_together(g: WeightedGraph, core, rest) -> bool:
     return len(seen) == len(rest)
 
 
-def components(g: WeightedGraph, X: Iterable[int]) -> ComponentPartition:
-    """Connected components of G-X with their neighborhoods N_G(C) <= X."""
+def components(g: WeightedGraph, X: Iterable[int]) -> tuple:
+    """The connected components C of G-X, as (C, N_G(C)) pairs in the order
+    of their least vertex; each N_G(C) lies inside X."""
     X = _check_subset(g, X, "X")
-    comps = []
-    nbrs = []
-    index = {}
+    pairs = []
+    seen = set()
     for start in g.vertices:
-        if start in X or start in index:
-            continue
-        comp, boundary = component_with_boundary(g, X, start)
-        pos = len(comps)
-        comps.append(comp)
-        nbrs.append(boundary)
-        index.update(dict.fromkeys(comp, pos))
-    return ComponentPartition(tuple(comps), tuple(nbrs), index)
+        if start not in X and start not in seen:
+            pair = component_with_boundary(g, X, start)
+            seen.update(pair[0])
+            pairs.append(pair)
+    return tuple(pairs)
 
 
 def component_of(g: WeightedGraph, X: Iterable[int], v) -> frozenset:
@@ -289,17 +251,6 @@ def component_of(g: WeightedGraph, X: Iterable[int], v) -> frozenset:
     if not g.has_vertex(v):
         raise ValueError(f"vertex {v} is not active")
     return component_with_boundary(g, X, v)[0]
-
-
-def induced_delete(g: WeightedGraph, X: Iterable[int]) -> WeightedGraph:
-    """G - X: the subgraph induced on the active vertices outside X."""
-    X = _check_subset(g, X, "X")
-    if not X:
-        return g
-    adj = {v: nb if X.isdisjoint(nb) else tuple(u for u in nb if u not in X)
-           for v, nb in g._adj.items() if v not in X}
-    w = {v: g._w[v] for v in adj}
-    return WeightedGraph._from_parts(g.n, adj, w)
 
 
 def fold_cores(g: WeightedGraph, s, core_s: frozenset, t, core_t: frozenset, excluded=EMPTY_SET) -> WeightedGraph:

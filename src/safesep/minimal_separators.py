@@ -26,7 +26,6 @@ from .graph_core import (
     component_from_seed,
     component_of,
     component_with_boundary,
-    components,
     hangs_together,
 )
 
@@ -75,41 +74,37 @@ def _check_ab(g: WeightedGraph, A: frozenset, B: frozenset, S: frozenset):
 
 
 def is_AB_separator(g: WeightedGraph, A: Iterable[int], B: Iterable[int], S: Iterable[int]) -> bool:
-    """True iff no path joins A and B in G-S."""
+    """True iff no path joins A and B in G-S: B misses the side of A, the
+    union of the components of G-S that meet A."""
     A, B, S = frozenset(A), frozenset(B), frozenset(S)
     _check_ab(g, A, B, S)
-    parts = components(g, S)
-    return all(not (C & A and C & B) for C in parts)
+    return B.isdisjoint(component_with_boundary(g, S, *A)[0])
 
 
 def is_minimal_AB_separator(g: WeightedGraph, A: Iterable[int], B: Iterable[int], S: Iterable[int]) -> bool:
     """True iff S is an A,B-separator and every w in S touches both sides:
     there are components C_A (meeting A) and C_B (meeting B) of G-S with
-    w in N(C_A) and w in N(C_B)."""
+    w in N(C_A) and w in N(C_B).  The side of A (of B) is the union of the
+    components that meet it, and its neighborhood the union of theirs."""
     A, B, S = frozenset(A), frozenset(B), frozenset(S)
     _check_ab(g, A, B, S)
-    parts = components(g, S)
-    near_a = set()
-    near_b = set()
-    for C, NC in zip(parts.components, parts.neighborhoods):
-        if C & A and C & B:
-            return False
-        if C & A:
-            near_a.update(NC)
-        if C & B:
-            near_b.update(NC)
-    return S <= near_a and S <= near_b
+    side_a, near_a = component_with_boundary(g, S, *A)
+    if not (B.isdisjoint(side_a) and S <= near_a):
+        return False
+    return S <= component_with_boundary(g, S, *B)[1]
 
 
 def is_safe_AB_separator(g: WeightedGraph, A: Iterable[int], B: Iterable[int], S: Iterable[int]) -> bool:
     """True iff S separates A from B while A stays inside one component of
-    G-S and B inside one (different) component."""
+    G-S and B inside one (different) component: the components of min(A)
+    and of min(B)."""
     A, B, S = frozenset(A), frozenset(B), frozenset(S)
     _check_ab(g, A, B, S)
-    parts = components(g, S)
-    ia = {parts.index_of(a) for a in A}
-    ib = {parts.index_of(b) for b in B}
-    return len(ia) == 1 and len(ib) == 1 and ia != ib
+    b = min(B)
+    side_a = component_with_boundary(g, S, min(A))[0]
+    if b in side_a or not A <= side_a:
+        return False
+    return B <= component_with_boundary(g, S, b)[0]
 
 
 def safe_minimal_sides(

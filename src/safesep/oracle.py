@@ -27,8 +27,7 @@ from .graph_core import (
     closed_neighborhood,
     component_of,
     family_sorted,
-    induced_delete,
-    is_connected,
+    hangs_together,
 )
 from .min_safe_sep import SafeSeparatorAnswer
 from .minimal_separators import close_separator, is_minimal_st_separator, is_safe_AB_separator
@@ -158,13 +157,14 @@ def two_dcs_brute(g: WeightedGraph, A: Iterable[int], B: Iterable[int]) -> bool:
         raise ValueError("terminal sets must be non-empty")
     if A & B:
         raise ValueError("terminal sets must be disjoint")
-    all_vertices = frozenset(g.vertices)
-    ground = all_vertices - A - B
+    if not all(g.has_vertex(v) for v in A | B):
+        raise ValueError("terminal sets must hold active vertices")
+    ground = frozenset(g.vertices) - A - B
     _check_cap(len(ground), "two-disjoint-connected-subgraphs search")
-    b0 = min(B)
+    a0, b0 = frozenset({min(A)}), min(B)
     for X in _subsets_by_size(ground):
         v_a = A | X
-        if not is_connected(induced_delete(g, all_vertices - v_a)):
+        if not hangs_together(g, a0, v_a - a0):
             continue
         # A connected superset of B avoiding v_a exists iff B sits inside a
         # single component once v_a is gone.

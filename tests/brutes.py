@@ -38,6 +38,39 @@ def side_with_boundary(g, start, forbidden) -> tuple:
     return comp, frozenset(y for c in comp for y in g.neighbors(c)) - comp
 
 
+def components_brute(g, X) -> tuple:
+    """(C, N(C)) for every component C of G - X, in the order of their least
+    vertex: the reference for ``graph_core.components``."""
+    X = frozenset(X)
+    pairs = []
+    for v in sorted(g.vertices):
+        if v not in X and not any(v in C for C, _ in pairs):
+            pairs.append(side_with_boundary(g, v, X))
+    return tuple(pairs)
+
+
+def ab_separates(g, A, B, S) -> bool:
+    """No vertex of B is reachable from a vertex of A in G - S."""
+    return all(reachable(g, a, S).isdisjoint(B) for a in A)
+
+
+def is_minimal_ab_separator_brute(g, A, B, S) -> bool:
+    """S is an A,B-separator and every vertex of S has a neighbor reachable
+    from A and one reachable from B in G - S."""
+    if not ab_separates(g, A, B, S):
+        return False
+    from_a = frozenset().union(*(reachable(g, a, S) for a in A))
+    from_b = frozenset().union(*(reachable(g, b, S) for b in B))
+    return all(g.neighbors(w) & from_a and g.neighbors(w) & from_b for w in S)
+
+
+def is_safe_ab_separator_brute(g, A, B, S) -> bool:
+    """A lies inside one component of G - S and B inside another."""
+    sides_a = {reachable(g, a, S) for a in A}
+    sides_b = {reachable(g, b, S) for b in B}
+    return len(sides_a) == 1 and len(sides_b) == 1 and sides_a != sides_b
+
+
 def close_side(g, X, t, excluded=frozenset()) -> tuple | None:
     """(C_t(G - E - N[X]), N_G(C_t(G - E - N[X]))) for E = excluded, or None
     when t lies in N[X].  The reference for ``minimal_separators.near_search``,
@@ -65,6 +98,15 @@ def connected_within(g, X) -> bool:
                 seen.add(v)
                 stack.append(v)
     return seen == X
+
+
+def induced_delete(g, X):
+    """G - X: the vertices of X become inactive and the others keep their
+    ids.  For tests that need a graph with inactive vertices; like
+    ``contract_connected_set`` it uses the internal constructor."""
+    X = frozenset(X)
+    adj = {v: tuple(sorted(g.neighbors(v) - X)) for v in g.vertices if v not in X}
+    return WeightedGraph._from_parts(g.n, adj, {v: g.weight(v) for v in adj})
 
 
 def contract_connected_set(g, u, A):

@@ -54,6 +54,7 @@ QUERY_LEVEL = (
 )
 BAD_WINNER = "tests/test_min_safe_sep.py::TestFrozenAnswers::test_the_final_check_refuses_a_bad_winner"
 CONSTRUCTION = "tests/test_graph_core.py::TestConstruction"
+SET_PREDICATES = ("tests/test_minimal_separators.py::TestSetPredicates",)
 SEED_CONTRACT = (
     "tests/test_minimal_separators.py::TestSetPredicates"
     "::test_validation_grows_each_side_from_a_seed_that_holds_its_terminal"
@@ -74,6 +75,13 @@ MUTANTS = (
     # The WeightedGraph constructor's checks, each edge's ids first tested on
     # a fast path and diagnosed by _checked_edge, and its merge of repeated
     # edges.
+    Mutant(
+        "constructor: integer vertex count",
+        GRAPH,
+        "        if not isinstance(n, int) or isinstance(n, bool) or n < 0:\n",
+        "        if n < 0:\n",
+        (CONSTRUCTION,),
+    ),
     Mutant(
         "constructor: the fast path's type test",
         GRAPH,
@@ -123,6 +131,64 @@ MUTANTS = (
         "[0]) > 0",
         ("tests/test_graph_core.py::TestConnectivity",
          "tests/test_min_safe_sep.py::TestFrozenAnswers::test_disconnected_graph_is_rejected"),
+    ),
+    # The A,B-separator predicates, each read off the sides of its terminal
+    # sets, against the literal definitions in tests/brutes.py.
+    Mutant(
+        "is_AB_separator: B outside the side of A",
+        MINSEP,
+        "    return B.isdisjoint(component_with_boundary(g, S, *A)[0])\n",
+        "    return True\n",
+        SET_PREDICATES,
+    ),
+    Mutant(
+        "is_AB_separator: the side of min(A) alone",
+        MINSEP,
+        "B.isdisjoint(component_with_boundary(g, S, *A)[0])",
+        "B.isdisjoint(component_with_boundary(g, S, min(A))[0])",
+        SET_PREDICATES,
+    ),
+    Mutant(
+        "is_minimal_AB_separator: B outside the side of A",
+        MINSEP,
+        "    if not (B.isdisjoint(side_a) and S <= near_a):\n",
+        "    if not S <= near_a:\n",
+        SET_PREDICATES,
+    ),
+    Mutant(
+        "is_minimal_AB_separator: S <= N(side of A)",
+        MINSEP,
+        "    if not (B.isdisjoint(side_a) and S <= near_a):\n",
+        "    if not B.isdisjoint(side_a):\n",
+        SET_PREDICATES,
+    ),
+    Mutant(
+        "is_minimal_AB_separator: S <= N(side of B)",
+        MINSEP,
+        "    return S <= component_with_boundary(g, S, *B)[1]\n",
+        "    return True\n",
+        SET_PREDICATES,
+    ),
+    Mutant(
+        "is_safe_AB_separator: A inside the side of min(A)",
+        MINSEP,
+        "    if b in side_a or not A <= side_a:\n",
+        "    if b in side_a:\n",
+        SET_PREDICATES,
+    ),
+    Mutant(
+        "is_safe_AB_separator: min(B) outside the side of min(A)",
+        MINSEP,
+        "    if b in side_a or not A <= side_a:\n",
+        "    if not A <= side_a:\n",
+        SET_PREDICATES,
+    ),
+    Mutant(
+        "is_safe_AB_separator: B inside the side of min(B)",
+        MINSEP,
+        "    return B <= component_with_boundary(g, S, b)[0]\n",
+        "    return True\n",
+        SET_PREDICATES,
     ),
     # The cold reference network of tests/brutes.py, which the flow tests
     # compare against.

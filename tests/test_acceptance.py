@@ -108,7 +108,7 @@ def close_runs(corpus):
             (g, s, t, anchors, close_to(g, s, t, anchors, verified=True))
             for g, s, t, anchors, _ in corpus
         ]
-    chain_checks = sum(1 for call in spy.call_args_list if call.args[2])
+    chain_checks = sum(1 for call in spy.call_args_list if call.args[1])
     return {"rows": rows, "chain_checks": chain_checks}
 
 

@@ -192,7 +192,6 @@ class TestRunDetails:
 
         returned = {
             "component_of": lambda C: [C],
-            "components": lambda parts: list(parts),
             "component_with_boundary": lambda side: [side[0]],
         }
         for module in (close_to_module, minimal_separators):
@@ -331,9 +330,8 @@ class TestNestedComponentMeet:
         )
 
     def test_meet_of_nested_neighborhoods(self):
-        out = nested_component_meet(
-            self.hub_graph(), frozenset({1, 2, 3}), [frozenset({4}), frozenset({5})]
-        )
+        g = self.hub_graph()
+        out = nested_component_meet(frozenset({1, 2, 3}), [neighborhood(g, {4}), neighborhood(g, {5})])
         assert out == frozenset({1, 2})
 
     def test_incomparable_neighborhoods_fail_verification(self):
@@ -342,9 +340,9 @@ class TestNestedComponentMeet:
         g = WeightedGraph(
             7, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 5), (3, 6), (4, 6)]
         )
-        targets = [frozenset({5}), frozenset({6})]
+        boundaries = [neighborhood(g, {5}), neighborhood(g, {6})]
         with pytest.raises(InternalConsistencyError):
-            nested_component_meet(g, frozenset({1, 2, 3, 4}), targets)
+            nested_component_meet(frozenset({1, 2, 3, 4}), boundaries)
 
 
 class TestFamilyBounds:

@@ -13,7 +13,6 @@ from safesep import (
     component_of,
     components,
     family_sorted,
-    induced_delete,
     is_connected,
     neighborhood,
     subdivide,
@@ -25,7 +24,12 @@ from safesep.graph_core import (
     hangs_together,
     reaches_all,
 )
-from tests.brutes import connected_within, contract_connected_set, random_weighted_graph
+from tests.brutes import (
+    connected_within,
+    contract_connected_set,
+    induced_delete,
+    random_weighted_graph,
+)
 from tests.strategies import connected_graphs
 
 
@@ -79,8 +83,8 @@ class TestConstruction:
         class Id(int):
             pass
 
-        g = WeightedGraph(3, [(Id(0), Id(1)), (1, 2)])
-        assert g == path_graph(3)
+        g = WeightedGraph(Id(3), [(Id(0), Id(1)), (1, 2)])
+        assert g == path_graph(3) and type(g.n) is int
         assert all(type(x) is int for e in g.edges() for x in e)
 
     def test_rejects_bad_weights(self):
@@ -92,6 +96,11 @@ class TestConstruction:
             WeightedGraph(2, [], [1, 2.5])
         with pytest.raises(ValueError):
             WeightedGraph(-1, [])
+
+    def test_rejects_vertex_counts_that_are_not_integers(self):
+        for n in (True, False, 2.0, "3", None):
+            with pytest.raises(ValueError, match="vertex count"):
+                WeightedGraph(n)
 
     def test_inactive_vertex_queries_raise(self):
         g = induced_delete(path_graph(3), {1})
@@ -167,12 +176,10 @@ class TestNeighborhoods:
 class TestComponents:
     def test_cycle_minus_two_vertices(self):
         g = cycle_graph(6)
-        part = components(g, {0, 3})
-        assert set(part.components) == {frozenset({1, 2}), frozenset({4, 5})}
-        assert part.neighborhood_of(1) == frozenset({0, 3})
-        assert part.neighborhood_of(4) == frozenset({0, 3})
-        assert part.index_of(0) is None
-        assert part.of(2) == frozenset({1, 2})
+        assert components(g, {0, 3}) == (
+            (frozenset({1, 2}), frozenset({0, 3})),
+            (frozenset({4, 5}), frozenset({0, 3})),
+        )
 
     def test_component_of(self):
         g = path_graph(5)
@@ -189,14 +196,14 @@ class TestComponents:
         )
         part = components(g, removed)
         union = set()
-        for comp in part:
+        for comp, boundary in part:
             assert comp, "components are non-empty"
             assert not comp & removed
             # internally connected and maximal: boundary lies inside removed
             v = next(iter(comp))
             c_v = component_of(g, removed, v)
             assert c_v == comp
-            assert neighborhood(g, comp) <= removed
+            assert neighborhood(g, comp) == boundary and boundary <= removed
             # the one-pass walk returns the component and its neighborhood
             assert component_with_boundary(g, removed, v) == (c_v, neighborhood(g, c_v))
             # the early-exit walk decides containment, removed targets included
@@ -209,7 +216,7 @@ class TestComponents:
         # a walk from several starts covers the union of their components
         if union:
             starts = data.draw(st.sets(st.sampled_from(sorted(union)), min_size=1, max_size=3))
-            joint = frozenset().union(*(part.of(v) for v in starts))
+            joint = frozenset().union(*(comp for comp, _ in part if not starts.isdisjoint(comp)))
             assert component_with_boundary(g, removed, *starts) == (joint, neighborhood(g, joint))
 
     @settings(max_examples=60, deadline=None)

@@ -220,7 +220,7 @@ class TestFrozenAnswers:
         for module in ("graph_core", "min_safe_sep", "close_to", "minimal_separators",
                        "min_weight_separator"):
             module = importlib.import_module(f"safesep.{module}")
-            for name in ("is_connected", "components", "induced_delete"):
+            for name in ("is_connected", "components"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         g = gen_interval(300, wmax=5, seed=3)

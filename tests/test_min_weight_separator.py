@@ -10,7 +10,6 @@ from safesep import (
     InternalConsistencyError,
     NoSeparatorError,
     WeightedGraph,
-    induced_delete,
     is_minimal_st_separator,
     min_weight_st_separator,
 )
@@ -20,6 +19,7 @@ from tests.brutes import (
     ArcNetwork,
     cold_min_cut,
     contract_connected_set,
+    induced_delete,
     max_disjoint_paths_brute,
     min_arc_cut_brute,
     min_weight_separator_brute,

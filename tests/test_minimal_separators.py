@@ -12,7 +12,7 @@ from safesep import (
     close_separator,
     closed_neighborhood,
     component_of,
-    induced_delete,
+    components,
     is_AB_separator,
     is_minimal_AB_separator,
     is_minimal_st_separator,
@@ -23,8 +23,13 @@ from safesep import (
 from safesep.minimal_separators import near_search, safe_minimal_sides
 from safesep.oracle import enumerate_minimal_st_separators
 from tests.brutes import (
+    ab_separates,
     close_side,
+    components_brute,
+    induced_delete,
+    is_minimal_ab_separator_brute,
     is_minimal_separator_by_deletion,
+    is_safe_ab_separator_brute,
     reachable,
     separates,
     side_with_boundary,
@@ -42,6 +47,28 @@ def cycle_graph(n):
 
 def claw():
     return WeightedGraph(4, [(0, 1), (0, 2), (0, 3)])
+
+
+def draw_ab_query(g, data):
+    """(A, B, S) with A and B disjoint, non-empty and non-adjacent, and S
+    avoiding both."""
+    verts = sorted(g.vertices)
+    if data.draw(st.booleans()):
+        # A and B drawn from the two sides of a minimal a,b-separator,
+        # sometimes padded with one more vertex: often safe and minimal.
+        a, b = data.draw(st.lists(st.sampled_from(verts), min_size=2, max_size=2, unique=True))
+        assume(not g.has_edge(a, b))
+        S = close_separator(g, (a,), b)
+        S |= data.draw(st.sets(st.sampled_from(verts), max_size=1)) - {a, b}
+        A = {a} | data.draw(st.sets(st.sampled_from(verts), max_size=2)) & component_of(g, S, a)
+        B = {b} | data.draw(st.sets(st.sampled_from(verts), max_size=2)) & component_of(g, S, b)
+    else:
+        A = data.draw(st.sets(st.sampled_from(verts), min_size=1, max_size=2))
+        far = sorted(set(verts) - closed_neighborhood(g, A))
+        assume(far)
+        B = data.draw(st.sets(st.sampled_from(far), min_size=1, max_size=2))
+        S = data.draw(st.sets(st.sampled_from(verts), max_size=4)) - A - B
+    return frozenset(A), frozenset(B), frozenset(S)
 
 
 class TestPairPredicates:
@@ -87,25 +114,36 @@ class TestSetPredicates:
         assert not is_minimal_AB_separator(g, {0}, {4}, {1, 3})
         assert is_safe_AB_separator(g, {0}, {4}, {1, 3})
 
+    def test_each_side_is_walked_from_its_whole_set(self):
+        # Path 0-...-5 without 1: A = {0, 5} reaches B = {3} from 5 only.
+        g = path_graph(6)
+        assert not is_AB_separator(g, {0, 5}, {3}, {1})
+        assert not is_minimal_AB_separator(g, {0, 5}, {3}, {1})
+        # Path 0-1-2-3: {1, 3} separates 0 from 2, but 3 touches only the
+        # side of 2.
+        g = path_graph(4)
+        assert is_AB_separator(g, {0}, {2}, {1, 3})
+        assert not is_minimal_AB_separator(g, {0}, {2}, {1, 3})
+        assert not is_minimal_AB_separator(g, {2}, {0}, {1, 3})
+        # The claw without its center: B = {2, 3} lies in two components.
+        assert is_AB_separator(claw(), {1}, {2, 3}, {0})
+        assert not is_safe_AB_separator(claw(), {1}, {2, 3}, {0})
+        # Nothing removed: A and B share the one component.
+        assert not is_safe_AB_separator(path_graph(5), {0}, {4}, set())
+
+    @settings(max_examples=300, deadline=None)
+    @given(connected_graphs(min_n=3, max_n=9), st.data())
+    def test_set_predicates_match_literal_definitions(self, g, data):
+        A, B, S = draw_ab_query(g, data)
+        assert is_AB_separator(g, A, B, S) == ab_separates(g, A, B, S)
+        assert is_minimal_AB_separator(g, A, B, S) == is_minimal_ab_separator_brute(g, A, B, S)
+        assert is_safe_AB_separator(g, A, B, S) == is_safe_ab_separator_brute(g, A, B, S)
+        assert components(g, S) == components_brute(g, S)
+
     @settings(max_examples=200, deadline=None)
     @given(connected_graphs(min_n=3, max_n=9), st.data())
     def test_single_partition_validation_matches_the_two_predicates(self, g, data):
-        verts = sorted(g.vertices)
-        if data.draw(st.booleans()):
-            # A and B drawn from the two sides of a minimal a,b-separator,
-            # sometimes padded with one more vertex: often safe and minimal.
-            a, b = data.draw(st.lists(st.sampled_from(verts), min_size=2, max_size=2, unique=True))
-            assume(not g.has_edge(a, b))
-            S = close_separator(g, (a,), b)
-            S |= data.draw(st.sets(st.sampled_from(verts), max_size=1)) - {a, b}
-            A = {a} | data.draw(st.sets(st.sampled_from(verts), max_size=2)) & component_of(g, S, a)
-            B = {b} | data.draw(st.sets(st.sampled_from(verts), max_size=2)) & component_of(g, S, b)
-        else:
-            A = data.draw(st.sets(st.sampled_from(verts), min_size=1, max_size=2))
-            far = sorted(set(verts) - closed_neighborhood(g, A))
-            assume(far)
-            B = data.draw(st.sets(st.sampled_from(far), min_size=1, max_size=2))
-            S = data.draw(st.sets(st.sampled_from(verts), max_size=4)) - A - B
+        A, B, S = draw_ab_query(g, data)
         expected = is_safe_AB_separator(g, A, B, S) and is_minimal_AB_separator(g, A, B, S)
         a, b = min(A), min(B)
         seeds = ({a}, g.neighbors(a)), ({b}, g.neighbors(b))

@@ -108,6 +108,11 @@ class TestTwoDisjointConnectedSubgraphs:
     def test_blocked_by_a_vertex_in_the_middle(self):
         assert not two_dcs_brute(path_graph(3), {0, 2}, {1})
 
+    def test_terminals_must_be_active_vertices(self):
+        for A, B in (({0, 5}, {2}), ({0}, {2, 5})):
+            with pytest.raises(ValueError, match="active"):
+                two_dcs_brute(path_graph(3), A, B)
+
     def test_matches_partition_scan(self):
         for seed in range(60):
             rng = random.Random(f"dcs:{seed}")
