@@ -33,12 +33,15 @@ which is the s-side of the separator closest to t, by a breadth-first walk
 from s that stops at the last vertex of A it reaches, so it reads only the
 ball around s that holds A; a gate that fails walks the whole side.  The
 search that finds the separator T_s closest to s also yields
-C_s(G' - T_s) from what it walked, and the s-side walk that tests A for
-any other anchor set gives C_s(G' - T).  Each is the s-side of the
-candidate T | L in G - R as well, so the filter is handed it.  No candidate
-the search produced needs its t-side: every vertex of T was seen next to a
-vertex proven to reach t, and L lies in N(t), so N(C_t) = T | L holds by
-construction.  The filter walks only the sides it lacks.
+C_s(G' - T_s) from what it walked.  Every later anchor set holds s, so the
+pockets of G' - N[s] it walked are dead in the later searches, which never
+walk them, and the s-side C_s(G' - T) that tests A for an anchor's
+separator T grows from C_s(G' - T_s) and the pockets holding part of A.
+Each is the s-side of the candidate T | L in G - R as well, so the filter
+is handed it.  No candidate the search produced needs its t-side: every
+vertex of T was seen next to a vertex proven to reach t, and L lies in
+N(t), so N(C_t) = T | L holds by construction.  The filter walks only the
+sides it lacks.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from .graph_core import (
     EMPTY_SET,
     WeightedGraph,
     closed_neighborhood,
+    component_from_seed,
     component_with_boundary,
     family_sorted,
     hangs_together,
@@ -193,7 +197,7 @@ def close_to_run(g: WeightedGraph, s, t, A: Iterable[int], R: frozenset = EMPTY_
         if a in c_s_ts or a in T_s or search.reaches_t(a):
             a_core.add(a)
         else:
-            P, NP = search.pocket(a)
+            P, NP = search.pockets[a]
             pockets[P] = NP
     a_core = frozenset(a_core)
     # With no pocket to reach, the single pass anchors at s itself: X is the
@@ -204,19 +208,24 @@ def close_to_run(g: WeightedGraph, s, t, A: Iterable[int], R: frozenset = EMPTY_
     known = EMPTY_SET
     if len(anchors) > 1:
         known = component_with_boundary(g, gone | closed_neighborhood(g, a_core.union(anchors, (s,))), t)[0]
+    # Each X below holds s, so the pockets of G' - N[s] walked so far are
+    # dead there.  S_1 misses C_s(G' - T_s) and the target pockets (its
+    # vertices in N(s) lie in T_s, the others touch C_t(G' - N[s])), and v
+    # in N(s) - S_1 touches each target pocket: C_s(G' - S_1) grows from them.
+    seed = (c_s_ts.union(*pockets), n_s_ts.union(*pockets.values()))
     candidates = []
     walked = {}
     full_t = set()
     for v in anchors:
         A_v = a_core | {v}
         X = A_v | {s}
-        found = near_search(g, X, t, gone, known)
+        found = near_search(g, X, t, gone, known, search.pockets)
         if found is None:
             # Cannot happen: sA misses N[t], and v in T_s <= N(s) would be in L if in N(t).
             raise InternalConsistencyError("the anchor set meets the closed neighborhood of t")
         S_1 = found.separator
         gone_1 = gone | S_1
-        c_s_1, n_s_1 = component_with_boundary(g, gone_1, s)
+        c_s_1, n_s_1 = component_from_seed(g, gone_1, *seed)
         candidates.append(S_1 | L)
         walked[S_1 | L] = (c_s_1, n_s_1)
         full_t.add(S_1 | L)
@@ -234,12 +243,13 @@ def close_to_run(g: WeightedGraph, s, t, A: Iterable[int], R: frozenset = EMPTY_
         if not Q_s:
             continue
         candidates.append(Q_s | L)
-        c_s_q, n_s_q = component_with_boundary(g, gone | Q_s, s)
+        # Q_s <= S_1, so C_s(G' - Q_s) holds C_s(G' - S_1) and grows from it.
+        c_s_q, n_s_q = component_from_seed(g, gone | Q_s, c_s_1, n_s_1)
         walked[Q_s | L] = (c_s_q, n_s_q)
         d_v = A_v - c_s_q
         for w in sorted(Q_s):
             X_w = c_s_q | {w}
-            found = near_search(g, X_w, t, gone)
+            found = near_search(g, X_w, t, gone, dead=search.pockets)
             if found is None:
                 continue
             candidates.append(found.separator | L)
@@ -250,7 +260,7 @@ def close_to_run(g: WeightedGraph, s, t, A: Iterable[int], R: frozenset = EMPTY_
             # anchor strands part of A_v this variant is the one that recovers
             # the member.
             if rest and hangs_together(g, X_w, rest):
-                found = near_search(g, X_w | rest, t, gone)
+                found = near_search(g, X_w | rest, t, gone, dead=search.pockets)
                 if found is not None:
                     candidates.append(found.separator | L)
                     full_t.add(found.separator | L)

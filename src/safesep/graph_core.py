@@ -4,7 +4,8 @@ Vertex identifiers are dense ``0..n-1`` at construction time and stay stable
 in the derived graphs (``fold_cores``, ``subdivide``): surviving vertices keep
 their identifiers, so a vertex set computed in a derived graph is directly a
 vertex set of the graph it came from (no lifting step).  All values are
-immutable after construction; every operation returns a new graph.
+immutable after construction, except a graph's memo of its connectivity
+(see ``is_connected``); every operation returns a new graph.
 
 Every graph stores each adjacency as a strictly increasing tuple of
 neighbors; set operations against it run on the set side (X.isdisjoint(nb)).
@@ -20,7 +21,7 @@ EMPTY_SET: frozenset = frozenset()
 class WeightedGraph:
     """Undirected simple graph with positive integer vertex weights."""
 
-    __slots__ = ("n", "_adj", "_w", "_vertices")
+    __slots__ = ("n", "_adj", "_w", "_vertices", "_connected")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), weights=None):
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
@@ -44,6 +45,7 @@ class WeightedGraph:
         self._adj = dict(enumerate(adj))
         self._w = {v: weights[v] for v in range(n)}
         self._vertices = tuple(range(n))
+        self._connected = None  # unknown until proven: see is_connected
 
     @classmethod
     def _from_parts(cls, n: int, adj: dict, w: dict) -> "WeightedGraph":
@@ -54,6 +56,7 @@ class WeightedGraph:
         g._adj = adj
         g._w = w
         g._vertices = tuple(sorted(adj))
+        g._connected = None
         return g
 
     # -- inspection --------------------------------------------------------
@@ -166,23 +169,21 @@ def component_from_seed(g: WeightedGraph, X, seed, seed_boundary) -> tuple:
     hold seed vertices, but holds no other vertex; nothing here checks that.
     """
     adj = g._adj
-    comp = set(seed)
+    seen = set(seed)
     boundary = set()
     stack = []
-    for w in seed_boundary:
-        if w in X:
-            boundary.add(w)
-        elif w not in comp:
-            comp.add(w)
-            stack.append(w)
-    while stack:
-        for w in adj[stack.pop()]:
-            if w in X:
-                boundary.add(w)
-            elif w not in comp:
-                comp.add(w)
-                stack.append(w)
-    return frozenset(comp), frozenset(boundary)
+    nbrs = seed_boundary
+    while True:
+        for w in nbrs:
+            if w not in seen:
+                seen.add(w)
+                if w in X:
+                    boundary.add(w)
+                else:
+                    stack.append(w)
+        if not stack:
+            return frozenset(seen - boundary), frozenset(boundary)
+        nbrs = adj[stack.pop()]
 
 
 def reaches_all(g: WeightedGraph, X, v, targets) -> bool:
@@ -202,13 +203,14 @@ def reaches_all(g: WeightedGraph, X, v, targets) -> bool:
     queue = [v]
     for u in queue:
         for w in adj[u]:
-            if w not in X and w not in seen:
-                if w in missing:
-                    missing.discard(w)
-                    if not missing:
-                        return True
+            if w not in seen:
                 seen.add(w)
-                queue.append(w)
+                if w not in X:
+                    if w in missing:
+                        missing.discard(w)
+                        if not missing:
+                            return True
+                    queue.append(w)
     return False
 
 
@@ -219,14 +221,15 @@ def hangs_together(g: WeightedGraph, core, rest) -> bool:
     Trusted: core and rest are disjoint sets of active vertices.
     """
     adj = g._adj
-    seen = {r for r in rest if not core.isdisjoint(adj[r])}
-    stack = list(seen)
+    stack = [r for r in rest if not core.isdisjoint(adj[r])]
+    seen = set(stack)
     while stack:
         for w in adj[stack.pop()]:
-            if w in rest and w not in seen:
+            if w not in seen:
                 seen.add(w)
-                stack.append(w)
-    return len(seen) == len(rest)
+                if w in rest:
+                    stack.append(w)
+    return seen.issuperset(rest)
 
 
 def components(g: WeightedGraph, X: Iterable[int]) -> tuple:
@@ -309,10 +312,11 @@ def subdivide(g: WeightedGraph, subdivision_weight: int = 1):
 
 
 def is_connected(g: WeightedGraph) -> bool:
-    """Whether g is connected: one walk from its first vertex reaches all."""
-    if not g._adj:
-        return True
-    return len(component_with_boundary(g, EMPTY_SET, g._vertices[0])[0]) == len(g._adj)
+    """Whether one walk from g's first vertex reaches all; g remembers it."""
+    if g._connected is None:
+        g._connected = not g._adj or (
+            len(component_with_boundary(g, EMPTY_SET, g._vertices[0])[0]) == len(g._adj))
+    return g._connected
 
 
 def bfs_path(g: WeightedGraph, src, dst, forbidden: frozenset = EMPTY_SET):

@@ -35,8 +35,8 @@ graph before it is returned, on the full sides of G minus the winner that
 hold A and B.  Each side is grown from the settled side of the winning pair
 that it contains, whose neighborhood is known without a walk, so the
 validation reads the adjacency only of the vertices it adds to those
-settled sides.  The full sides also decide whether G is connected; only a
-NONE answer or a failed check walks the whole graph for that.
+settled sides.  The full sides also prove G connected, which G remembers; a
+NONE answer walks the whole graph for that only if G does not know it yet.
 """
 
 from __future__ import annotations
@@ -148,9 +148,9 @@ def min_safe_separator(q: QueryInstance, *, verified: bool = False) -> SafeSepar
     triple nothing is guaranteed beyond three outcomes: a NONE (possibly
     wrong), a safe minimal separator (possibly not of minimum weight), or
     this error.  Only a NONE answer or this error walks the whole graph to
-    check connectivity; an answer reads it off the validation of its winner,
-    whose two full sides are grown from the settled sides of the pair that
-    won.
+    check connectivity, once per graph; an answer reads it off the
+    validation of its winner, whose two full sides are grown from the
+    settled sides of the pair that won, and g remembers it.
     """
     try:
         answer = _answer(q.graph, q.A, q.B, verified)
@@ -165,7 +165,7 @@ def min_safe_separator(q: QueryInstance, *, verified: bool = False) -> SafeSepar
 
 def _answer(g: WeightedGraph, A: frozenset, B: frozenset, verified: bool) -> SafeSeparatorAnswer:
     """The query behind :func:`min_safe_separator`; a NONE answer here leaves
-    connectivity unchecked."""
+    connectivity unchecked, and an answer marks g connected."""
     if verified and not is_at_free(g):
         raise ValueError("input graph is not AT-free")
     if A & closed_neighborhood(g, B):
@@ -181,6 +181,8 @@ def _answer(g: WeightedGraph, A: frozenset, B: frozenset, verified: bool) -> Saf
     # no scan.  Each family member comes with its source side in G - R;
     # run_B's is C_t(G-R-S_B), as t is its source.
     run_A = close_to_run(g, s, t, A - {s}, R)
+    if not run_A.family:
+        return SafeSeparatorAnswer.none()
     run_B = close_to_run(g, t, s, B - {t}, R)
 
     pairs = []
@@ -215,6 +217,7 @@ def _answer(g: WeightedGraph, A: frozenset, B: frozenset, verified: bool) -> Saf
         and not hangs_together(g, winner, set(g.vertices).difference(c_a, c_b, winner))
     ):
         raise ValueError("input graph must be connected")
+    g._connected = True
     if g.weight_of(winner) != total:
         raise InternalConsistencyError("winner weight disagrees with its vertex set")
     return SafeSeparatorAnswer(separator=winner, weight=total)

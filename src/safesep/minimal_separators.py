@@ -161,7 +161,7 @@ def close_separator(g: WeightedGraph, X: Iterable[int], t) -> frozenset:
 
 
 def near_search(
-    g: WeightedGraph, X: Iterable[int], t, excluded: frozenset = EMPTY_SET, known: frozenset = EMPTY_SET
+    g: WeightedGraph, X: Iterable[int], t, excluded: frozenset = EMPTY_SET, known: frozenset = EMPTY_SET, dead=EMPTY_SET
 ) -> NearSearch | None:
     """The :class:`NearSearch` for the close separator of X in G - excluded,
     or None when t lies in N[X].
@@ -170,7 +170,8 @@ def near_search(
     all outside ``excluded``; nothing here checks that.  X need not be
     connected: the separator is then the close separator of s in g with s
     joined to N[X] - {s}, for any s in X.  ``known`` holds vertices already
-    known to reach t in G - excluded - N[X], which the search starts from.
+    known to reach t in G - excluded - N[X], which the search starts from,
+    and ``dead`` vertices known not to, which it never walks.
     """
     adj = g._adj
     near_adj = [adj[x] for x in X]
@@ -178,7 +179,7 @@ def near_search(
     closed.update(X, *near_adj)
     if t in closed:
         return None
-    return NearSearch(adj, X, t, closed, closed.difference(excluded, X), near_adj, known)
+    return NearSearch(adj, X, t, closed, closed.difference(excluded, X), near_adj, known, dead)
 
 
 class NearSearch:
@@ -189,24 +190,28 @@ class NearSearch:
     classified by a walk of G - E - N[X] that stops as soon as it touches a
     vertex already known to reach t (at first t and the seed); its vertices
     then reach t too, and v joins S.  A walk that runs out first has walked
-    a whole component other than t's, a *pocket*, which is kept with its
-    boundary.  A classified neighbor is not walked again, so no vertex is
-    walked twice, and t's side is walked only as far as the first vertex
-    known to reach t.  The seed is a set of vertices known to reach t, such
-    as C_t(G - Z) for a Z holding E and N[X]: no walk enters it, and the
-    separator and pockets are those of an unseeded search.  Every vertex of
-    S is next to a vertex that reaches t, so N(C_t(G - E - S)) - E = S holds
-    by construction.  Build it with :func:`near_search`.
+    a whole component other than t's, a *pocket*; ``pockets`` maps each of
+    its vertices to (C, N_G(C)).  A classified neighbor is not walked again,
+    so no vertex is walked twice, and t's side is walked only as far as the
+    first vertex known to reach t.  The seed is a set of vertices known to
+    reach t, such as C_t(G - Z) for a Z holding E and N[X]: no walk enters
+    it, and the separator and pockets are those of an unseeded search.  The
+    dead vertices are known not to reach t, such as the pockets of a search
+    for a set inside X, and are never walked; the separator is unchanged,
+    but a search given dead vertices has no :meth:`near_side`.  Every vertex
+    of S is next to a vertex that reaches t, so N(C_t(G - E - S)) - E = S
+    holds by construction.  Build it with :func:`near_search`.
     """
 
-    def __init__(self, adj, X, t, closed, border, near_adj, known):
+    def __init__(self, adj, X, t, closed, border, near_adj, known, dead):
         # border is N(X) - E; near_adj holds the neighbors of X, and gains
         # those of each border vertex outside S.
         self._adj = adj
         self._X = X
         self._closed = closed
         self._reach = {t, *known}
-        self._pockets = {}
+        self.pockets = {}
+        self._dead = dead
         self._inner = []
         self._near_adj = near_adj
         separator = set()
@@ -227,30 +232,26 @@ class NearSearch:
         reach = self._reach
         if u in reach:
             return True
-        if u in self._pockets:
+        if u in self.pockets or u in self._dead:
             return False
         adj, closed = self._adj, self._closed
-        comp = {u}
+        seen = {u}
         boundary = set()
         stack = [u]
         while stack:
             for w in adj[stack.pop()]:
-                if w in closed:
-                    boundary.add(w)
-                elif w not in comp:
-                    if w in reach:
-                        reach.update(comp)
+                if w not in seen:
+                    seen.add(w)
+                    if w in closed:
+                        boundary.add(w)
+                    elif w in reach:
+                        reach.update(seen - boundary)
                         return True
-                    comp.add(w)
-                    stack.append(w)
-        pocket = (frozenset(comp), frozenset(boundary))
-        self._pockets.update(dict.fromkeys(comp, pocket))
+                    else:
+                        stack.append(w)
+        comp = frozenset(seen - boundary)
+        self.pockets.update(dict.fromkeys(comp, (comp, frozenset(boundary))))
         return False
-
-    def pocket(self, u) -> tuple:
-        """(C, N_G(C)) for the component C of G - E - N[X] that holds u, once
-        :meth:`reaches_t` has found that u does not reach t."""
-        return self._pockets[u]
 
     def near_side(self) -> tuple:
         """(C, N_G(C)) for C = C_s(G - E - S) when X = {s}, with no walk:
@@ -261,7 +262,7 @@ class NearSearch:
         boundary = set().union(*self._near_adj)
         for u in boundary - self._closed:
             if u not in side:
-                pocket, pocket_boundary = self._pockets[u]
+                pocket, pocket_boundary = self.pockets[u]
                 side |= pocket
                 boundary |= pocket_boundary
         return frozenset(side), frozenset(boundary - side)

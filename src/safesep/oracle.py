@@ -131,16 +131,17 @@ def min_safe_brute(g: WeightedGraph, A: Iterable[int], B: Iterable[int]) -> Safe
         raise ValueError("terminal sets must be non-empty")
     if A & closed_neighborhood(g, B):
         return SafeSeparatorAnswer.none()
-    ground = set(g.vertices) - A - B
+    ground = sorted(set(g.vertices) - A - B)
     _check_cap(len(ground), "safe-separator search")
-    best = None
-    for S in _subsets_by_size(ground):
-        wt = g.weight_of(S)
-        key = (wt, tuple(sorted(S)))
-        if best is not None and key >= best[0]:
-            continue
-        if is_safe_AB_separator(g, A, B, S):
-            best = (key, S)
+    w = {v: g.weight(v) for v in ground}
+    best = None  # ((weight, sorted vertex tuple), set) of the best so far
+    for k in range(len(ground) + 1):
+        if best is not None and k > best[0][0]:
+            break  # every weight is at least 1, so k vertices weigh at least k
+        for S in combinations(ground, k):  # each S is a sorted tuple
+            key = (sum(w[v] for v in S), S)
+            if (best is None or key < best[0]) and is_safe_AB_separator(g, A, B, S):
+                best = (key, frozenset(S))
     if best is None:
         return SafeSeparatorAnswer.none()
     (wt, _), S = best

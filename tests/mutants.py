@@ -55,6 +55,7 @@ QUERY_LEVEL = (
 BAD_WINNER = "tests/test_min_safe_sep.py::TestFrozenAnswers::test_the_final_check_refuses_a_bad_winner"
 CONSTRUCTION = "tests/test_graph_core.py::TestConstruction"
 SET_PREDICATES = ("tests/test_minimal_separators.py::TestSetPredicates",)
+ANCHOR_READS = "tests/test_close_to.py::TestRunDetails::test_anchor_passes_read_no_vertex_the_search_for_s_walked"
 SEED_CONTRACT = (
     "tests/test_minimal_separators.py::TestSetPredicates"
     "::test_validation_grows_each_side_from_a_seed_that_holds_its_terminal"
@@ -305,6 +306,50 @@ MUTANTS = (
         "(c_sA, S_A | R), (c_tB, S_B | R)",
         "(c_sA, S_A), (c_tB, S_B)",
         ("tests/test_min_safe_sep.py::test_seeded_validation_walks_the_sides_of_an_unseeded_one",),
+    ),
+    # Shortcuts that let a query read each region once: the connectivity
+    # memo, the dead pockets of the search for s, and the anchor sides grown
+    # from what that search walked.
+    Mutant(
+        "connectivity memo: written before the connectivity test",
+        MSS,
+        "    c_a, c_b = sides\n"
+        "    if not winner or (\n"
+        "        len(c_a) + len(c_b) + len(winner) < g.vertex_count\n"
+        "        and not hangs_together(g, winner, set(g.vertices).difference(c_a, c_b, winner))\n"
+        "    ):\n"
+        "        raise ValueError(\"input graph must be connected\")\n"
+        "    g._connected = True\n",
+        "    c_a, c_b = sides\n"
+        "    g._connected = True\n"
+        "    if not winner or (\n"
+        "        len(c_a) + len(c_b) + len(winner) < g.vertex_count\n"
+        "        and not hangs_together(g, winner, set(g.vertices).difference(c_a, c_b, winner))\n"
+        "    ):\n"
+        "        raise ValueError(\"input graph must be connected\")\n",
+        ("tests/test_min_safe_sep.py::TestFrozenAnswers::test_a_disconnected_graph_is_refused_on_every_repeated_query",),
+    ),
+    Mutant(
+        "connectivity memo: read",
+        GRAPH,
+        "    if g._connected is None:\n",
+        "    if True:\n",
+        ("tests/test_min_safe_sep.py::TestFrozenAnswers::test_a_none_query_on_a_graph_known_connected_reads_only_its_gate",),
+    ),
+    Mutant(
+        "near search: the dead-vertex test",
+        MINSEP,
+        "        if u in self.pockets or u in self._dead:\n",
+        "        if u in self.pockets:\n",
+        ("tests/test_minimal_separators.py::TestNearSearch::test_dead_vertices_are_classified_without_a_walk",
+         ANCHOR_READS),
+    ),
+    Mutant(
+        "anchor pass: the s-side grown from the walked side and pockets",
+        CLOSE_TO,
+        "component_from_seed(g, gone_1, *seed)",
+        "component_with_boundary(g, gone_1, s)",
+        (ANCHOR_READS,),
     ),
     # Known survivors: no candidate that a real run produces reaches them.
     Mutant(

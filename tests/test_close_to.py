@@ -11,6 +11,7 @@ from safesep import (
     InternalConsistencyError,
     WeightedGraph,
     close_to,
+    closed_neighborhood,
     component_of,
     gen_atfree_rejection,
     gen_interval,
@@ -243,6 +244,48 @@ class TestRunDetails:
         assert set(run.family) == {frozenset(mids) - {m} | {x} for m, x in zip(mids, exits)}
         assert max(reads[v] for v in body) <= 2
 
+    @pytest.mark.parametrize("case", ["fan with a tail on a", "interval"])
+    def test_anchor_passes_read_no_vertex_the_search_for_s_walked(self, monkeypatch, case):
+        # The search for X = {s} walks C_s(G' - T_s) and the pockets of
+        # G' - N[s].  Every later search's X holds s: it is handed those
+        # pockets as dead, and each anchor's s-side grows from what the
+        # search for s walked, so once the first anchor search starts no
+        # vertex of either is read outside the closed neighborhoods of the
+        # later anchor sets.  In the fan, the tail hanging off a is such a
+        # pocket; in the interval query, the side of s away from t.
+        if case == "interval":
+            g, s, t, A = gen_interval(60, wmax=5, seed=6), 22, 5, {20, 26}
+        else:
+            g, s, a, t, _ = fan_gadget(3, 20, 0)
+            tail = range(g.n, g.n + 15)
+            g, A = WeightedGraph(g.n + 15, [*g.edges(), *zip([a, *tail], tail)]), {a}
+        searched, searches, read = [], [], set()  # X and result of each search
+
+        class CountingAdjacency(dict):
+            def __getitem__(self, v):
+                if len(searched) > 1:
+                    read.add(v)
+                return super().__getitem__(v)
+
+        def recording(g, X, *args, **kwargs):
+            searched.append(frozenset(X))
+            searches.append(minimal_separators.near_search(g, X, *args, **kwargs))
+            return searches[-1]
+
+        monkeypatch.setattr(close_to_module, "near_search", recording)
+        g._adj = CountingAdjacency(g._adj)
+        run = close_to_run(g, s, t, A)
+        g._adj = dict(g._adj)  # the checks below are not counted
+        assert len(searched) > 1 and run.family
+        assert run.sides == tuple(component_of(g, S, s) for S in run.family)
+        for S, side in zip(run.family, run.sides):
+            assert is_minimal_st_separator(g, s, t, S) and A <= side
+        first = searches[0]
+        walked = set(first.pockets) | first.near_side()[0]
+        closed = set().union(*(closed_neighborhood(g, X) for X in searched[1:]))
+        assert len(walked - closed) >= 15
+        assert not read & (walked - closed)
+
     def test_members_are_minimal_and_keep_a_on_the_source_side(self):
         for seed in range(40):
             rng = random.Random(f"details:{seed}")
@@ -303,13 +346,15 @@ class TestAgainstBruteForce:
     )
     def test_fan_gadgets_share_one_walk_among_their_anchors(self, monkeypatch, k, body_n, k_b):
         # Each run close to a fan of k > 1 middles has k anchor vertices, so
-        # one walk of t's side seeds every anchor search.
+        # one walk of t's side seeds every anchor search, and each is handed
+        # the pocket {a} (or {b}) of the search for s as dead.
         g, s, a, t, b = fan_gadget(k, body_n, k_b)
         seeded = []
 
-        def recording(g, X, t, excluded=frozenset(), known=frozenset()):
+        def recording(g, X, t, excluded=frozenset(), known=frozenset(), dead=frozenset()):
             seeded.append(bool(known))
-            return minimal_separators.near_search(g, X, t, excluded, known)
+            assert bool(known) == (len(X) > 1) == (set(A) <= set(dead))
+            return minimal_separators.near_search(g, X, t, excluded, known, dead)
 
         monkeypatch.setattr(close_to_module, "near_search", recording)
         runs = [(s, t, {a})] + ([(t, s, {b})] if k_b else [])

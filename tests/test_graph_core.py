@@ -296,6 +296,33 @@ class TestConnectivity:
                 assert is_connected(h) == (len(components(h, ())) == 1)
         assert is_connected(WeightedGraph(0))
 
+    def test_connectivity_is_walked_once_and_remembered(self):
+        # Every constructor leaves the memo unset, is_connected walks the
+        # graph once and remembers the answer, and the memo is no part of a
+        # graph's value.
+        reads = []
+
+        class CountingAdjacency(dict):
+            def __getitem__(self, v):
+                reads.append(v)
+                return super().__getitem__(v)
+
+        rng = random.Random(23)
+        for _ in range(100):
+            g = random_weighted_graph(rng.randint(2, 9), rng, p=rng.choice((0.15, 0.3, 0.5)))
+            derived = [subdivide(g)[0], induced_delete(g, {0})]
+            if not g.has_edge(0, 1):
+                derived.append(fold_cores(g, 0, frozenset({0}), 1, frozenset({1}), g.neighbors(0) & g.neighbors(1)))
+            for h in (g, *derived):
+                assert h._connected is None
+                expected = len(components(h, ())) == 1
+                copy = WeightedGraph._from_parts(h.n, dict(h._adj), dict(h._w))
+                assert is_connected(h) is expected and h._connected is expected
+                assert h == copy and hash(h) == hash(copy) and copy._connected is None
+                h._adj = CountingAdjacency(h._adj)
+                reads.clear()
+                assert is_connected(h) is expected and not reads
+
 
 class TestTraversal:
     def test_bfs_path_avoids_forbidden(self):

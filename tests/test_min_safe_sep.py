@@ -1,6 +1,5 @@
 """End-to-end minimum-weight safe separator computation."""
 
-import importlib
 import random
 
 import pytest
@@ -17,6 +16,7 @@ from safesep import (
     component_of,
     gen_atfree_rejection,
     gen_interval,
+    graph_core,
     is_at_free,
     is_minimal_AB_separator,
     is_safe_AB_separator,
@@ -207,30 +207,81 @@ class TestFrozenAnswers:
 
     def test_only_none_answers_walk_the_whole_graph(self, monkeypatch):
         """An answer reads connectivity off the two walks that validate its
-        winner and copies no graph; a NONE answer checks connectivity with
-        one whole-graph walk."""
-        calls = []
+        winner and remembers it on the graph; a NONE answer checks it with
+        one whole-graph walk, unless the graph already knows it is
+        connected.  The spy sits in graph_core, where is_connected walks."""
+        walks = []
+        honest = graph_core.component_with_boundary
 
-        def counting(name, fn):
-            def spy(*args):
-                calls.append(name)
-                return fn(*args)
-            return spy
+        def counting(g, X, *starts):
+            walks.append(starts)
+            return honest(g, X, *starts)
 
-        for module in ("graph_core", "min_safe_sep", "close_to", "minimal_separators",
-                       "min_weight_separator"):
-            module = importlib.import_module(f"safesep.{module}")
-            for name in ("is_connected", "components"):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        monkeypatch.setattr(graph_core, "component_with_boundary", counting)
         g = gen_interval(300, wmax=5, seed=3)
         assert min_safe_separator(QueryInstance(g, {0}, {299})).exists
-        assert calls == []
+        assert walks == [] and g._connected is True
         adjacent = min(g.neighbors(0))
         for A, B in (({0}, {adjacent}), ({0, 299}, {150})):
-            calls.clear()
-            assert not min_safe_separator(QueryInstance(g, A, B)).exists
-            assert calls == ["is_connected"]
+            h = WeightedGraph(g.n, g.edges(), [g.weight(v) for v in g.vertices])
+            for walked in ([(0,)], []):
+                walks.clear()
+                assert not min_safe_separator(QueryInstance(h, A, B)).exists
+                assert walks == walked and h._connected is True
+
+    def test_a_none_answer_runs_close_to_run_once(self, monkeypatch):
+        # A = {0, 299} holds together only through B = {150}: run_A's family
+        # is empty, so no pair can qualify and run_B is never computed.
+        runs = []
+        honest = min_safe_sep.close_to_run
+
+        def counting(g, s, t, A, R):
+            runs.append(s)
+            return honest(g, s, t, A, R)
+
+        monkeypatch.setattr(min_safe_sep, "close_to_run", counting)
+        g = gen_interval(300, wmax=5, seed=3)
+        assert not min_safe_separator(QueryInstance(g, {0, 299}, {150})).exists
+        assert runs == [0]
+        runs.clear()
+        assert min_safe_separator(QueryInstance(g, {0}, {299})).exists
+        assert runs == [0, 299]
+
+    def test_a_none_query_on_a_graph_known_connected_reads_only_its_gate(self):
+        # After an answer on the same graph, a NONE query whose A-family is
+        # empty reads the adjacency of A, B and the side its failing gate
+        # walks, C_s(G - R - N(t)), and nothing else.
+        g = gen_interval(300, wmax=5, seed=3)
+        assert min_safe_separator(QueryInstance(g, {0}, {299})).exists
+        A, B = frozenset({0, 299}), frozenset({150})
+        R = neighborhood(g, A) & neighborhood(g, B)
+        gate_side = component_of(g, R | neighborhood(g, B), 0)
+        touched = set()
+
+        class CountingAdjacency(dict):
+            def __getitem__(self, v):
+                touched.add(v)
+                return super().__getitem__(v)
+
+        g._adj = CountingAdjacency(g._adj)
+        assert not min_safe_separator(QueryInstance(g, A, B)).exists
+        assert touched <= gate_side | A | B and 0 < len(gate_side) < g.vertex_count // 2
+
+    def test_a_disconnected_graph_is_refused_on_every_repeated_query(self):
+        # On the path 0-...-4 plus the lone vertex 5, the query ({0}, {4})
+        # finds a winner that fails the connectivity test, ({0, 4}, {2}) has
+        # an empty A-family and ({0}, {1}) adjacent sides.  In either order,
+        # in both modes and on every repeat each is refused, and the graph
+        # never remembers itself as connected.
+        queries = [({0}, {4}), ({0, 4}, {2}), ({0}, {1})]
+        for order in (queries, queries[::-1]):
+            g = WeightedGraph(6, [(i, i + 1) for i in range(4)])
+            for verified in (False, True, False):
+                for A, B in order:
+                    with pytest.raises(ValueError, match="connected"):
+                        min_safe_separator(QueryInstance(g, A, B), verified=verified)
+                    assert g._connected is not True
+            assert g._connected is False
 
     def test_verified_mode_rejects_asteroidal_triples(self):
         g = WeightedGraph(6, [(i, (i + 1) % 6) for i in range(6)])

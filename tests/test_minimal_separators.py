@@ -158,11 +158,21 @@ class TestSetPredicates:
         one_a, one_b = ({0}, {1}), ({4}, {3})
         assert safe_minimal_sides(g, A, B, S, one_a, one_b) == ({0, 1}, {3, 4})
         assert safe_minimal_sides(g, A, B, S, ({0, 1}, {2}), ({3, 4}, {2})) == ({0, 1}, {3, 4})
-        # A seed that meets S, or misses min(A) (min(B)), is refused.
+        # A seed that meets S, or misses min(A) (min(B)), is refused before
+        # any walk reads the graph.
+        reads = []
+
+        class CountingAdjacency(dict):
+            def __getitem__(self, v):
+                reads.append(v)
+                return super().__getitem__(v)
+
+        g._adj = CountingAdjacency(g._adj)
         assert safe_minimal_sides(g, A, B, S, ({0, 1, 2}, {3}), one_b) is None
         assert safe_minimal_sides(g, A, B, S, one_a, ({2, 3, 4}, {1})) is None
         assert safe_minimal_sides(g, A, B, S, ({1}, {0, 2}), one_b) is None
         assert safe_minimal_sides(g, A, B, S, one_a, ({3}, {2, 4})) is None
+        assert reads == []
 
     def test_separator_overlapping_the_sets_is_rejected(self):
         g = path_graph(5)
@@ -273,8 +283,45 @@ class TestNearSearch:
         for u in order:
             assert search.reaches_t(u) == (u in c_t)
             if u not in c_t:
-                assert search.pocket(u) == pockets[u]
+                assert search.pockets[u] == pockets[u]
         assert max(reads.values()) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(connected_graphs(min_n=4, max_n=14), atfree_graphs(max_n=14)), st.data())
+    def test_dead_vertices_are_classified_without_a_walk(self, g, data):
+        # The pockets of the search for a vertex x of X stay cut off from t
+        # in G - E - N[X].  Handed over as dead, they leave the separator and
+        # every classification unchanged, and the search reads none of them
+        # outside N[X].
+        verts = sorted(g.vertices)
+        t = data.draw(st.sampled_from(verts))
+        X = data.draw(st.sets(st.sampled_from([v for v in verts if v != t]), min_size=1, max_size=4))
+        pool = [v for v in verts if v != t and v not in X]
+        E = data.draw(st.sets(st.sampled_from(pool), max_size=4)) if pool else set()
+        X, E = frozenset(X), frozenset(E)
+        first = near_search(g, {min(X)}, t, E)
+        if first is not None:
+            for u in set(verts) - E - closed_neighborhood(g, {min(X)}):
+                first.reaches_t(u)
+        dead = first.pockets if first is not None else {}
+        reference = close_side(g, X, t, E)
+        closed = E | closed_neighborhood(g, X)
+        read = set()
+
+        class CountingAdjacency(dict):
+            def __getitem__(self, v):
+                read.add(v)
+                return super().__getitem__(v)
+
+        g._adj = CountingAdjacency(g._adj)
+        search = near_search(g, X, t, E, dead=dead)
+        if reference is None:
+            assert search is None
+            return
+        assert search.separator == reference[1] - E
+        for u in sorted(set(verts) - closed):
+            assert search.reaches_t(u) == (u in reference[0])
+        assert not read & (set(dead) - closed)
 
 
 class TestComponentOrder:
