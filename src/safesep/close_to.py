@@ -11,19 +11,39 @@ T_s closest to s).
 The procedure works in the graph G' = G - L where L collects the common
 neighbors of sA and t (vertices every qualifying separator must contain),
 walks the component structure under the separator closest to s, and reads
-off one close separator N(C_t(G' - N(X))) per anchor set X: s with the
+off one close separator N(C_t(G' - N[X])) per anchor set X: s with the
 anchored part of A and one candidate anchor vertex, and in the contraction
-branch a settled source side with one of its boundary vertices.  Each is
-found from X's side (``near_search``), which walks t's side only as far as
-the first vertex known to reach t; X need not be connected, and the result
-is the close separator of s in G' with s joined to N[X] - {s}.  Several
-anchor vertices share one walk of C_t(G' - Z), Z the closed neighborhood of
-all their anchor sets, which seeds each search.  A final definitional filter
-keeps exactly the family members: the raw candidate list is guaranteed to
-contain the whole family, but single candidates produced by the contraction
-branch can fail closeness, so each survivor is checked minimal-with-A-inside
-and non-dominated against the other survivors.  The unfiltered candidates,
-and the s-side of each member, stay available to callers.
+branch a settled source side with one of its boundary vertices, alone and
+with the part of A that the side strands.  Each is found from X's side
+(``near_search``), which walks t's side only as far as the first vertex
+known to reach t; X need not be connected, and the result is the close
+separator of s in G' with s joined to N[X] - {s}.  Several anchor vertices
+share one walk of C_t(G' - Z), Z the closed neighborhood of all their
+anchor sets, which seeds each search.
+
+Every candidate is T | L for the close separator T = N(C_t(G' - N[X])) of
+G' of an anchor set X that holds s and misses N[t] (sA misses N[t], or the
+run stops at once; a boundary vertex w in N(t) is skipped), and in G - R:
+
+* T | L avoids s and t: T lies in N(X), and L in N(t), which misses s;
+* it separates them, and N(C_t) = T | L: C_t(G' - N[X]) misses s in X, its
+  neighbors lie in T | L | R, every vertex of T touches it, and L <= N(t).
+
+So a candidate S is a minimal s,t-separator exactly when N(C_s) = S, and
+the definitional filter tests only that, A inside C_s, and domination among
+the survivors.  It keeps exactly the family from any list that contains the
+family: a survivor outside the family is dominated by a member, as
+domination is well-founded.  On AT-free inputs the raw candidates contain
+the whole family, so a candidate that is not a member changes nothing.  The
+unfiltered candidates, and the s-side of each member, stay available to
+callers.
+
+In the contraction branch the anchor pass left part of A_v outside
+c_s_1 = C_s(G' - S_1), and Q_s is the part of S_1 touched by the walk from
+N[X] - S_1.  That walk holds c_s_1, so every neighbor of c_s_1 outside gone
+lies in Q_s, and c_s_1 is also C_s(G' - Q_s).  The anchor v lies in c_s_1
+(it is s, or lies in N(s) - S_1), so Q_s | L would strand part of A and is
+no candidate.
 
 G' is never built: every walk runs in G with L excluded, and collects the
 neighborhood of its component in G on the way; minus L, that is the
@@ -38,10 +58,8 @@ pockets of G' - N[s] it walked are dead in the later searches, which never
 walk them, and the s-side C_s(G' - T) that tests A for an anchor's
 separator T grows from C_s(G' - T_s) and the pockets holding part of A.
 Each is the s-side of the candidate T | L in G - R as well, so the filter
-is handed it.  No candidate the search produced needs its t-side: every
-vertex of T was seen next to a vertex proven to reach t, and L lies in
-N(t), so N(C_t) = T | L holds by construction.  The filter walks only the
-sides it lacks.
+is handed it, and walks only the s-sides of the contraction branch's
+candidates.  No candidate needs its t-side walked.
 """
 
 from __future__ import annotations
@@ -58,11 +76,10 @@ from .graph_core import (
     component_from_seed,
     component_with_boundary,
     family_sorted,
-    hangs_together,
     neighborhood,
     reaches_all,
 )
-from .minimal_separators import near_search
+from .minimal_separators import _check_terminals, near_search
 
 
 def nested_component_meet(T_s: frozenset, boundaries):
@@ -98,22 +115,17 @@ class CloseToRun:
     sides: tuple = ()
 
 
-def _definition_filter(
-    g: WeightedGraph, s, t, A: frozenset, candidates, walked=None, full_t=EMPTY_SET, R=EMPTY_SET
-) -> tuple:
-    """Keep exactly the separators close to sA in G - R: minimal, A on the
-    s-side, and not dominated by another survivor with a strictly smaller
-    s-component.  Returns (family, sides) as in :class:`CloseToRun`.
+def _definition_filter(g: WeightedGraph, s, A: frozenset, candidates, walked=None, R=EMPTY_SET) -> tuple:
+    """Keep exactly the separators close to sA in G - R among candidates
+    built as the module describes: minimal, A on the s-side, and not
+    dominated by another survivor with a strictly smaller s-component.
+    Returns (family, sides) as in :class:`CloseToRun`.
 
     ``walked`` maps a candidate S to its s-side (C_s(G-R-S), N_G(C_s(G-R-S)))
-    when that has already been walked, and ``full_t`` holds the candidates
-    that :func:`near_search` produced.  All four tests run on every
-    candidate: t outside C_s, A inside C_s, N(C_s) = S and N(C_t) = S in
-    G - R, the last two proving S a minimal s,t-separator.  The filter walks
-    the s-side it is not handed, and the t-side of a candidate outside
-    ``full_t``; for one inside, N(C_t) = S holds by construction, as every
-    vertex of S - L was seen next to a vertex proven to reach t, and
-    L <= N(t).
+    when that has already been walked; the filter walks the others.  Two
+    tests run on every candidate: A inside C_s, and N(C_s) = S in G - R.
+    Construction proves the rest of minimality: each candidate avoids s and
+    t, separates them, and has N(C_t) = S in G - R.
 
     The N(C_s) = S test also proves, for every member S, that N_G(C_s) is
     S | (N_G(C_s) & R): :func:`min_safe_separator` hands the winning pair's
@@ -127,14 +139,9 @@ def _definition_filter(
         if S in seen:
             continue
         seen.add(S)
-        if s in S or t in S:
-            continue
         c_s, n_s = walked.get(S) or component_with_boundary(g, S | R, s)
-        if t in c_s or not A <= c_s or n_s - R != S:
-            continue
-        if S not in full_t and component_with_boundary(g, S | R, t)[1] - R != S:
-            continue
-        survivors.append((S, c_s))
+        if A <= c_s and n_s - R == S:
+            survivors.append((S, c_s))
     # Distinct minimal separators have distinct source components (each is the
     # neighborhood of its own), so domination is a strict-subset test; sorting
     # by component size lets each survivor check only smaller ones.
@@ -184,7 +191,7 @@ def close_to_run(g: WeightedGraph, s, t, A: Iterable[int], R: frozenset = EMPTY_
     c_s_ts, n_s_ts = search.near_side()
     if sA <= c_s_ts:
         S = T_s | L
-        family, sides = _definition_filter(g, s, t, A, [S], {S: (c_s_ts, n_s_ts)}, {S}, R)
+        family, sides = _definition_filter(g, s, A, [S], {S: (c_s_ts, n_s_ts)}, R)
         return CloseToRun(family, (S,), sides)
 
     # The vertices of A in C_s, T_s or C_t(G' - T_s) form the anchored core.
@@ -215,20 +222,14 @@ def close_to_run(g: WeightedGraph, s, t, A: Iterable[int], R: frozenset = EMPTY_
     seed = (c_s_ts.union(*pockets), n_s_ts.union(*pockets.values()))
     candidates = []
     walked = {}
-    full_t = set()
     for v in anchors:
         A_v = a_core | {v}
         X = A_v | {s}
-        found = near_search(g, X, t, gone, known, search.pockets)
-        if found is None:
-            # Cannot happen: sA misses N[t], and v in T_s <= N(s) would be in L if in N(t).
-            raise InternalConsistencyError("the anchor set meets the closed neighborhood of t")
-        S_1 = found.separator
+        S_1 = near_search(g, X, t, gone, known, search.pockets).separator
         gone_1 = gone | S_1
         c_s_1, n_s_1 = component_from_seed(g, gone_1, *seed)
         candidates.append(S_1 | L)
         walked[S_1 | L] = (c_s_1, n_s_1)
-        full_t.add(S_1 | L)
         if A_v <= c_s_1:
             # S_1 keeps all of A_v on the source side of G' itself, so it is
             # the only separator this pass can contribute.  (Testing the
@@ -237,35 +238,24 @@ def close_to_run(g: WeightedGraph, s, t, A: Iterable[int], R: frozenset = EMPTY_
             # boundary candidates below would then never be generated.)
             continue
         # Contraction branch: Q_s is the part of S_1 that the components of
-        # G' - S_1 meeting N[X] touch.  Settle the source side of Q_s and read
-        # off candidates anchored at it plus each boundary vertex w.
+        # G' - S_1 meeting N[X] touch, and c_s_1 is C_s(G' - Q_s) (see the
+        # module docstring).  Anchor at c_s_1 plus each boundary vertex w,
+        # and at those with the rest of the targets d_v that c_s_1 leaves
+        # out: when the first anchor strands part of A_v, the second
+        # recovers the member.
         Q_s = component_with_boundary(g, gone_1, *(closed_neighborhood(g, X) - gone_1))[1] - gone
-        if not Q_s:
-            continue
-        candidates.append(Q_s | L)
-        # Q_s <= S_1, so C_s(G' - Q_s) holds C_s(G' - S_1) and grows from it.
-        c_s_q, n_s_q = component_from_seed(g, gone | Q_s, c_s_1, n_s_1)
-        walked[Q_s | L] = (c_s_q, n_s_q)
-        d_v = A_v - c_s_q
+        d_v = A_v - c_s_1
         for w in sorted(Q_s):
-            X_w = c_s_q | {w}
+            X_w = c_s_1 | {w}
             found = near_search(g, X_w, t, gone, dead=search.pockets)
             if found is None:
                 continue
             candidates.append(found.separator | L)
-            full_t.add(found.separator | L)
             rest = d_v - {w}
-            # Anchor the close separator at X_w and the surviving targets as
-            # well, when they hang together with X_w; when the plain boundary
-            # anchor strands part of A_v this variant is the one that recovers
-            # the member.
-            if rest and hangs_together(g, X_w, rest):
-                found = near_search(g, X_w | rest, t, gone, dead=search.pockets)
-                if found is not None:
-                    candidates.append(found.separator | L)
-                    full_t.add(found.separator | L)
+            if rest:
+                candidates.append(near_search(g, X_w | rest, t, gone, dead=search.pockets).separator | L)
 
-    family, sides = _definition_filter(g, s, t, A, candidates, walked, full_t, R)
+    family, sides = _definition_filter(g, s, A, candidates, walked, R)
     return CloseToRun(family, family_sorted(candidates), sides)
 
 
@@ -278,21 +268,17 @@ def close_to(g: WeightedGraph, s, t, A: Iterable[int], *, verified: bool = False
     scans g once for an asteroidal triple (ValueError if it has one); fast
     mode skips the scan, and the correctness guarantee then rests on the
     caller supplying an AT-free graph.  Both modes check the
-    component-neighborhood chain and that no anchor set meets N[t] during the
-    run, and raise InternalConsistencyError when either check fails.  The
-    checked query runs through :func:`close_to_run`.
+    component-neighborhood chain during the run, and raise
+    InternalConsistencyError when it fails.  The checked query runs through
+    :func:`close_to_run`.
     """
     A = frozenset(A)
-    if s == t:
-        raise ValueError("terminals must be distinct")
-    for x in (s, t):
-        if not g.has_vertex(x):
-            raise ValueError(f"terminal {x} is not an active vertex")
+    _check_terminals(g, s, t, EMPTY_SET)
     if A & {s, t}:
         raise ValueError("A must avoid the terminals")
     for v in A:
         if not g.has_vertex(v):
-            raise ValueError(f"A contains inactive vertex {v}")
+            raise ValueError(f"A contains inactive vertex {v!r}")
     if verified and not is_at_free(g):
         raise ValueError("input graph is not AT-free")
     return close_to_run(g, s, t, A).family

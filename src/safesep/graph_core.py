@@ -75,7 +75,9 @@ class WeightedGraph:
         return sum(len(nb) for nb in self._adj.values()) // 2
 
     def has_vertex(self, v) -> bool:
-        return v in self._adj
+        """Whether v is an active vertex; ids that are not ints, and bools,
+        never are."""
+        return isinstance(v, int) and not isinstance(v, bool) and v in self._adj
 
     def has_edge(self, u, v) -> bool:
         return v in self._adj.get(u, ())
@@ -293,7 +295,7 @@ def subdivide(g: WeightedGraph, subdivision_weight: int = 1):
     original edge it replaced.  Original identifiers are preserved; fresh
     identifiers start at g.n.
     """
-    if not isinstance(subdivision_weight, int) or subdivision_weight < 1:
+    if not isinstance(subdivision_weight, int) or isinstance(subdivision_weight, bool) or subdivision_weight < 1:
         raise ValueError("subdivision weight must be a positive integer")
     adj = {v: [] for v in g._adj}
     w = dict(g._w)

@@ -82,7 +82,7 @@ class QueryInstance:
         if self.A & self.B:
             raise ValueError("terminal sets must be disjoint")
         for v in self.A | self.B:
-            if not isinstance(v, int) or isinstance(v, bool) or not self.graph.has_vertex(v):
+            if not self.graph.has_vertex(v):
                 raise ValueError(f"terminal {v!r} is not an active vertex")
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from .errors import InternalConsistencyError, NoSeparatorError
 from .graph_core import EMPTY_SET, WeightedGraph
-from .minimal_separators import is_minimal_st_separator
+from .minimal_separators import _check_terminals, is_minimal_st_separator
 
 
 def _add(flows: dict, key, amount) -> dict:
@@ -184,11 +184,7 @@ def min_weight_st_separator(g: WeightedGraph, s, t):
     source-side residual-reachability cut is returned; it is always a minimal
     separator (validated before returning).
     """
-    if s == t:
-        raise ValueError("terminals must be distinct")
-    for x in (s, t):
-        if not g.has_vertex(x):
-            raise ValueError(f"terminal {x} is not an active vertex")
+    _check_terminals(g, s, t, EMPTY_SET)
     if g.has_edge(s, t):
         raise NoSeparatorError("terminals are adjacent; no s,t-separator exists")
     return FlowNetwork(g, s, t).min_cut()

@@ -35,7 +35,7 @@ def _check_terminals(g: WeightedGraph, s, t, S: frozenset):
         raise ValueError("terminals must be distinct")
     for x in (s, t):
         if not g.has_vertex(x):
-            raise ValueError(f"terminal {x} is not an active vertex")
+            raise ValueError(f"terminal {x!r} is not an active vertex")
         if x in S:
             raise ValueError(f"terminal {x} lies inside the candidate separator")
 

@@ -51,11 +51,14 @@ QUERY_LEVEL = (
     "tests/test_min_safe_sep.py::TestAgainstBruteForce",
     "tests/test_min_safe_sep.py::TestPinnedAnswers",
     "tests/test_acceptance.py",
+    "tests/test_corpus.py",
 )
 BAD_WINNER = "tests/test_min_safe_sep.py::TestFrozenAnswers::test_the_final_check_refuses_a_bad_winner"
 CONSTRUCTION = "tests/test_graph_core.py::TestConstruction"
 SET_PREDICATES = ("tests/test_minimal_separators.py::TestSetPredicates",)
 ANCHOR_READS = "tests/test_close_to.py::TestRunDetails::test_anchor_passes_read_no_vertex_the_search_for_s_walked"
+CORPUS_CLOSE = "tests/test_corpus.py::test_close_families_match_the_oracle_on_the_stratum"
+REST_PINS = "tests/test_close_to.py::TestAgainstBruteForce::test_the_member_that_only_the_rest_anchor_finds"
 SEED_CONTRACT = (
     "tests/test_minimal_separators.py::TestSetPredicates"
     "::test_validation_grows_each_side_from_a_seed_that_holds_its_terminal"
@@ -119,11 +122,14 @@ MUTANTS = (
         ("tests/test_graph_core.py::TestAdjacencyTuples::test_edge_order_and_repeats_do_not_matter",),
     ),
     Mutant(
-        "query: integer terminal ids",
-        MSS,
-        "            if not isinstance(v, int) or isinstance(v, bool) or not self.graph.has_vertex(v):\n",
-        "            if not self.graph.has_vertex(v):\n",
-        ("tests/test_min_safe_sep.py::TestAnswerType::test_query_rejects_vertex_ids_that_are_not_integers",),
+        "has_vertex: ids that are not ints, and bools",
+        GRAPH,
+        "        return isinstance(v, int) and not isinstance(v, bool) and v in self._adj\n",
+        "        return v in self._adj\n",
+        ("tests/test_graph_core.py::TestConstruction::test_has_vertex_refuses_ids_that_are_not_ints",
+         "tests/test_min_safe_sep.py::TestAnswerType::test_query_rejects_vertex_ids_that_are_not_integers",
+         "tests/test_close_to.py::TestFrozenFamilies::test_refuses_vertex_ids_that_are_not_ints",
+         "tests/test_min_weight_separator.py::test_refuses_terminal_ids_that_are_not_ints"),
     ),
     Mutant(
         "connectivity: one walk must reach every vertex",
@@ -351,35 +357,47 @@ MUTANTS = (
         "component_with_boundary(g, gone_1, s)",
         (ANCHOR_READS,),
     ),
-    # Known survivors: no candidate that a real run produces reaches them.
+    # The close family: the filter's tests that construction does not prove,
+    # and the contraction branch's anchors.
+    Mutant(
+        "filter: A inside C_s",
+        CLOSE_TO,
+        "        if A <= c_s and n_s - R == S:\n",
+        "        if n_s - R == S:\n",
+        (CORPUS_CLOSE,),
+    ),
+    Mutant(
+        "filter: domination",
+        CLOSE_TO,
+        "        if not any(other < c_s for _, other in survivors[:i])\n",
+        "        if True\n",
+        (REST_PINS,),
+    ),
+    Mutant(
+        "contraction branch: no rest variant",
+        CLOSE_TO,
+        "            if rest:\n",
+        "            if False:\n",
+        (REST_PINS,),
+    ),
+    Mutant(
+        "contraction branch: anchor at {s, w} instead of c_s_1 | {w}",
+        CLOSE_TO,
+        "            X_w = c_s_1 | {w}\n",
+        "            X_w = frozenset({s, w})\n",
+        ("tests/test_close_to.py::TestAgainstBruteForce::test_contraction_branch_matches_definition",),
+    ),
+    # Known survivor: no candidate that a run produces fails this test.
     Mutant(
         "filter: the N(C_s) = S test",
         CLOSE_TO,
-        "        if t in c_s or not A <= c_s or n_s - R != S:\n",
-        "        if t in c_s or not A <= c_s:\n",
+        "        if A <= c_s and n_s - R == S:\n",
+        "        if A <= c_s:\n",
         QUERY_LEVEL,
-        survivor="only the hand-fed test_filter_drops_separators_that_are_not_minimal kills it; "
-        "settled by the small-graph corpus (ROADMAP item 6) or a proof that no produced "
-        "candidate fails it (item 7)",
-    ),
-    Mutant(
-        "filter: the full t-side test",
-        CLOSE_TO,
-        "        if S not in full_t and component_with_boundary(g, S | R, t)[1] - R != S:\n"
-        "            continue\n",
-        "",
-        QUERY_LEVEL,
-        survivor="only the hand-fed test_filter_drops_separators_that_are_not_minimal kills it; "
-        "settled as the N(C_s) = S test is (ROADMAP items 6 and 7)",
-    ),
-    Mutant(
-        "contraction branch: the T_wd skip",
-        CLOSE_TO,
-        "            if rest and hangs_together(g, X_w, rest):\n",
-        "            if rest:\n",
-        QUERY_LEVEL,
-        survivor="changes families only on graphs with an asteroidal triple (CHANGES.md); "
-        "settled by the small-graph corpus (ROADMAP items 6 and 7)",
+        survivor="no candidate of the whole corpus (python tests/sweep.py) or of tier-1 fails it, "
+        "and only the hand-fed test_filter_drops_separators_that_are_not_minimal kills it; it "
+        "stays because it proves N(C_s) = S | (N(C_s) & R) for every member, from which the "
+        "winner's validation takes its seed neighborhoods without a walk",
     ),
 )
 

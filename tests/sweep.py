@@ -1,0 +1,219 @@
+"""The full sweep of the small-graph corpus against the exhaustive oracles.
+
+    python tests/sweep.py              # every graph of tests/corpus_atfree.txt
+    python tests/sweep.py N_MAX        # the graphs on at most N_MAX vertices
+
+Two parts, each with a one-line summary:
+
+* ``close``: fast-mode ``close_to_run(g, s, t, A)`` for every ordered pair
+  (s, t) and every A of at most two other vertices, against
+  ``close_family_brute``, and each run against :func:`unproven`.  It
+  counts the runs that reached each branch of
+  ``close_to_run`` (several anchors, the contraction branch, a non-empty
+  ``rest``), and the raw candidates that the filter drops: for A outside
+  C_s, for N(C_s) != S, and as dominated.
+* ``safe``: verified ``min_safe_separator`` for every pair of disjoint sets
+  A and B of one or two vertices, against ``min_safe_brute``, once with unit
+  weights and once with the weights 1 + (5v mod 7).  It counts the queries
+  with an answer, the close-family pairs, the pairs that fail to qualify,
+  and the graphs that verified mode proves AT-free by the fallback scan
+  rather than an ordering (the five-cycle is the smallest).
+
+The sweep is not part of the tier-1 suite, which runs the graphs on at most
+six vertices through :func:`close_sweep`; exit status 1 on a disagreement.
+"""
+
+from __future__ import annotations
+
+import importlib
+import sys
+import time
+from collections import Counter
+from contextlib import contextmanager
+from itertools import combinations
+from pathlib import Path
+
+if __package__:
+    from .brutes import is_safe_ab_separator_brute, side_with_boundary
+    from .corpus import load
+else:  # run as a script
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+    sys.path.insert(0, str(Path(__file__).resolve().parent))
+    from brutes import is_safe_ab_separator_brute, side_with_boundary
+    from corpus import load
+
+from safesep import QueryInstance, WeightedGraph, min_safe_separator
+from safesep.atfree import _has_cocomparability_ordering
+from safesep.oracle import close_family_brute, min_safe_brute
+
+# ``safesep.close_to`` is the function of that name; the module is reached
+# through importlib.
+close_to_module = importlib.import_module("safesep.close_to")
+min_safe_module = importlib.import_module("safesep.min_safe_sep")
+
+
+@contextmanager
+def recorded_searches():
+    """Record each ``near_search`` that ``close_to_run`` makes, as
+    (kind, X, found): kind is ``anchor`` for an anchor pass (handed the
+    shared walk and the dead pockets), ``boundary`` for the contraction
+    branch (handed the dead pockets alone) and ``first`` otherwise."""
+    log = []
+    real = close_to_module.near_search
+
+    def recording(g, X, t, *args, **kwargs):
+        found = real(g, X, t, *args, **kwargs)
+        kind = "anchor" if len(args) == 3 else "boundary" if "dead" in kwargs else "first"
+        log.append((kind, frozenset(X), found))
+        return found
+
+    close_to_module.near_search = recording
+    try:
+        yield log
+    finally:
+        close_to_module.near_search = real
+
+
+def branches(log) -> set:
+    """The branches one run's searches reached: ``several anchors``,
+    ``contraction`` and ``rest`` (a boundary search for X_w | rest, which
+    strictly holds the X_w searched just before it)."""
+    kinds = Counter(kind for kind, _, _ in log)
+    reached = set()
+    if kinds["anchor"] > 1:
+        reached.add("several anchors")
+    if kinds["boundary"]:
+        reached.add("contraction")
+    for (k1, X1, _), (k2, X2, _) in zip(log, log[1:]):
+        if k1 == k2 == "boundary" and X1 < X2:
+            reached.add("rest")
+    return reached
+
+
+def unproven(g: WeightedGraph, s, t, A, R, run) -> list:
+    """The facts that the definitional filter trusts and that fail for one
+    ``close_to_run`` on G - R, checked from the definitions: every raw
+    candidate S avoids s and t, separates them, and has N(C_t) - R = S;
+    every member is a minimal s,t-separator with A on its s-side, whose side
+    the run reports; and no member's s-side strictly holds another's."""
+    faults = []
+    for S in run.raw_candidates:
+        c_t, n_t = side_with_boundary(g, t, S | R)
+        if s in S or t in S or s in c_t or n_t - R != S:
+            faults.append(("candidate", S))
+    sides = []
+    for S in run.family:
+        c_s, n_s = side_with_boundary(g, s, S | R)
+        if t in c_s or not A <= c_s or n_s - R != S or side_with_boundary(g, t, S | R)[1] - R != S:
+            faults.append(("member", S))
+        sides.append(c_s)
+    if run.sides != tuple(sides):
+        faults.append("sides")
+    if any(x < y for x in sides for y in sides):
+        faults.append("a dominated member")
+    return faults
+
+
+def close_sweep(graphs) -> tuple:
+    """(counts, disagreements) of the close part over graphs."""
+    counts = Counter(dict.fromkeys(
+        ("calls", "several anchors", "contraction", "rest", "raw candidates",
+         "A outside C_s", "N(C_s) != S", "dominated"), 0))
+    bad = []
+    with recorded_searches() as log:
+        for g in graphs:
+            for s in g.vertices:
+                for t in g.vertices:
+                    if s == t:
+                        continue
+                    others = [v for v in g.vertices if v not in (s, t)]
+                    for k in range(3):
+                        for A in combinations(others, k):
+                            A = frozenset(A)
+                            log.clear()
+                            run = close_to_module.close_to_run(g, s, t, A)
+                            counts["calls"] += 1
+                            counts.update(branches(log))
+                            expected = close_family_brute(g, s, t, A)
+                            faults = unproven(g, s, t, A, frozenset(), run)
+                            if run.family != expected or faults:
+                                bad.append((g, s, t, sorted(A), run.family, expected, faults))
+                            for S in run.raw_candidates:
+                                c_s, n_s = side_with_boundary(g, s, S)
+                                counts["raw candidates"] += 1
+                                if not A <= c_s:
+                                    counts["A outside C_s"] += 1
+                                elif n_s != S:
+                                    counts["N(C_s) != S"] += 1
+                                elif S not in run.family:
+                                    counts["dominated"] += 1
+    return counts, bad
+
+
+def weighted(g: WeightedGraph, weighting: str) -> WeightedGraph:
+    if weighting == "unit":
+        return g
+    return WeightedGraph(g.n, g.edges(), [1 + 5 * v % 7 for v in range(g.n)])
+
+
+def safe_sweep(graphs, weighting: str) -> tuple:
+    """(counts, disagreements) of the safe part over graphs, weighted."""
+    counts = Counter(dict.fromkeys(
+        ("fallback scans", "queries", "answers", "pairs", "pairs not qualifying"), 0))
+    bad = []
+    runs = []
+    real = min_safe_module.close_to_run
+
+    def recording(*args):
+        runs.append(real(*args))
+        return runs[-1]
+
+    min_safe_module.close_to_run = recording
+    try:
+        for g in graphs:
+            g = weighted(g, weighting)
+            counts["fallback scans"] += not _has_cocomparability_ordering(g)
+            small = [frozenset(c) for k in (1, 2) for c in combinations(g.vertices, k)]
+            for A in small:
+                for B in small:
+                    if A & B:
+                        continue
+                    runs.clear()
+                    answer = min_safe_separator(QueryInstance(g, A, B), verified=True)
+                    expected = min_safe_brute(g, A, B)
+                    counts["queries"] += 1
+                    counts["answers"] += answer.exists
+                    if len(runs) == 2:
+                        for c_sA in runs[0].sides:
+                            for S_B in runs[1].family:
+                                counts["pairs"] += 1
+                                counts["pairs not qualifying"] += not S_B.isdisjoint(c_sA)
+                    if (answer.exists, answer.weight) != (expected.exists, expected.weight) or (
+                        answer.exists and not is_safe_ab_separator_brute(g, A, B, answer.separator)
+                    ):
+                        bad.append((g, sorted(A), sorted(B), answer, expected))
+    finally:
+        min_safe_module.close_to_run = real
+    return counts, bad
+
+
+def main(args) -> int:
+    n_max = int(args[0]) if args else 7
+    graphs = load(n_max)
+    failed = False
+    parts = [("close", lambda: close_sweep(graphs))]
+    parts += [(f"safe ({w})", lambda w=w: safe_sweep(graphs, w)) for w in ("unit", "1 + 5v mod 7")]
+    for name, sweep in parts:
+        start = time.perf_counter()
+        counts, bad = sweep()
+        for case in bad[:5]:
+            print("  disagreement:", case)
+        failed |= bool(bad)
+        summary = ", ".join(f"{k} {v}" for k, v in counts.items())
+        print(f"{name}: {len(graphs)} graphs, {summary}, {len(bad)} disagreements "
+              f"[{time.perf_counter() - start:.0f} s]", flush=True)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

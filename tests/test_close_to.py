@@ -27,6 +27,9 @@ from safesep.close_to import (
 )
 from safesep.oracle import close_family_bound_check, close_family_brute
 
+from .brutes import asteroidal_triple_brute, random_weighted_graph
+from .sweep import unproven
+
 # ``safesep.close_to`` is the function of that name; the module is reached
 # through importlib.
 close_to_module = importlib.import_module("safesep.close_to")
@@ -114,9 +117,21 @@ class TestFrozenFamilies:
             close_to(g, 0, 4, {0})
         with pytest.raises(ValueError):
             close_to(g, 0, 4, {11})
+        with pytest.raises(ValueError, match="A must avoid"):
+            close_to(g, 0, 4, {4})
         # verified mode refuses a graph with an asteroidal triple
         with pytest.raises(ValueError):
             close_to(cycle_graph(6), 0, 3, set(), verified=True)
+
+
+    def test_refuses_vertex_ids_that_are_not_ints(self):
+        g = path_graph(5)
+        for s, t in ((True, 3), (0, 3.0), ("0", 3)):
+            with pytest.raises(ValueError, match="not an active vertex"):
+                close_to(g, s, t, ())
+        for A in ({True}, {2.0}, {None}):
+            with pytest.raises(ValueError, match="inactive vertex"):
+                close_to(g, 0, 4, A)
 
 
 class TestRunDetails:
@@ -136,19 +151,12 @@ class TestRunDetails:
             assert neighborhood(g, component_of(g, S, 0)) == S
             assert neighborhood(g, component_of(g, S, 29)) == S
 
-    @pytest.mark.parametrize(
-        "edges",
-        [
-            # {1, 2} has the full s-side {0}, but its t-side {3} sees only 1
-            [(0, 1), (0, 2), (1, 3)],
-            # {1, 2} has the full t-side {3}, but its s-side {0} sees only 1
-            [(0, 1), (1, 3), (2, 3)],
-        ],
-    )
-    def test_filter_drops_separators_that_are_not_minimal(self, edges):
-        g = WeightedGraph(4, edges)
+    def test_filter_drops_separators_that_are_not_minimal(self):
+        # {1, 2} has the full t-side {3}, as every candidate the procedure
+        # builds has, but its s-side {0} sees only 1.
+        g = WeightedGraph(4, [(0, 1), (1, 3), (2, 3)])
         candidates = [frozenset({1, 2}), frozenset({1})]
-        family, sides = _definition_filter(g, 0, 3, frozenset(), candidates)
+        family, sides = _definition_filter(g, 0, frozenset(), candidates)
         assert family == (frozenset({1}),)
         assert sides == (component_of(g, {1}, 0),)
         # The same decision when the filter is handed the s-side of {1, 2}
@@ -156,7 +164,7 @@ class TestRunDetails:
         S = frozenset({1, 2})
         c_s = component_of(g, S, 0)
         walked = {S: (c_s, neighborhood(g, c_s))}
-        assert _definition_filter(g, 0, 3, frozenset(), candidates, walked) == (family, sides)
+        assert _definition_filter(g, 0, frozenset(), candidates, walked) == (family, sides)
 
     def test_gate_stops_queries_whose_set_lies_beyond_t(self, monkeypatch):
         # sA = {0, 6} avoids N[3] = {2, 3, 4}, but 6 lies beyond t, outside
@@ -331,12 +339,16 @@ class TestAgainstBruteForce:
             (gen_interval(11, wmax=5, seed=12261), 1, 10, {4, 5}, [{2}, {6}]),
             (gen_atfree_rejection(10, wmax=5, seed=11230), 4, 6, {1}, [{0, 5, 7}, {3, 5, 7, 9}, {8}]),
             (gen_atfree_rejection(10, wmax=5, seed=18112), 0, 6, {3}, [{1, 2, 5, 9}, {2, 4, 5, 8}]),
+            (gen_atfree_rejection(11, wmax=5, seed=21375), 6, 0, {1}, [{2, 3, 10}, {2, 4, 10}, {3, 7, 10}]),
         ],
     )
     def test_contraction_branch_matches_definition(self, g, s, t, A, raw):
         # Each query leaves part of its anchor set stranded by the first
         # anchor pass, so close_to_run settles a source side and reads off
-        # candidates at each of its boundary vertices.
+        # candidates at each of its boundary vertices.  In the last query, an
+        # anchor of s and the boundary vertex alone, instead of the settled
+        # side and the boundary vertex, would add the candidate
+        # {1, 3, 5, 9, 10}.
         assert close_to(g, s, t, A, verified=True) == close_family_brute(g, s, t, A)
         assert close_to_run(g, s, t, A).raw_candidates == tuple(frozenset(S) for S in raw)
 
@@ -364,6 +376,71 @@ class TestAgainstBruteForce:
             assert family == close_family_brute(g, x, y, A)
             assert len(family) == k if x == s else k_b
             assert seeded.count(True) == (k if x == s else k_b)
+
+
+    @pytest.mark.parametrize(
+        "edges, s, t, A, family",
+        [
+            ([(0, 3), (1, 3), (1, 4), (2, 5), (2, 6), (3, 6), (4, 5), (4, 6), (5, 6)], 0, 2, {1}, [{4, 6}]),
+            ([(0, 3), (1, 4), (2, 3), (2, 5), (3, 6), (4, 5), (4, 6), (5, 6)], 0, 1, {2}, [{5, 6}]),
+            ([(0, 4), (1, 2), (1, 5), (2, 6), (3, 4), (3, 5), (4, 6), (5, 6)], 0, 2, {3}, [{5, 6}]),
+            ([(0, 5), (1, 6), (2, 3), (2, 5), (3, 6), (4, 5), (4, 6)], 0, 1, {2}, [{3, 4}]),
+            ([(0, 5), (1, 6), (2, 3), (2, 5), (3, 6), (4, 5), (4, 6)], 1, 0, {3}, [{2, 4}]),
+        ],
+    )
+    def test_the_member_that_only_the_rest_anchor_finds(self, edges, s, t, A, family):
+        # Seven-vertex AT-free queries from the corpus whose one member comes
+        # from the contraction branch's anchor c_s_1 | {w} | rest alone:
+        # without that search each run keeps a wrong separator instead.
+        g = WeightedGraph(7, edges)
+        family = tuple(frozenset(S) for S in family)
+        assert close_to(g, s, t, A, verified=True) == family == close_family_brute(g, s, t, A)
+
+    @pytest.mark.parametrize(
+        "n, edges, s, t, A, family",
+        [
+            (12, [(0, 4), (0, 5), (0, 7), (0, 8), (0, 10), (1, 3), (1, 6), (1, 7), (2, 3), (2, 4), (2, 9),
+                  (2, 10), (3, 9), (4, 9), (4, 10), (4, 11), (6, 7), (6, 9), (6, 10), (9, 10), (9, 11)],
+             5, 6, {2}, [{3, 7, 9, 10}]),
+            (11, [(0, 1), (0, 3), (0, 5), (0, 8), (0, 10), (1, 4), (1, 5), (1, 6), (1, 7), (2, 3), (2, 8),
+                  (2, 9), (3, 4), (3, 7), (3, 8), (3, 10), (4, 5), (5, 8), (6, 9), (7, 8), (7, 9), (8, 10)],
+             4, 10, {9}, [{0, 2, 3, 5, 7}]),
+        ],
+    )
+    def test_graphs_with_an_asteroidal_triple_where_every_rest_anchor_counts(self, n, edges, s, t, A, family):
+        # Fast mode on graphs outside the class: the member comes from a
+        # rest anchor whose targets do not hang together with c_s_1 | {w}.
+        # Skipping such anchors gave () and ({0, 3, 8},) here.
+        g = WeightedGraph(n, edges)
+        assert asteroidal_triple_brute(g) is not None
+        family = tuple(frozenset(S) for S in family)
+        assert close_to(g, s, t, A) == family == close_family_brute(g, s, t, A)
+
+
+class TestWhatTheFilterTrusts:
+    def test_runs_on_unrestricted_graphs_keep_every_trusted_fact(self):
+        # Construction alone proves that each raw candidate avoids s and t,
+        # separates them and has a full t-side, so the filter tests only the
+        # s-side and domination; on any graph, fast mode's members are then
+        # minimal separators with A on the s-side, pairwise non-dominated,
+        # unless the chain check raises.  The corpus stratum checks the same
+        # facts on AT-free graphs (test_corpus.py).
+        with_triple = 0
+        for seed in range(4000):
+            rng = random.Random(f"trusted:{seed}")
+            g = random_weighted_graph(rng.randint(5, 11), rng, p=rng.choice((0.15, 0.25, 0.4)), wmax=1)
+            s, t = rng.sample(g.vertices, 2)
+            pool = [v for v in g.vertices if v not in (s, t)]
+            A = frozenset(rng.sample(pool, rng.randint(0, min(3, len(pool)))))
+            rest = [v for v in pool if v not in A]
+            R = frozenset(rng.sample(rest, rng.randint(0, min(2, len(rest)))))
+            with_triple += asteroidal_triple_brute(g) is not None
+            try:
+                run = close_to_run(g, s, t, A, R)
+            except InternalConsistencyError:
+                continue
+            assert unproven(g, s, t, A, R, run) == [], (seed, s, t, sorted(A), sorted(R))
+        assert with_triple > 1500
 
 
 class TestNestedComponentMeet:

@@ -87,6 +87,15 @@ class TestConstruction:
         assert g == path_graph(3) and type(g.n) is int
         assert all(type(x) is int for e in g.edges() for x in e)
 
+    def test_has_vertex_refuses_ids_that_are_not_ints(self):
+        class Id(int):
+            pass
+
+        g = path_graph(3)
+        assert g.has_vertex(1) and g.has_vertex(Id(1))
+        for v in (True, False, 1.0, "1", None):
+            assert not g.has_vertex(v)
+
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):
             WeightedGraph(2, [], [1])
@@ -273,6 +282,11 @@ class TestSubdivide:
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             subdivide(path_graph(3), subdivision_weight=0)
+
+    def test_refuses_a_weight_that_is_not_an_int(self):
+        for weight in (True, 1.0, "1"):
+            with pytest.raises(ValueError, match="positive integer"):
+                subdivide(path_graph(3), weight)
 
     @settings(max_examples=40, deadline=None)
     @given(connected_graphs(max_n=7))

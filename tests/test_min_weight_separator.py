@@ -61,6 +61,13 @@ def test_validation():
         min_weight_st_separator(g, 0, 7)
 
 
+def test_refuses_terminal_ids_that_are_not_ints():
+    g = WeightedGraph(5, [(i, i + 1) for i in range(4)])
+    for s, t in ((False, 3), (0, 3.0), (True, 4), (0, None)):
+        with pytest.raises(ValueError, match="not an active vertex"):
+            min_weight_st_separator(g, s, t)
+
+
 def test_unit_weight_connectivity():
     g = WeightedGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], [5, 9, 5, 9])
     assert vertex_connectivity_st(g, 0, 2) == 2

@@ -82,6 +82,17 @@ class TestPairPredicates:
         with pytest.raises(ValueError):
             is_st_separator(g, 0, 4, {0})  # terminals may not sit in S
 
+    def test_refuse_vertex_ids_that_are_not_ints(self):
+        g = path_graph(5)
+        for s, t in ((True, 3), (0, 4.0), ("0", 4)):
+            for predicate in (is_st_separator, is_minimal_st_separator):
+                with pytest.raises(ValueError, match="not an active vertex"):
+                    predicate(g, s, t, {2})
+        with pytest.raises(ValueError, match="inactive vertex"):
+            close_separator(g, (True,), 4)
+        with pytest.raises(ValueError, match="inactive vertex"):
+            is_AB_separator(g, {True}, {4}, {2})
+
     def test_empty_separator_for_disconnected_pair(self):
         g = induced_delete(path_graph(5), {2})
         assert is_st_separator(g, 0, 4, set())
