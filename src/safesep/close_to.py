@@ -29,21 +29,31 @@ run stops at once; a boundary vertex w in N(t) is skipped), and in G - R:
 * it separates them, and N(C_t) = T | L: C_t(G' - N[X]) misses s in X, its
   neighbors lie in T | L | R, every vertex of T touches it, and L <= N(t).
 
-So a candidate S is a minimal s,t-separator exactly when N(C_s) = S, and
-the definitional filter tests only that, A inside C_s, and domination among
-the survivors.  It keeps exactly the family from any list that contains the
-family: a survivor outside the family is dominated by a member, as
-domination is well-founded.  On AT-free inputs the raw candidates contain
-the whole family, so a candidate that is not a member changes nothing.  The
-unfiltered candidates, and the s-side of each member, stay available to
-callers.
+The lemma: if A lies inside C_s = C_s(G - R - T - L), then so does X, and
+N(C_s) - R = T | L, on any graph, AT-free or not.
+
+* X misses T | L | R: T lies in N(X) - X, s and A miss N[t] and R, and the
+  other vertices of X lie in G'.
+* So s, A and an anchor vertex v, in N(s), lie in C_s; c_s_1 below is
+  connected, holds s and misses T | L | R; a boundary vertex w lies in
+  S_1 <= N(A_v | {s}), so it touches c_s_1 or d_v = A_v - c_s_1, which
+  lies in A, as v lies in c_s_1.
+* Every vertex of T touches X, and every vertex of L touches sA, so
+  T | L <= N(C_s) <= T | L | R.
+
+So a candidate is a minimal s,t-separator with A on its s-side exactly when
+A lies inside C_s: the definitional filter tests only that, and domination
+among the survivors, and keeps exactly the family from any list that
+contains it, as a survivor outside the family is dominated by a member
+(domination is well-founded).  On AT-free inputs the raw candidates contain
+the whole family.  The unfiltered candidates, and the s-side of each
+member, stay available to callers.
 
 In the contraction branch the anchor pass left part of A_v outside
 c_s_1 = C_s(G' - S_1), and Q_s is the part of S_1 touched by the walk from
-N[X] - S_1.  That walk holds c_s_1, so every neighbor of c_s_1 outside gone
-lies in Q_s, and c_s_1 is also C_s(G' - Q_s).  The anchor v lies in c_s_1
-(it is s, or lies in N(s) - S_1), so Q_s | L would strand part of A and is
-no candidate.
+N[X] - S_1.  That walk holds c_s_1, so c_s_1 is also C_s(G' - Q_s); as the
+anchor v lies in c_s_1 (it is s, or lies in N(s) - S_1), Q_s | L would
+strand part of A and is no candidate.
 
 G' is never built: every walk runs in G with L excluded, and collects the
 neighborhood of its component in G on the way; minus L, that is the
@@ -115,32 +125,23 @@ class CloseToRun:
     sides: tuple = ()
 
 
-def _definition_filter(g: WeightedGraph, s, A: frozenset, candidates, walked=None, R=EMPTY_SET) -> tuple:
+def _definition_filter(g: WeightedGraph, s, A: frozenset, candidates, walked: dict, R) -> tuple:
     """Keep exactly the separators close to sA in G - R among candidates
     built as the module describes: minimal, A on the s-side, and not
     dominated by another survivor with a strictly smaller s-component.
-    Returns (family, sides) as in :class:`CloseToRun`.
+    Returns (family, sides) as in :class:`CloseToRun`; ``walked`` maps a
+    candidate S to its s-side C_s(G-R-S) when that has been walked.
 
-    ``walked`` maps a candidate S to its s-side (C_s(G-R-S), N_G(C_s(G-R-S)))
-    when that has already been walked; the filter walks the others.  Two
-    tests run on every candidate: A inside C_s, and N(C_s) = S in G - R.
-    Construction proves the rest of minimality: each candidate avoids s and
-    t, separates them, and has N(C_t) = S in G - R.
-
-    The N(C_s) = S test also proves, for every member S, that N_G(C_s) is
-    S | (N_G(C_s) & R): :func:`min_safe_separator` hands the winning pair's
-    settled sides to the winner's validation with those neighborhoods, and
-    reads no walk for them.  Dropping the test needs another proof of that
-    fact."""
-    walked = walked or {}
+    One test runs on every candidate, A inside C_s: construction proves that
+    each candidate avoids s and t, separates them and has N(C_t) = S in
+    G - R, and the module's lemma that N(C_s) - R = S once A lies inside
+    C_s.  So every member has N_G(C_s) = S | (N_G(C_s) & R), the seed
+    neighborhoods the winner's validation in :func:`min_safe_separator`
+    takes without a walk."""
     survivors = []
-    seen = set()
-    for S in candidates:
-        if S in seen:
-            continue
-        seen.add(S)
-        c_s, n_s = walked.get(S) or component_with_boundary(g, S | R, s)
-        if A <= c_s and n_s - R == S:
+    for S in dict.fromkeys(candidates):
+        c_s = walked.get(S) or component_with_boundary(g, S | R, s)[0]
+        if A <= c_s:
             survivors.append((S, c_s))
     # Distinct minimal separators have distinct source components (each is the
     # neighborhood of its own), so domination is a strict-subset test; sorting
@@ -188,10 +189,10 @@ def close_to_run(g: WeightedGraph, s, t, A: Iterable[int], R: frozenset = EMPTY_
     # outside N[s] and gone, so the search exists.
     search = near_search(g, (s,), t, gone)
     T_s = search.separator
-    c_s_ts, n_s_ts = search.near_side()
+    c_s_ts, nb_ts = search.near_side()
     if sA <= c_s_ts:
         S = T_s | L
-        family, sides = _definition_filter(g, s, A, [S], {S: (c_s_ts, n_s_ts)}, R)
+        family, sides = _definition_filter(g, s, A, [S], {S: c_s_ts}, R)
         return CloseToRun(family, (S,), sides)
 
     # The vertices of A in C_s, T_s or C_t(G' - T_s) form the anchored core.
@@ -219,7 +220,7 @@ def close_to_run(g: WeightedGraph, s, t, A: Iterable[int], R: frozenset = EMPTY_
     # dead there.  S_1 misses C_s(G' - T_s) and the target pockets (its
     # vertices in N(s) lie in T_s, the others touch C_t(G' - N[s])), and v
     # in N(s) - S_1 touches each target pocket: C_s(G' - S_1) grows from them.
-    seed = (c_s_ts.union(*pockets), n_s_ts.union(*pockets.values()))
+    seed = (c_s_ts.union(*pockets), nb_ts.union(*pockets.values()))
     candidates = []
     walked = {}
     for v in anchors:
@@ -227,9 +228,9 @@ def close_to_run(g: WeightedGraph, s, t, A: Iterable[int], R: frozenset = EMPTY_
         X = A_v | {s}
         S_1 = near_search(g, X, t, gone, known, search.pockets).separator
         gone_1 = gone | S_1
-        c_s_1, n_s_1 = component_from_seed(g, gone_1, *seed)
+        c_s_1 = component_from_seed(g, gone_1, *seed)[0]
         candidates.append(S_1 | L)
-        walked[S_1 | L] = (c_s_1, n_s_1)
+        walked[S_1 | L] = c_s_1
         if A_v <= c_s_1:
             # S_1 keeps all of A_v on the source side of G' itself, so it is
             # the only separator this pass can contribute.  (Testing the

@@ -76,24 +76,23 @@ class WeightedGraph:
 
     def has_vertex(self, v) -> bool:
         """Whether v is an active vertex; ids that are not ints, and bools,
-        never are."""
+        never are, and ``neighbors`` and ``weight`` raise ValueError for them."""
         return isinstance(v, int) and not isinstance(v, bool) and v in self._adj
 
     def has_edge(self, u, v) -> bool:
-        return v in self._adj.get(u, ())
+        """Whether u and v are active vertices joined by an edge."""
+        return self.has_vertex(u) and self.has_vertex(v) and v in self._adj[u]
 
     def neighbors(self, v) -> frozenset:
         """The neighbors of v, as a frozenset built from the stored tuple."""
-        try:
-            return frozenset(self._adj[v])
-        except KeyError:
-            raise ValueError(f"vertex {v} is not active") from None
+        if not self.has_vertex(v):
+            raise ValueError(f"vertex {v!r} is not active")
+        return frozenset(self._adj[v])
 
     def weight(self, v) -> int:
-        try:
-            return self._w[v]
-        except KeyError:
-            raise ValueError(f"vertex {v} is not active") from None
+        if not self.has_vertex(v):
+            raise ValueError(f"vertex {v!r} is not active")
+        return self._w[v]
 
     def weight_of(self, S: Iterable[int]) -> int:
         return sum(self.weight(v) for v in S)

@@ -201,8 +201,8 @@ def _answer(g: WeightedGraph, A: frozenset, B: frozenset, verified: bool) -> Saf
 
     (total, _), winner, (S_A, S_B, c_sA, c_tB) = _best_pair_cut(g, s, t, pairs, R, g.weight_of(R))
     # The winning pair's settled sides seed the two walks of the validation,
-    # each with its neighborhood and no walk: the filter proved
-    # N(c_sA) - R = S_A, and every vertex of R = N(A) & N(B) touches
+    # each with its neighborhood and no walk: N(c_sA) - R = S_A by the lemma
+    # of the close_to module, and every vertex of R = N(A) & N(B) touches
     # A <= c_sA, so N(c_sA) = S_A | R; likewise N(c_tB) = S_B | R.
     sides = safe_minimal_sides(g, A, B, winner, (c_sA, S_A | R), (c_tB, S_B | R))
     if sides is None:

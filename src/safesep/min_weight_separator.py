@@ -57,7 +57,7 @@ class FlowNetwork:
 
     def __init__(self, g: WeightedGraph, s, t):
         self.g, self.s, self.t = g, s, t
-        self.inf = 1 + sum(g.weight(v) for v in g.vertices)
+        self.inf = 1 + sum(g._w.values())
         self.through, self.inflow = {}, {}
         self.base, reached = self.max_flow()
         self.saved = self.through, self.inflow

@@ -59,6 +59,7 @@ SET_PREDICATES = ("tests/test_minimal_separators.py::TestSetPredicates",)
 ANCHOR_READS = "tests/test_close_to.py::TestRunDetails::test_anchor_passes_read_no_vertex_the_search_for_s_walked"
 CORPUS_CLOSE = "tests/test_corpus.py::test_close_families_match_the_oracle_on_the_stratum"
 REST_PINS = "tests/test_close_to.py::TestAgainstBruteForce::test_the_member_that_only_the_rest_anchor_finds"
+TRUSTED = "tests/test_close_to.py::TestWhatTheFilterTrusts"
 SEED_CONTRACT = (
     "tests/test_minimal_separators.py::TestSetPredicates"
     "::test_validation_grows_each_side_from_a_seed_that_holds_its_terminal"
@@ -130,6 +131,31 @@ MUTANTS = (
          "tests/test_min_safe_sep.py::TestAnswerType::test_query_rejects_vertex_ids_that_are_not_integers",
          "tests/test_close_to.py::TestFrozenFamilies::test_refuses_vertex_ids_that_are_not_ints",
          "tests/test_min_weight_separator.py::test_refuses_terminal_ids_that_are_not_ints"),
+    ),
+    Mutant(
+        "neighbors: ids that has_vertex refuses",
+        GRAPH,
+        "        if not self.has_vertex(v):\n"
+        "            raise ValueError(f\"vertex {v!r} is not active\")\n"
+        "        return frozenset(self._adj[v])\n",
+        "        return frozenset(self._adj[v])\n",
+        ("tests/test_graph_core.py::TestConstruction::test_neighbors_refuses_ids_that_are_not_ints",),
+    ),
+    Mutant(
+        "weight: ids that has_vertex refuses",
+        GRAPH,
+        "        if not self.has_vertex(v):\n"
+        "            raise ValueError(f\"vertex {v!r} is not active\")\n"
+        "        return self._w[v]\n",
+        "        return self._w[v]\n",
+        ("tests/test_graph_core.py::TestConstruction::test_weight_refuses_ids_that_are_not_ints",),
+    ),
+    Mutant(
+        "has_edge: ids that has_vertex refuses",
+        GRAPH,
+        "        return self.has_vertex(u) and self.has_vertex(v) and v in self._adj[u]\n",
+        "        return v in self._adj.get(u, ())\n",
+        ("tests/test_graph_core.py::TestConstruction::test_has_edge_is_false_for_ids_that_are_not_ints",),
     ),
     Mutant(
         "connectivity: one walk must reach every vertex",
@@ -362,8 +388,8 @@ MUTANTS = (
     Mutant(
         "filter: A inside C_s",
         CLOSE_TO,
-        "        if A <= c_s and n_s - R == S:\n",
-        "        if n_s - R == S:\n",
+        "        if A <= c_s:\n",
+        "        if True:\n",
         (CORPUS_CLOSE,),
     ),
     Mutant(
@@ -387,17 +413,15 @@ MUTANTS = (
         "            X_w = frozenset({s, w})\n",
         ("tests/test_close_to.py::TestAgainstBruteForce::test_contraction_branch_matches_definition",),
     ),
-    # Known survivor: no candidate that a run produces fails this test.
+    # An anchor set outside the premise of the close_to module's lemma,
+    # which the filter relies on: without c_s_1, X_w need not hold s or lie
+    # inside C_s.
     Mutant(
-        "filter: the N(C_s) = S test",
+        "contraction branch: anchor at {w} alone",
         CLOSE_TO,
-        "        if A <= c_s and n_s - R == S:\n",
-        "        if A <= c_s:\n",
-        QUERY_LEVEL,
-        survivor="no candidate of the whole corpus (python tests/sweep.py) or of tier-1 fails it, "
-        "and only the hand-fed test_filter_drops_separators_that_are_not_minimal kills it; it "
-        "stays because it proves N(C_s) = S | (N(C_s) & R) for every member, from which the "
-        "winner's validation takes its seed neighborhoods without a walk",
+        "            X_w = c_s_1 | {w}\n",
+        "            X_w = frozenset({w})\n",
+        (TRUSTED,) + QUERY_LEVEL,
     ),
 )
 

@@ -6,15 +6,16 @@
 Two parts, each with a one-line summary:
 
 * ``close``: fast-mode ``close_to_run(g, s, t, A)`` for every ordered pair
-  (s, t) and every A of at most two other vertices, against
+  (s, t) and every A of at most three other vertices, against
   ``close_family_brute``, and each run against :func:`unproven`.  It
   counts the runs that reached each branch of
   ``close_to_run`` (several anchors, the contraction branch, a non-empty
   ``rest``), and the raw candidates that the filter drops: for A outside
-  C_s, for N(C_s) != S, and as dominated.
+  C_s, and as dominated.
 * ``safe``: verified ``min_safe_separator`` for every pair of disjoint sets
   A and B of one or two vertices, against ``min_safe_brute``, once with unit
-  weights and once with the weights 1 + (5v mod 7).  It counts the queries
+  weights, once with the weights 1 + (5v mod 7) and once with the many ties
+  of 1 + (v mod 2).  It counts the queries
   with an answer, the close-family pairs, the pairs that fail to qualify,
   and the graphs that verified mode proves AT-free by the fallback scan
   rather than an ordering (the five-cycle is the smallest).
@@ -93,13 +94,16 @@ def branches(log) -> set:
 def unproven(g: WeightedGraph, s, t, A, R, run) -> list:
     """The facts that the definitional filter trusts and that fail for one
     ``close_to_run`` on G - R, checked from the definitions: every raw
-    candidate S avoids s and t, separates them, and has N(C_t) - R = S;
-    every member is a minimal s,t-separator with A on its s-side, whose side
-    the run reports; and no member's s-side strictly holds another's."""
+    candidate S avoids s and t, separates them, and has N(C_t) - R = S, and
+    N(C_s) - R = S as well if A lies inside C_s (the lemma of the close_to
+    module); every member is a minimal s,t-separator with A on its s-side,
+    whose side the run reports; and no member's s-side strictly holds
+    another's."""
     faults = []
     for S in run.raw_candidates:
         c_t, n_t = side_with_boundary(g, t, S | R)
-        if s in S or t in S or s in c_t or n_t - R != S:
+        c_s, n_s = side_with_boundary(g, s, S | R)
+        if s in S or t in S or s in c_t or n_t - R != S or (A <= c_s and n_s - R != S):
             faults.append(("candidate", S))
     sides = []
     for S in run.family:
@@ -118,7 +122,7 @@ def close_sweep(graphs) -> tuple:
     """(counts, disagreements) of the close part over graphs."""
     counts = Counter(dict.fromkeys(
         ("calls", "several anchors", "contraction", "rest", "raw candidates",
-         "A outside C_s", "N(C_s) != S", "dominated"), 0))
+         "A outside C_s", "dominated"), 0))
     bad = []
     with recorded_searches() as log:
         for g in graphs:
@@ -127,7 +131,7 @@ def close_sweep(graphs) -> tuple:
                     if s == t:
                         continue
                     others = [v for v in g.vertices if v not in (s, t)]
-                    for k in range(3):
+                    for k in range(4):
                         for A in combinations(others, k):
                             A = frozenset(A)
                             log.clear()
@@ -139,21 +143,19 @@ def close_sweep(graphs) -> tuple:
                             if run.family != expected or faults:
                                 bad.append((g, s, t, sorted(A), run.family, expected, faults))
                             for S in run.raw_candidates:
-                                c_s, n_s = side_with_boundary(g, s, S)
                                 counts["raw candidates"] += 1
-                                if not A <= c_s:
+                                if not A <= side_with_boundary(g, s, S)[0]:
                                     counts["A outside C_s"] += 1
-                                elif n_s != S:
-                                    counts["N(C_s) != S"] += 1
                                 elif S not in run.family:
                                     counts["dominated"] += 1
     return counts, bad
 
 
+WEIGHTINGS = {"unit": lambda v: 1, "1 + 5v mod 7": lambda v: 1 + 5 * v % 7, "1 + v mod 2": lambda v: 1 + v % 2}
+
+
 def weighted(g: WeightedGraph, weighting: str) -> WeightedGraph:
-    if weighting == "unit":
-        return g
-    return WeightedGraph(g.n, g.edges(), [1 + 5 * v % 7 for v in range(g.n)])
+    return WeightedGraph(g.n, g.edges(), [WEIGHTINGS[weighting](v) for v in range(g.n)])
 
 
 def safe_sweep(graphs, weighting: str) -> tuple:
@@ -202,7 +204,7 @@ def main(args) -> int:
     graphs = load(n_max)
     failed = False
     parts = [("close", lambda: close_sweep(graphs))]
-    parts += [(f"safe ({w})", lambda w=w: safe_sweep(graphs, w)) for w in ("unit", "1 + 5v mod 7")]
+    parts += [(f"safe ({w})", lambda w=w: safe_sweep(graphs, w)) for w in WEIGHTINGS]
     for name, sweep in parts:
         start = time.perf_counter()
         counts, bad = sweep()

@@ -19,16 +19,11 @@ from safesep import (
     minimal_separators,
     neighborhood,
 )
-from safesep.close_to import (
-    CloseToRun,
-    _definition_filter,
-    close_to_run,
-    nested_component_meet,
-)
+from safesep.close_to import CloseToRun, close_to_run, nested_component_meet
 from safesep.oracle import close_family_bound_check, close_family_brute
 
 from .brutes import asteroidal_triple_brute, random_weighted_graph
-from .sweep import unproven
+from .sweep import recorded_searches, unproven
 
 # ``safesep.close_to`` is the function of that name; the module is reached
 # through importlib.
@@ -150,21 +145,6 @@ class TestRunDetails:
         for S in run.family:
             assert neighborhood(g, component_of(g, S, 0)) == S
             assert neighborhood(g, component_of(g, S, 29)) == S
-
-    def test_filter_drops_separators_that_are_not_minimal(self):
-        # {1, 2} has the full t-side {3}, as every candidate the procedure
-        # builds has, but its s-side {0} sees only 1.
-        g = WeightedGraph(4, [(0, 1), (1, 3), (2, 3)])
-        candidates = [frozenset({1, 2}), frozenset({1})]
-        family, sides = _definition_filter(g, 0, frozenset(), candidates)
-        assert family == (frozenset({1}),)
-        assert sides == (component_of(g, {1}, 0),)
-        # The same decision when the filter is handed the s-side of {1, 2}
-        # instead of walking it.
-        S = frozenset({1, 2})
-        c_s = component_of(g, S, 0)
-        walked = {S: (c_s, neighborhood(g, c_s))}
-        assert _definition_filter(g, 0, frozenset(), candidates, walked) == (family, sides)
 
     def test_gate_stops_queries_whose_set_lies_beyond_t(self, monkeypatch):
         # sA = {0, 6} avoids N[3] = {2, 3, 4}, but 6 lies beyond t, outside
@@ -420,11 +400,12 @@ class TestAgainstBruteForce:
 class TestWhatTheFilterTrusts:
     def test_runs_on_unrestricted_graphs_keep_every_trusted_fact(self):
         # Construction alone proves that each raw candidate avoids s and t,
-        # separates them and has a full t-side, so the filter tests only the
-        # s-side and domination; on any graph, fast mode's members are then
-        # minimal separators with A on the s-side, pairwise non-dominated,
-        # unless the chain check raises.  The corpus stratum checks the same
-        # facts on AT-free graphs (test_corpus.py).
+        # separates them and has a full t-side, and the close_to module's
+        # lemma that its s-side is full once it holds A, so the filter tests
+        # only A inside C_s and domination; on any graph, fast mode's members
+        # are then minimal separators with A on the s-side, pairwise
+        # non-dominated, unless the chain check raises.  The corpus stratum
+        # checks the same facts on AT-free graphs (test_corpus.py).
         with_triple = 0
         for seed in range(4000):
             rng = random.Random(f"trusted:{seed}")
@@ -441,6 +422,25 @@ class TestWhatTheFilterTrusts:
                 continue
             assert unproven(g, s, t, A, R, run) == [], (seed, s, t, sorted(A), sorted(R))
         assert with_triple > 1500
+
+    def test_a_boundary_vertex_that_touches_only_the_stranded_target(self):
+        # The anchor pass at {1, 2} finds S_1 = {4, 5} and settles
+        # c_s_1 = {1}, stranding 2.  The boundary vertex 4 touches 2 but not
+        # c_s_1, so X_w = {1, 4} is not connected; its candidate {3} has
+        # A inside C_s = {1, 2, 4, 5}, and then X lies in C_s as well, so
+        # N(C_s) = {3}, as the module's lemma says.
+        g = WeightedGraph(6, [(0, 3), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)])
+        A = frozenset({2})
+        with recorded_searches() as log:
+            run = close_to_run(g, 1, 0, A)
+        found = {(kind, X): search.separator for kind, X, search in log}
+        assert found[("anchor", frozenset({1, 2}))] == frozenset({4, 5})
+        assert found[("boundary", frozenset({1, 4}))] == frozenset({3})
+        assert not g.has_edge(1, 4) and g.has_edge(2, 4)
+        assert run.family == (frozenset({3}),) == close_family_brute(g, 1, 0, A)
+        assert run.sides == (frozenset({1, 2, 4, 5}),)
+        assert neighborhood(g, run.sides[0]) == frozenset({3})
+        assert unproven(g, 1, 0, A, frozenset(), run) == []
 
 
 class TestNestedComponentMeet:

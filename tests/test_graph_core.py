@@ -96,6 +96,26 @@ class TestConstruction:
         for v in (True, False, 1.0, "1", None):
             assert not g.has_vertex(v)
 
+    def test_neighbors_refuses_ids_that_are_not_ints(self):
+        g = path_graph(3)
+        assert g.neighbors(1) == {0, 2}
+        for v in (True, False, 1.0, "1", None, 3):
+            with pytest.raises(ValueError):
+                g.neighbors(v)
+
+    def test_weight_refuses_ids_that_are_not_ints(self):
+        g = WeightedGraph(3, [(0, 1), (1, 2)], [4, 5, 6])
+        assert g.weight(1) == 5 and g.weight_of({0, 2}) == 10
+        for v in (True, False, 1.0, "1", None, 3):
+            with pytest.raises(ValueError):
+                g.weight(v)
+
+    def test_has_edge_is_false_for_ids_that_are_not_ints(self):
+        g = path_graph(3)
+        assert g.has_edge(0, 1) and g.has_edge(1, 0) and not g.has_edge(0, 2)
+        for v in (True, 1.0, None, 3):
+            assert not g.has_edge(0, v) and not g.has_edge(v, 0) and not g.has_edge(v, 2)
+
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):
             WeightedGraph(2, [], [1])
