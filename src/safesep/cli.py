@@ -2,7 +2,8 @@
 
 Reads graphs from a small line-oriented document format, runs the separator
 queries, and emits either plain text or a single JSON document per
-invocation.  Exit codes follow batch conventions: 0 success-with-answer,
+invocation; ``gen`` writes a graph document, meant for a file, with or
+without ``--json``.  Exit codes follow batch conventions: 0 success-with-answer,
 1 property-false (e.g. a witness that the graph is not AT-free, or verify
 mismatches), 2 answer-is-none, 64 usage errors (including refused oversize
 brute-force scans), 65 parse errors, 70 internal consistency failures.
@@ -344,7 +345,7 @@ def _cmd_verify(args) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="safesep", description=__doc__.splitlines()[0])
-    parser.add_argument("--json", action="store_true", help="emit one JSON document")
+    parser.add_argument("--json", action="store_true", help="emit one JSON document (all commands but gen)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check-atfree", help="report an asteroidal triple if any")

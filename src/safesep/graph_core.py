@@ -1,11 +1,10 @@
 """Weighted undirected graphs and the structural operations everything else builds on.
 
-Vertex identifiers are dense ``0..n-1`` at construction time and stay stable
-in the derived graphs (``fold_cores``, ``subdivide``): surviving vertices keep
-their identifiers, so a vertex set computed in a derived graph is directly a
-vertex set of the graph it came from (no lifting step).  All values are
-immutable after construction, except a graph's memo of its connectivity
-(see ``is_connected``); every operation returns a new graph.
+Vertex identifiers are dense ``0..n-1`` at construction time; ``subdivide``,
+the one derived graph, keeps them for the original vertices, so a vertex set
+computed there is a vertex set of the graph it came from (no lifting step).
+All values are immutable after construction, except a graph's memo of its
+connectivity (see ``is_connected``).
 
 Every graph stores each adjacency as a strictly increasing tuple of
 neighbors; set operations against it run on the set side (X.isdisjoint(nb)).
@@ -21,7 +20,7 @@ EMPTY_SET: frozenset = frozenset()
 class WeightedGraph:
     """Undirected simple graph with positive integer vertex weights."""
 
-    __slots__ = ("n", "_adj", "_w", "_vertices", "_connected")
+    __slots__ = ("n", "_adj", "_w", "_vertices", "_total_weight", "_connected")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), weights=None):
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
@@ -45,6 +44,7 @@ class WeightedGraph:
         self._adj = dict(enumerate(adj))
         self._w = {v: weights[v] for v in range(n)}
         self._vertices = tuple(range(n))
+        self._total_weight = sum(weights)
         self._connected = None  # unknown until proven: see is_connected
 
     @classmethod
@@ -56,6 +56,7 @@ class WeightedGraph:
         g._adj = adj
         g._w = w
         g._vertices = tuple(sorted(adj))
+        g._total_weight = sum(w.values())
         g._connected = None
         return g
 
@@ -255,36 +256,6 @@ def component_of(g: WeightedGraph, X: Iterable[int], v) -> frozenset:
     if not g.has_vertex(v):
         raise ValueError(f"vertex {v} is not active")
     return component_with_boundary(g, X, v)[0]
-
-
-def fold_cores(g: WeightedGraph, s, core_s: frozenset, t, core_t: frozenset, excluded=EMPTY_SET) -> WeightedGraph:
-    """Contract the core core_s into s and the core core_t into t in G - excluded.
-
-    Trusted: each core contains its terminal and induces a connected
-    subgraph, and the two cores are disjoint, non-adjacent and not excluded;
-    nothing here checks that.  The other core vertices leave the graph, and
-    each terminal keeps its weight and is adjacent to exactly the outside
-    vertices that touched its core.  Only the vertices outside the cores are
-    visited, and each of them with no excluded or core neighbor keeps its
-    adjacency tuple.
-    """
-    adj = {}
-    near_s = []
-    near_t = []
-    for x in g._adj.keys() - core_s - core_t - excluded:
-        nb = g._adj[x]
-        if not (excluded.isdisjoint(nb) and core_s.isdisjoint(nb) and core_t.isdisjoint(nb)):
-            nb = {s if y in core_s else t if y in core_t else y for y in nb if y not in excluded}
-            if s in nb:
-                near_s.append(x)
-            if t in nb:
-                near_t.append(x)
-            nb = tuple(sorted(nb))
-        adj[x] = nb
-    adj[s] = tuple(sorted(near_s))
-    adj[t] = tuple(sorted(near_t))
-    w = {x: g._w[x] for x in adj}
-    return WeightedGraph._from_parts(g.n, adj, w)
 
 
 def subdivide(g: WeightedGraph, subdivision_weight: int = 1):

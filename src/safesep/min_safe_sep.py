@@ -18,10 +18,12 @@ The best candidate over all qualifying pairs, plus R, is the answer.
 
 Each family member comes with its own terminal's side, walked once while the
 family was computed, so the qualifying test and the settled sides of a pair
-need no walk of their own.  All pairs are cut on one flow network per query:
-the part of each side that every qualifying pair settles (the core) is
-folded into its terminal once, and the flow runs on that graph's own
-adjacency, with no network built.  One base max-flow runs with nothing else
+need no walk of their own.  All pairs are cut on one flow network per query,
+between the parts of the two sides that every qualifying pair settles (the
+cores).  The flow runs on g's own adjacency, with no network and no other
+graph built: it skips R, leaves s through the neighborhood of its core, known
+without a walk, and never reads a core vertex, so each core acts as if
+contracted into its terminal.  One base max-flow runs with nothing else
 settled, and a pair whose settled sides miss the base cut keeps it.  For any
 other pair, the rest of its settled sides gets infinite capacity (as if
 contracted), and augmenting the base flow gives the cut.
@@ -51,7 +53,6 @@ from .graph_core import (
     WeightedGraph,
     closed_neighborhood,
     component_with_boundary,
-    fold_cores,
     hangs_together,
     is_connected,
     neighborhood,
@@ -102,24 +103,26 @@ class SafeSeparatorAnswer:
         return cls(separator=None, weight=None)
 
 
-def _core(g: WeightedGraph, R: frozenset, v, sides: dict) -> frozenset:
-    """The part of v's side in G - R that every qualifying pair settles: the
-    side itself when one family member qualifies, else the component of v
-    avoiding every qualifying member, which is connected and inside each of
-    their sides."""
+def _core(g: WeightedGraph, R: frozenset, v, sides: dict) -> tuple:
+    """(core, N_G(core)) for the part of v's side in G - R that every
+    qualifying pair settles: the side of a lone qualifying member S, with
+    N_G = S | R as in the validation seeds of _answer, else the component
+    of v avoiding every qualifying member, inside each of their sides."""
     if len(sides) == 1:
-        (side,) = sides.values()
-        return side
-    return component_with_boundary(g, R.union(*sides), v)[0]
+        ((S, side),) = sides.items()
+        return side, S | R
+    return component_with_boundary(g, R.union(*sides), v)
 
 
 def _best_pair_cut(g: WeightedGraph, s, t, pairs, R, weight_R):
     """((weight, sorted vertex tuple), vertex set, pair) of the best candidate
     over the qualifying pairs (S_A, S_B, c_sA, c_tB), all cut on one network
-    of G - R with the cores folded in; pair is the one whose cut won."""
-    core_s = _core(g, R, s, {S_A: c_sA for S_A, _, c_sA, _ in pairs})
-    core_t = _core(g, R, t, {S_B: c_tB for _, S_B, _, c_tB in pairs})
-    net = FlowNetwork(fold_cores(g, s, core_s, t, core_t, R), s, t)
+    of G - R between the cores, handed to it as seeds; pair is the one whose
+    cut won."""
+    seed_s = _core(g, R, s, {S_A: c_sA for S_A, _, c_sA, _ in pairs})
+    seed_t = _core(g, R, t, {S_B: c_tB for _, S_B, _, c_tB in pairs})
+    core_s, core_t = seed_s[0], seed_t[0]
+    net = FlowNetwork(g, s, t, seed_s, seed_t, R)
     best = None
     for pair in pairs:
         _, _, c_sA, c_tB = pair

@@ -15,21 +15,23 @@ which is always minimal.
 A vertex can also be *settled*: its split arc is raised to inf, so no
 finite cut contains it.  Raising a connected side that contains s (or t) is
 equivalent to contracting that side into the terminal, and yields the same
-cut.  ``FlowNetwork`` computes a maximum flow with nothing settled (the base
-flow) once, then cuts it for any number of settled sets.  Settling only
-raises capacities, so the base flow stays feasible and each cut augments
-from it instead of from zero; the source side of the cut is the
-residual-reachable set, which every maximum flow shares, so the cut is the
-one a cold flow would give.  A settled set that misses the base cut, read
-and checked once, keeps it without a flow.  ``min_weight_st_separator`` is
-the single cut with nothing settled.
+cut.  So each terminal may stand for a connected *core* around it, which
+is never read: the search leaves s through its core's neighborhood and reads
+any vertex of t's core as t.  ``FlowNetwork`` computes a maximum flow with
+nothing settled (the base flow) once, then cuts it for any number of
+settled sets.  Settling only raises capacities, so the base flow stays
+feasible and each cut augments from it instead of from zero; the source
+side of the cut is the residual-reachable set, which every maximum flow
+shares, so the cut is the one a cold flow would give.  A settled set that
+misses the base cut, read and checked once, keeps it without a flow.
+``min_weight_st_separator`` is the single cut with nothing settled.
 """
 
 from __future__ import annotations
 
 from .errors import InternalConsistencyError, NoSeparatorError
-from .graph_core import EMPTY_SET, WeightedGraph
-from .minimal_separators import _check_terminals, is_minimal_st_separator
+from .graph_core import EMPTY_SET, WeightedGraph, component_from_seed
+from .minimal_separators import _check_terminals
 
 
 def _add(flows: dict, key, amount) -> dict:
@@ -43,11 +45,14 @@ def _add(flows: dict, key, amount) -> dict:
 
 
 class FlowNetwork:
-    """The vertex-split network of g between s and t, flowed once with
-    nothing settled, then cut once per set of settled vertices.
+    """The vertex-split network of g - excluded between s and t, each for
+    its core, flowed once with nothing settled, then cut once per set of
+    settled vertices.
 
-    s and t are one node each.  ``through[v]`` is the flow on v's split arc
-    and ``inflow[v][u]`` that on the edge arc u_out -> v_in, never netted
+    A core comes as a seed (core, N_G(core)), {s} or {t} by default.
+    Trusted: the cores are connected, disjoint, non-adjacent and outside the
+    excluded set.  ``through[v]`` is the flow on v's split arc and
+    ``inflow[v][u]`` that on the edge arc u_out -> v_in, never netted
     against the distinct arc v_out -> u_in.  Both keep positive entries
     only, so a vertex outside ``through`` carries no flow, and (t apart) v
     has inflow exactly when it has through-flow.  Each :meth:`min_cut`
@@ -55,9 +60,11 @@ class FlowNetwork:
     None when the base flow reaches inf, as when s and t are adjacent.
     """
 
-    def __init__(self, g: WeightedGraph, s, t):
-        self.g, self.s, self.t = g, s, t
-        self.inf = 1 + sum(g._w.values())
+    def __init__(self, g: WeightedGraph, s, t, seed_s=None, seed_t=None, excluded=EMPTY_SET):
+        self.g, self.s, self.t, self.excluded = g, s, t, excluded
+        self.seed_s = seed_s or ((s,), g._adj[s])
+        self.seed_t = seed_t or ((t,), g._adj[t])
+        self.inf = 1 + g._total_weight
         self.through, self.inflow = {}, {}
         self.base, reached = self.max_flow()
         self.saved = self.through, self.inflow
@@ -72,6 +79,7 @@ class FlowNetwork:
         that reached each node.  A node's entry names the vertex it was
         reached from; a vertex's own name means its split arc."""
         adj, w, s, t, inf = self.g._adj, self.g._w, self.s, self.t, self.inf
+        (core_s, near_s), (core_t, _), excluded = self.seed_s, self.seed_t, self.excluded
         through, inflow = self.through, self.inflow
         flow = 0
         while flow < inf:
@@ -96,8 +104,16 @@ class FlowNetwork:
                 if u in through and u not in in_from:
                     in_from[u] = u
                     queue.append(u)
-                for v in adj[u]:
+                # s's out-node leads to its core's neighborhood, and an edge
+                # arc into t's core to t's in-node; s's core and the excluded
+                # set are never entered.
+                for v in (near_s if u == s else adj[u]):
                     if v not in in_from:
+                        if v in core_t:
+                            in_from[t] = u
+                            break
+                        if v in excluded or v in core_s:
+                            continue
                         in_from[v] = u
                         if v in through:
                             queue.append(v)
@@ -129,7 +145,8 @@ class FlowNetwork:
 
     def _cut(self, reached, flow):
         """The cut named by a maximum flow's last search, checked against it:
-        the vertices, all carrying flow, whose in-node alone it reached."""
+        the vertices, all carrying flow, whose in-node alone it reached,
+        proved minimal on the two sides grown from the seeds."""
         if flow == 0:
             return frozenset()
         in_from, out_from = reached
@@ -139,7 +156,9 @@ class FlowNetwork:
             raise InternalConsistencyError(
                 f"cut weight {g.weight_of(sep)} does not match flow value {flow}"
             )
-        if not is_minimal_st_separator(g, self.s, self.t, sep):
+        gone = sep | self.excluded
+        c_s, n_s = component_from_seed(g, gone, *self.seed_s)
+        if self.t in c_s or not sep <= n_s or not sep <= component_from_seed(g, gone, *self.seed_t)[1]:
             raise InternalConsistencyError("extracted minimum cut is not a minimal separator")
         return sep
 

@@ -112,10 +112,10 @@ def induced_delete(g, X):
 def contract_connected_set(g, u, A):
     """The graph with the connected set {u} | A contracted into u: the
     vertices of A leave, and u keeps its weight and sees every vertex outside
-    the set that touched it.  The reference for ``graph_core.fold_cores``;
-    it uses the internal constructor so that, as in the package's derived
-    graphs, the ids of the contracted vertices stay unused, and hands it
-    each adjacency as the strictly increasing tuple it stores."""
+    the set that touched it.  The reference for a flow network between
+    cores; it uses the internal constructor so that the ids of the
+    contracted vertices stay unused, and hands it each adjacency as the
+    strictly increasing tuple it stores."""
     A = frozenset(A)
     if not A:
         return g

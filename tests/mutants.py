@@ -53,6 +53,11 @@ QUERY_LEVEL = (
     "tests/test_acceptance.py",
     "tests/test_corpus.py",
 )
+FLOW_READS = (
+    "tests/test_min_safe_sep.py::TestFrozenAnswers"
+    "::test_the_flow_reads_no_core_and_cuts_like_the_contracted_graph"
+)
+CUT_PROOF = "tests/test_min_weight_separator.py::test_the_cut_check_refuses_what_is_not_a_minimal_separator"
 BAD_WINNER = "tests/test_min_safe_sep.py::TestFrozenAnswers::test_the_final_check_refuses_a_bad_winner"
 CONSTRUCTION = "tests/test_graph_core.py::TestConstruction"
 SET_PREDICATES = ("tests/test_minimal_separators.py::TestSetPredicates",)
@@ -265,6 +270,43 @@ MUTANTS = (
         "                        if v in through:\n",
         "                        if v in through and through[v] >= w[v]:\n",
         FLOW_ORACLES,
+    ),
+    # The network between two cores on g itself: s's core, t's core and R
+    # are never read, and each cut is proved from the two seeds.
+    Mutant(
+        "flow: a core vertex of t read as an ordinary vertex",
+        MWS,
+        "                        if v in core_t:\n",
+        "                        if v == t:\n",
+        (FLOW_READS,),
+    ),
+    Mutant(
+        "flow: the excluded set not skipped",
+        MWS,
+        "                        if v in excluded or v in core_s:\n",
+        "                        if v in core_s:\n",
+        (FLOW_READS,),
+    ),
+    Mutant(
+        "flow: the core of s not skipped",
+        MWS,
+        "                        if v in excluded or v in core_s:\n",
+        "                        if v in excluded:\n",
+        (FLOW_READS,),
+    ),
+    Mutant(
+        "cut proof: t on the side of s",
+        MWS,
+        "        if self.t in c_s or not sep <= n_s or ",
+        "        if not sep <= n_s or ",
+        (CUT_PROOF,),
+    ),
+    Mutant(
+        "cut proof: the boundary of t's side",
+        MWS,
+        " or not sep <= component_from_seed(g, gone, *self.seed_t)[1]:\n",
+        ":\n",
+        (CUT_PROOF,),
     ),
     Mutant(
         "flow: the saved base flow not restored",

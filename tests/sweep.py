@@ -2,6 +2,10 @@
 
     python tests/sweep.py              # every graph of tests/corpus_atfree.txt
     python tests/sweep.py N_MAX        # the graphs on at most N_MAX vertices
+    python tests/sweep.py --shard I/K  # every K-th of those graphs from the I-th
+
+Shards split one sweep across separate runs, started by hand and each with
+its own summary; their counts add up to the unsharded sweep's.
 
 Two parts, each with a one-line summary:
 
@@ -26,6 +30,7 @@ six vertices through :func:`close_sweep`; exit status 1 on a disagreement.
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import sys
 import time
@@ -199,9 +204,20 @@ def safe_sweep(graphs, weighting: str) -> tuple:
     return counts, bad
 
 
+def shard(text: str) -> slice:
+    """The graphs of shard ``I/K``: every K-th from the I-th, 0 <= I < K."""
+    i, k = map(int, text.split("/"))
+    if not 0 <= i < k:
+        raise argparse.ArgumentTypeError(f"shard {text}: need 0 <= I < K")
+    return slice(i, None, k)
+
+
 def main(args) -> int:
-    n_max = int(args[0]) if args else 7
-    graphs = load(n_max)
+    parser = argparse.ArgumentParser(description="Sweep the small-graph corpus against the oracles.")
+    parser.add_argument("n_max", nargs="?", type=int, default=7)
+    parser.add_argument("--shard", type=shard, default=slice(None), metavar="I/K")
+    opts = parser.parse_args(args)
+    graphs = load(opts.n_max)[opts.shard]
     failed = False
     parts = [("close", lambda: close_sweep(graphs))]
     parts += [(f"safe ({w})", lambda w=w: safe_sweep(graphs, w)) for w in WEIGHTINGS]

@@ -343,6 +343,14 @@ class TestGen:
             expected.weight(v) for v in range(8)
         ]
 
+    def test_json_flag_leaves_the_graph_document(self, capsys):
+        argv = ("gen", "--family", "interval", "--n", "4", "--wmax", "3", "--seed", "2")
+        code, plain, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, flagged, _ = run_cli(capsys, "--json", *argv)
+        assert code == 0
+        assert parse_graph(flagged) == parse_graph(plain)
+
     def test_default_wmax_gives_unit_weights(self, capsys):
         code, out, _ = run_cli(
             capsys, "gen", "--family", "reject", "--n", "6", "--seed", "1"

@@ -20,7 +20,6 @@ from safesep import (
 from safesep.graph_core import (
     component_from_seed,
     component_with_boundary,
-    fold_cores,
     hangs_together,
     reaches_all,
 )
@@ -167,7 +166,6 @@ class TestAdjacencyTuples:
                     assert h.neighbors(v) == {u for e in edges if v in e for u in e} - {v}
 
     def test_derived_graphs_keep_adjacency_tuples(self):
-        folds = 0
         for g, rng in self.graphs("derived", 60):
             verts = sorted(g.vertices)
             removed = frozenset(rng.sample(verts, rng.randint(0, len(verts) // 4)))
@@ -175,23 +173,6 @@ class TestAdjacencyTuples:
             assert_adjacency_tuples(h)
             assert set(h.edges()) == {e for e in g.edges() if removed.isdisjoint(e)}
             assert_adjacency_tuples(subdivide(h)[0])
-            # Fold a core of s and one of t: the core of t is N[t], the core
-            # of s lies at distance 3 or more from t, so the two cannot touch.
-            s, t = rng.choice(verts), rng.choice(verts)
-            core_t = closed_neighborhood(g, {t})
-            far = closed_neighborhood(g, core_t)
-            if s in far:
-                continue
-            core_s = component_of(g, far, s)
-            excluded = removed - core_s - core_t
-            folded = fold_cores(g, s, core_s, t, core_t, excluded)
-            assert_adjacency_tuples(folded)
-            rest = induced_delete(g, excluded)
-            assert folded == contract_connected_set(
-                contract_connected_set(rest, s, core_s - {s}), t, core_t - {t}
-            )
-            folds += 1
-        assert folds >= 10
 
 
 class TestNeighborhoods:
@@ -345,8 +326,6 @@ class TestConnectivity:
         for _ in range(100):
             g = random_weighted_graph(rng.randint(2, 9), rng, p=rng.choice((0.15, 0.3, 0.5)))
             derived = [subdivide(g)[0], induced_delete(g, {0})]
-            if not g.has_edge(0, 1):
-                derived.append(fold_cores(g, 0, frozenset({0}), 1, frozenset({1}), g.neighbors(0) & g.neighbors(1)))
             for h in (g, *derived):
                 assert h._connected is None
                 expected = len(components(h, ())) == 1

@@ -1,6 +1,7 @@
 """End-to-end minimum-weight safe separator computation."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -22,6 +23,7 @@ from safesep import (
     is_safe_AB_separator,
     min_safe_sep,
     min_safe_separator,
+    min_weight_st_separator,
     neighborhood,
     sample_terminals,
 )
@@ -29,8 +31,9 @@ from safesep.close_to import CloseToRun, close_to_run
 from safesep.min_weight_separator import FlowNetwork
 from safesep.minimal_separators import safe_minimal_sides
 from safesep.oracle import min_safe_brute
-from tests.brutes import connected_within, random_weighted_graph
+from tests.brutes import connected_within, contract_connected_set, induced_delete, random_weighted_graph
 from tests.strategies import atfree_graphs, connected_graphs
+from tests.test_close_to import fan_gadget
 
 
 def path_graph(n, weights=None):
@@ -370,9 +373,9 @@ class TestFrozenAnswers:
         built, flows, meets = [], [], []
         init, max_flow, min_cut = FlowNetwork.__init__, FlowNetwork.max_flow, FlowNetwork.min_cut
 
-        def counting_init(net, g, s, t):
-            built.append((s, t))
-            init(net, g, s, t)
+        def counting_init(net, *args):
+            built.append(args)
+            init(net, *args)
 
         def counting_max_flow(net, *args):
             flows.append(args)
@@ -399,6 +402,57 @@ class TestFrozenAnswers:
         assert (ans.separator, ans.weight) == (frozenset({7}), 1)
         assert len(built) == 1 and len(meets) == 2 * 2 and not any(meets)
         assert len(flows) == 1
+
+    def test_the_flow_reads_no_core_and_cuts_like_the_contracted_graph(self, monkeypatch):
+        """The query's one network runs on g between the two cores, handed in
+        as seeds with R excluded.  Rebuilt on a counting adjacency, it reads
+        no adjacency tuple of a core vertex or of R, and each pair's cut is
+        the minimum s,t-separator of G - R with the pair's two settled sides
+        contracted into s and t.  The queries: terminals far apart on an
+        interval graph (one-member families, so the cores are the sides, and
+        t = min(B) lies deep inside its own, so the base flow's searches
+        meet t's core before they reach t); a k = 3 fan gadget whose heavy
+        body makes the pairs' cuts differ (three-member families, so the
+        cores are walked: s and t alone, as the middles join them to a and
+        b); and terminals at distance two (R not empty)."""
+        reads = set()
+
+        class CountingAdjacency(dict):
+            def __getitem__(self, v):
+                reads.add(v)
+                return super().__getitem__(v)
+
+        gadget, s, a, t, b = fan_gadget(3, 12, 3)
+        body = range(2, 14)
+        weights = [50 if v in body else 1 + 5 * v % 7 for v in gadget.vertices]
+        fan = WeightedGraph(gadget.n, gadget.edges(), weights)
+        far = gen_interval(300, wmax=5, seed=4)
+        near = gen_interval(200, wmax=5, seed=5)
+        n_2 = closed_neighborhood(near, near.neighbors(100)) - closed_neighborhood(near, {100})
+        queries = [(far, {270}, {20, 60}), (fan, {s, a}, {t, b}), (near, {100}, {max(n_2)})]
+        calls = []
+        best_pair_cut, init = min_safe_sep._best_pair_cut, FlowNetwork.__init__
+        monkeypatch.setattr(min_safe_sep, "_best_pair_cut", lambda *args: calls.append(args) or best_pair_cut(*args))
+        monkeypatch.setattr(FlowNetwork, "__init__", lambda net, *args: calls.append(args) or init(net, *args))
+        seen = Counter()
+        for graph, A, B in queries:
+            calls.clear()
+            assert min_safe_separator(QueryInstance(graph, A, B)).exists
+            (g, s, t, pairs, R, _), args = calls
+            (core_s, _), (core_t, _) = args[3:5]
+            assert args[:3] == (g, s, t) and args[5] == R
+            seen.update(cores=len(core_s) + len(core_t) > 2, pairs=len(pairs) > 1, R=bool(R))
+            h = WeightedGraph._from_parts(g.n, CountingAdjacency(g._adj), g._w)
+            net = FlowNetwork(h, *args[1:])
+            rest = induced_delete(g, R)
+            for _, _, c_sA, c_tB in pairs:
+                contracted = contract_connected_set(rest, s, c_sA - {s})
+                contracted = contract_connected_set(contracted, t, c_tB - {t})
+                expected = min_weight_st_separator(contracted, s, t)
+                assert net.min_cut((c_sA - core_s) | (c_tB - core_t)) == expected
+            assert reads and reads.isdisjoint(core_s | core_t | R)
+            reads.clear()
+        assert seen == {"cores": 2, "pairs": 1, "R": 1}
 
     def test_verified_query_scans_the_input_graph_once(self, monkeypatch):
         scanned = []

@@ -13,7 +13,6 @@ from safesep import (
     is_minimal_st_separator,
     min_weight_st_separator,
 )
-from safesep.graph_core import fold_cores
 from safesep.min_weight_separator import FlowNetwork
 from tests.brutes import (
     ArcNetwork,
@@ -203,7 +202,7 @@ def test_raised_sides_cut_like_contracted_sides(gst):
     """For every qualifying pair of minimal s,t-separators (S_A's s-side
     inside S_B's), raising the split arcs of C_s(G-S_A) and C_t(G-S_B) on one
     shared network gives the cut, vertex set and weight, of the graph with
-    both sides contracted; folding both sides as cores gives that graph."""
+    both sides contracted."""
     g, s, t = gst
     seps = minimal_st_separators_by_deletion(g, s, t)
     net = FlowNetwork(g, s, t)
@@ -216,7 +215,26 @@ def test_raised_sides_cut_like_contracted_sides(gst):
             h = contract_connected_set(g, s, c_sA - {s})
             h = contract_connected_set(h, t, c_tB - {t})
             assert net.min_cut((c_sA | c_tB) - {s, t}) == min_weight_st_separator(h, s, t)
-            assert fold_cores(g, s, c_sA, t, c_tB) == h
+
+
+@pytest.mark.parametrize(
+    "edges, t, sep",
+    [
+        ([(0, 1), (1, 2), (2, 3), (3, 0)], 2, {1}),
+        ([(0, 1), (1, 2), (2, 3), (3, 4)], 4, {1, 3}),
+        ([(0, 1), (1, 2), (2, 3), (3, 4), (1, 5)], 4, {2, 5}),
+    ],
+    ids=["t on the side of s", "a cut vertex s's side misses", "a cut vertex t's side misses"],
+)
+def test_the_cut_check_refuses_what_is_not_a_minimal_separator(edges, t, sep):
+    """Each cut is proved from the seeds of s and t: a set of the flow's
+    weight that leaves t on the side of s, or is not all in the neighborhood
+    of one side, is refused.  A forged last search names the set."""
+    g = WeightedGraph(1 + max(map(max, edges)), edges)
+    net = FlowNetwork(g, 0, t)
+    net.through = dict.fromkeys(sep, 1)
+    with pytest.raises(InternalConsistencyError, match="not a minimal separator"):
+        net._cut((dict.fromkeys(sep, 0), {}), len(sep))
 
 
 def test_settled_sides_that_touch_have_no_finite_cut():
