@@ -136,8 +136,8 @@ def _definition_filter(g: WeightedGraph, s, A: frozenset, candidates, walked: di
     each candidate avoids s and t, separates them and has N(C_t) = S in
     G - R, and the module's lemma that N(C_s) - R = S once A lies inside
     C_s.  So every member has N_G(C_s) = S | (N_G(C_s) & R), the seed
-    neighborhoods the winner's validation in :func:`min_safe_separator`
-    takes without a walk."""
+    neighborhood that the flow network of :func:`min_safe_separator` takes
+    without a walk for a family of one member."""
     survivors = []
     for S in dict.fromkeys(candidates):
         c_s = walked.get(S) or component_with_boundary(g, S | R, s)[0]

@@ -34,11 +34,11 @@ guarantees an answer on arbitrary inputs; fast mode skips the scan and
 trusts the caller.  Every other check runs in both modes, and the winner is
 validated against the safety and minimality definitions on the original
 graph before it is returned, on the full sides of G minus the winner that
-hold A and B.  Each side is grown from the settled side of the winning pair
-that it contains, whose neighborhood is known without a walk, so the
-validation reads the adjacency only of the vertices it adds to those
-settled sides.  The full sides also prove G connected, which G remembers; a
-NONE answer walks the whole graph for that only if G does not know it yet.
+hold A and B.  The flow network grew both sides, with their neighborhoods,
+to prove the winning cut minimal, so the validation is a handful of set
+tests and walks nothing.  The full sides also prove G connected, which G
+remembers; a NONE answer walks the whole graph for that only if G does not
+know it yet.
 """
 
 from __future__ import annotations
@@ -105,9 +105,11 @@ class SafeSeparatorAnswer:
 
 def _core(g: WeightedGraph, R: frozenset, v, sides: dict) -> tuple:
     """(core, N_G(core)) for the part of v's side in G - R that every
-    qualifying pair settles: the side of a lone qualifying member S, with
-    N_G = S | R as in the validation seeds of _answer, else the component
-    of v avoiding every qualifying member, inside each of their sides."""
+    qualifying pair settles: the side of a lone qualifying member S, else
+    the component of v avoiding every qualifying member, inside each of
+    their sides.  A lone member's side has N_G = S | R with no walk:
+    N(side) - R = S by the lemma of the close_to module, and every vertex
+    of R = N(A) & N(B) touches the terminal set inside the side."""
     if len(sides) == 1:
         ((S, side),) = sides.items()
         return side, S | R
@@ -115,22 +117,23 @@ def _core(g: WeightedGraph, R: frozenset, v, sides: dict) -> tuple:
 
 
 def _best_pair_cut(g: WeightedGraph, s, t, pairs, R, weight_R):
-    """((weight, sorted vertex tuple), vertex set, pair) of the best candidate
-    over the qualifying pairs (S_A, S_B, c_sA, c_tB), all cut on one network
-    of G - R between the cores, handed to it as seeds; pair is the one whose
-    cut won."""
+    """((weight, sorted vertex tuple), vertex set, sides) of the best
+    candidate over the qualifying pairs (S_A, S_B, c_sA, c_tB), all cut on
+    one network of G - R between the cores, handed to it as seeds; sides are
+    the two sides, each with its neighborhood, on which the network proved
+    the winning cut minimal: the components of G minus the candidate that
+    hold s and t."""
     seed_s = _core(g, R, s, {S_A: c_sA for S_A, _, c_sA, _ in pairs})
     seed_t = _core(g, R, t, {S_B: c_tB for _, S_B, _, c_tB in pairs})
     core_s, core_t = seed_s[0], seed_t[0]
     net = FlowNetwork(g, s, t, seed_s, seed_t, R)
     best = None
-    for pair in pairs:
-        _, _, c_sA, c_tB = pair
-        sep, wt = net.min_cut((c_sA - core_s) | (c_tB - core_t))
+    for _, _, c_sA, c_tB in pairs:
+        sep, wt, sides = net.min_cut((c_sA - core_s) | (c_tB - core_t))
         answer_set = sep | R
         key = (wt + weight_R, tuple(sorted(answer_set)))
         if best is None or key < best[0]:
-            best = (key, answer_set, pair)
+            best = (key, answer_set, sides)
     return best
 
 
@@ -151,9 +154,8 @@ def min_safe_separator(q: QueryInstance, *, verified: bool = False) -> SafeSepar
     triple nothing is guaranteed beyond three outcomes: a NONE (possibly
     wrong), a safe minimal separator (possibly not of minimum weight), or
     this error.  Only a NONE answer or this error walks the whole graph to
-    check connectivity, once per graph; an answer reads it off the
-    validation of its winner, whose two full sides are grown from the
-    settled sides of the pair that won, and g remembers it.
+    check connectivity, once per graph; an answer reads it off the two
+    full sides on which its winning cut was proved, and g remembers it.
     """
     try:
         answer = _answer(q.graph, q.A, q.B, verified)
@@ -202,19 +204,14 @@ def _answer(g: WeightedGraph, A: frozenset, B: frozenset, verified: bool) -> Saf
     if not pairs:
         return SafeSeparatorAnswer.none()
 
-    (total, _), winner, (S_A, S_B, c_sA, c_tB) = _best_pair_cut(g, s, t, pairs, R, g.weight_of(R))
-    # The winning pair's settled sides seed the two walks of the validation,
-    # each with its neighborhood and no walk: N(c_sA) - R = S_A by the lemma
-    # of the close_to module, and every vertex of R = N(A) & N(B) touches
-    # A <= c_sA, so N(c_sA) = S_A | R; likewise N(c_tB) = S_B | R.
-    sides = safe_minimal_sides(g, A, B, winner, (c_sA, S_A | R), (c_tB, S_B | R))
-    if sides is None:
+    (total, _), winner, (side_a, side_b) = _best_pair_cut(g, s, t, pairs, R, g.weight_of(R))
+    if not safe_minimal_sides(A, B, winner, side_a, side_b):
         raise InternalConsistencyError(
             "computed winner failed validation against the safety definition"
         )
     # Each vertex of the winner W touches both full sides, so g[C_A | W | C_B]
     # is connected if W is not empty, and g is if every other vertex reaches W.
-    c_a, c_b = sides
+    c_a, c_b = side_a[0], side_b[0]
     if not winner or (
         len(c_a) + len(c_b) + len(winner) < g.vertex_count
         and not hangs_together(g, winner, set(g.vertices).difference(c_a, c_b, winner))

@@ -22,8 +22,10 @@ nothing settled (the base flow) once, then cuts it for any number of
 settled sets.  Settling only raises capacities, so the base flow stays
 feasible and each cut augments from it instead of from zero; the source
 side of the cut is the residual-reachable set, which every maximum flow
-shares, so the cut is the one a cold flow would give.  A settled set that
-misses the base cut, read and checked once, keeps it without a flow.
+shares, so the cut is the one a cold flow would give.  Each cut, the empty
+one included, is proved minimal on the two sides of G - cut that hold the
+cores, and comes with them.  A settled set that misses the base cut, read
+and checked once, keeps it and its sides without a flow.
 ``min_weight_st_separator`` is the single cut with nothing settled.
 """
 
@@ -56,8 +58,9 @@ class FlowNetwork:
     against the distinct arc v_out -> u_in.  Both keep positive entries
     only, so a vertex outside ``through`` carries no flow, and (t apart) v
     has inflow exactly when it has through-flow.  Each :meth:`min_cut`
-    starts from the saved base flow, whose cut, checked once, is ``cut``:
-    None when the base flow reaches inf, as when s and t are adjacent.
+    starts from the saved base flow, whose cut, checked once, is ``cut``,
+    with its two sides ``sides``: both None when the base flow reaches inf,
+    as when s and t are adjacent.
     """
 
     def __init__(self, g: WeightedGraph, s, t, seed_s=None, seed_t=None, excluded=EMPTY_SET):
@@ -68,7 +71,9 @@ class FlowNetwork:
         self.through, self.inflow = {}, {}
         self.base, reached = self.max_flow()
         self.saved = self.through, self.inflow
-        self.cut = self._cut(reached, self.base) if self.base < self.inf else None
+        self.cut = self.sides = None
+        if self.base < self.inf:
+            self.cut, _, self.sides = self._cut(reached, self.base)
 
     def max_flow(self, settled=EMPTY_SET):
         """Augment the current flow along shortest augmenting paths (Edmonds
@@ -144,11 +149,11 @@ class FlowNetwork:
         return flow, None
 
     def _cut(self, reached, flow):
-        """The cut named by a maximum flow's last search, checked against it:
-        the vertices, all carrying flow, whose in-node alone it reached,
-        proved minimal on the two sides grown from the seeds."""
-        if flow == 0:
-            return frozenset()
+        """(cut, flow, sides) for the cut named by a maximum flow's last
+        search, checked against it: the vertices, all carrying flow, whose
+        in-node alone it reached, the empty set for a flow of 0.  It is proved
+        minimal on the two sides of G - (cut | excluded) grown from the seeds,
+        which come back as ((C_s, N_G(C_s)), (C_t, N_G(C_t)))."""
         in_from, out_from = reached
         g = self.g
         sep = frozenset(v for v in self.through if v in in_from and v not in out_from)
@@ -157,14 +162,16 @@ class FlowNetwork:
                 f"cut weight {g.weight_of(sep)} does not match flow value {flow}"
             )
         gone = sep | self.excluded
-        c_s, n_s = component_from_seed(g, gone, *self.seed_s)
-        if self.t in c_s or not sep <= n_s or not sep <= component_from_seed(g, gone, *self.seed_t)[1]:
+        sides = component_from_seed(g, gone, *self.seed_s), component_from_seed(g, gone, *self.seed_t)
+        (c_s, n_s), (_, n_t) = sides
+        if self.t in c_s or not sep <= n_s or not sep <= n_t:
             raise InternalConsistencyError("extracted minimum cut is not a minimal separator")
-        return sep
+        return sep, flow, sides
 
     def min_cut(self, settled=EMPTY_SET):
-        """A minimum-weight s,t-separator avoiding the settled vertices, and
-        its weight.
+        """(cut, weight, sides): a minimum-weight s,t-separator avoiding the
+        settled vertices, its weight, and the sides of G - (cut | excluded)
+        that hold the two cores, ((C_s, N_G(C_s)), (C_t, N_G(C_t))).
 
         The split arcs of the settled vertices are raised to the infinite
         capacity, which is the same as contracting each connected settled
@@ -173,17 +180,18 @@ class FlowNetwork:
         network.  The nodes residual-reachable from s are the same for every
         maximum flow (the source side of the minimal minimum cut), so the cut
         equals the one a flow from zero would give.  It is always a minimal
-        separator (validated before returning).  InternalConsistencyError
-        means that no finite cut exists, i.e. the settled vertices join s to t.
+        separator, proved on its sides before returning.
+        InternalConsistencyError means that no finite cut exists, i.e. the
+        settled vertices join s to t.
 
-        A settled set that misses the base cut keeps it, ties included.  Only
-        split arcs rise, and one leaving the base residual-reachable set X
-        belongs to a base-cut vertex (edge arcs have no bound, so none leaves
-        X).  So X, the cut and the flow stay; and a set missing an
-        s,t-separator cannot join s to t.
+        A settled set that misses the base cut keeps it and its sides, ties
+        included.  Only split arcs rise, and one leaving the base
+        residual-reachable set X belongs to a base-cut vertex (edge arcs have
+        no bound, so none leaves X).  So X, the cut and the flow stay; and a
+        set missing an s,t-separator cannot join s to t.
         """
         if self.cut is not None and self.cut.isdisjoint(settled):
-            return self.cut, self.base
+            return self.cut, self.base, self.sides
         through, inflow = self.saved
         self.through, self.inflow = dict(through), {v: dict(arcs) for v, arcs in inflow.items()}
         extra, reached = self.max_flow(settled)
@@ -192,7 +200,7 @@ class FlowNetwork:
             raise InternalConsistencyError(
                 "the flow reached the infinite capacity: the settled sides touch"
             )
-        return self._cut(reached, flow), flow
+        return self._cut(reached, flow)
 
 
 def min_weight_st_separator(g: WeightedGraph, s, t):
@@ -206,4 +214,5 @@ def min_weight_st_separator(g: WeightedGraph, s, t):
     _check_terminals(g, s, t, EMPTY_SET)
     if g.has_edge(s, t):
         raise NoSeparatorError("terminals are adjacent; no s,t-separator exists")
-    return FlowNetwork(g, s, t).min_cut()
+    sep, weight, _ = FlowNetwork(g, s, t).min_cut()
+    return sep, weight

@@ -23,7 +23,6 @@ from .graph_core import (
     EMPTY_SET,
     WeightedGraph,
     closed_neighborhood,
-    component_from_seed,
     component_of,
     component_with_boundary,
     hangs_together,
@@ -107,34 +106,17 @@ def is_safe_AB_separator(g: WeightedGraph, A: Iterable[int], B: Iterable[int], S
     return B <= component_with_boundary(g, S, b)[0]
 
 
-def safe_minimal_sides(
-    g: WeightedGraph, A: frozenset, B: frozenset, S: frozenset, seed_a: tuple, seed_b: tuple
-) -> tuple | None:
-    """(C_A, C_B), the full components of G-S that hold min(A) and min(B),
-    when S avoids A and B, A lies inside C_A, B inside C_B, min(B) outside
-    C_A, and S <= N(C_A) and S <= N(C_B); else None.  Once A fills one
-    component and B another, the last two say exactly that S is minimal.
+def safe_minimal_sides(A: frozenset, B: frozenset, S: frozenset, side_a: tuple, side_b: tuple) -> bool:
+    """Whether S is a safe minimal A,B-separator, read off side_a = (C_A,
+    N_G(C_A)) and side_b = (C_B, N_G(C_B)), the components of G-S that hold
+    min(A) and min(B): A lies inside C_A, B inside C_B, min(B) outside C_A,
+    and N(C_A) = S = N(C_B).  Once A fills one component and B another, the
+    last says exactly that S is minimal.  Nothing is walked.
 
-    Each side is grown from its seed (D, N_G(D)), a connected set D with its
-    neighborhood, by one walk that never reads the adjacency of a vertex of
-    D; a seed that meets S or misses min(A) (for seed_b, min(B)) gives None.
-    With no seed at hand, ({v}, N(v)) for v = min(A) (min(B)) walks the
-    whole side.  Trusted: A, B and S are sets of active vertices, A and B
-    non-empty, and each seed is connected with its exact neighborhood."""
-    (d_a, nd_a), (d_b, nd_b) = seed_a, seed_b
-    if (
-        S.isdisjoint(A)
-        and S.isdisjoint(B)
-        and S.isdisjoint(d_a)
-        and S.isdisjoint(d_b)
-        and min(A) in d_a
-        and min(B) in d_b
-    ):
-        c_a, n_a = component_from_seed(g, S, d_a, nd_a)
-        c_b, n_b = component_from_seed(g, S, d_b, nd_b)
-        if A <= c_a and B <= c_b and min(B) not in c_a and S <= n_a and S <= n_b:
-            return c_a, c_b
-    return None
+    Trusted: the sides are those components, each with its exact
+    neighborhood, which therefore lies inside S."""
+    (c_a, n_a), (c_b, n_b) = side_a, side_b
+    return A <= c_a and B <= c_b and min(B) not in c_a and n_a == S == n_b
 
 
 def close_separator(g: WeightedGraph, X: Iterable[int], t) -> frozenset:

@@ -65,9 +65,10 @@ ANCHOR_READS = "tests/test_close_to.py::TestRunDetails::test_anchor_passes_read_
 CORPUS_CLOSE = "tests/test_corpus.py::test_close_families_match_the_oracle_on_the_stratum"
 REST_PINS = "tests/test_close_to.py::TestAgainstBruteForce::test_the_member_that_only_the_rest_anchor_finds"
 TRUSTED = "tests/test_close_to.py::TestWhatTheFilterTrusts"
-SEED_CONTRACT = (
+VALIDATION = (
+    "tests/test_minimal_separators.py::TestSetPredicates::test_validation_refuses_each_condition_that_fails_alone",
     "tests/test_minimal_separators.py::TestSetPredicates"
-    "::test_validation_grows_each_side_from_a_seed_that_holds_its_terminal"
+    "::test_single_partition_validation_matches_the_two_predicates",
 )
 
 
@@ -304,8 +305,17 @@ MUTANTS = (
     Mutant(
         "cut proof: the boundary of t's side",
         MWS,
-        " or not sep <= component_from_seed(g, gone, *self.seed_t)[1]:\n",
+        " or not sep <= n_t:\n",
         ":\n",
+        (CUT_PROOF,),
+    ),
+    Mutant(
+        "cut proof: the empty cut's proof skipped",
+        MWS,
+        "        in_from, out_from = reached\n",
+        "        if flow == 0:\n"
+        "            return frozenset(), flow, (self.seed_s, self.seed_t)\n"
+        "        in_from, out_from = reached\n",
         (CUT_PROOF,),
     ),
     Mutant(
@@ -338,48 +348,42 @@ MUTANTS = (
         "    if False:\n",
         (BAD_WINNER,),
     ),
-    # The winner's validation, grown from the winning pair's settled sides.
+    # The winner's validation, read off the two sides that its cut's proof
+    # grew.
     Mutant(
-        "validation: a seed that meets the winner",
+        "validation: A inside C_A dropped",
         MINSEP,
-        "        and S.isdisjoint(d_a)\n        and S.isdisjoint(d_b)\n",
-        "",
-        (SEED_CONTRACT,),
+        "    return A <= c_a and B <= c_b and ",
+        "    return B <= c_b and ",
+        VALIDATION,
     ),
     Mutant(
-        "validation: a seed without min(A) or min(B)",
+        "validation: B inside C_B dropped",
         MINSEP,
-        "        and min(A) in d_a\n        and min(B) in d_b\n",
-        "",
-        (SEED_CONTRACT,),
-    ),
-    Mutant(
-        "validation: S <= N(C_A) dropped",
-        MINSEP,
-        "and S <= n_a and S <= n_b:",
-        "and S <= n_b:",
-        (BAD_WINNER,),
-    ),
-    Mutant(
-        "validation: S <= N(C_B) dropped",
-        MINSEP,
-        "and S <= n_a and S <= n_b:",
-        "and S <= n_a:",
-        (BAD_WINNER,),
+        "    return A <= c_a and B <= c_b and ",
+        "    return A <= c_a and ",
+        VALIDATION,
     ),
     Mutant(
         "validation: min(B) outside C_A dropped",
         MINSEP,
         " and min(B) not in c_a and ",
         " and ",
-        (BAD_WINNER,),
+        VALIDATION,
     ),
     Mutant(
-        "validation: the R part of the seed boundary dropped",
-        MSS,
-        "(c_sA, S_A | R), (c_tB, S_B | R)",
-        "(c_sA, S_A), (c_tB, S_B)",
-        ("tests/test_min_safe_sep.py::test_seeded_validation_walks_the_sides_of_an_unseeded_one",),
+        "validation: N(C_A) = S dropped",
+        MINSEP,
+        " and n_a == S == n_b\n",
+        " and S == n_b\n",
+        VALIDATION,
+    ),
+    Mutant(
+        "validation: N(C_B) = S dropped",
+        MINSEP,
+        " and n_a == S == n_b\n",
+        " and n_a == S\n",
+        VALIDATION,
     ),
     # Shortcuts that let a query read each region once: the connectivity
     # memo, the dead pockets of the search for s, and the anchor sides grown
@@ -387,14 +391,14 @@ MUTANTS = (
     Mutant(
         "connectivity memo: written before the connectivity test",
         MSS,
-        "    c_a, c_b = sides\n"
+        "    c_a, c_b = side_a[0], side_b[0]\n"
         "    if not winner or (\n"
         "        len(c_a) + len(c_b) + len(winner) < g.vertex_count\n"
         "        and not hangs_together(g, winner, set(g.vertices).difference(c_a, c_b, winner))\n"
         "    ):\n"
         "        raise ValueError(\"input graph must be connected\")\n"
         "    g._connected = True\n",
-        "    c_a, c_b = sides\n"
+        "    c_a, c_b = side_a[0], side_b[0]\n"
         "    g._connected = True\n"
         "    if not winner or (\n"
         "        len(c_a) + len(c_b) + len(winner) < g.vertex_count\n"

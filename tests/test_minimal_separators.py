@@ -20,6 +20,7 @@ from safesep import (
     is_st_separator,
     neighborhood,
 )
+from safesep.graph_core import component_with_boundary
 from safesep.minimal_separators import near_search, safe_minimal_sides
 from safesep.oracle import enumerate_minimal_st_separators
 from tests.brutes import (
@@ -156,34 +157,26 @@ class TestSetPredicates:
     def test_single_partition_validation_matches_the_two_predicates(self, g, data):
         A, B, S = draw_ab_query(g, data)
         expected = is_safe_AB_separator(g, A, B, S) and is_minimal_AB_separator(g, A, B, S)
-        a, b = min(A), min(B)
-        seeds = ({a}, g.neighbors(a)), ({b}, g.neighbors(b))
-        sides = safe_minimal_sides(g, frozenset(A), frozenset(B), frozenset(S), *seeds)
-        assert (sides is not None) == expected
+        sides = component_with_boundary(g, S, min(A)), component_with_boundary(g, S, min(B))
+        assert safe_minimal_sides(A, B, S, *sides) == expected
 
-    def test_validation_grows_each_side_from_a_seed_that_holds_its_terminal(self):
-        # Path 0-...-4 with A = {0}, B = {4}: {2} is a safe minimal separator,
-        # with the sides {0, 1} and {3, 4}.
-        g = path_graph(5)
-        A, B, S = frozenset({0}), frozenset({4}), frozenset({2})
-        one_a, one_b = ({0}, {1}), ({4}, {3})
-        assert safe_minimal_sides(g, A, B, S, one_a, one_b) == ({0, 1}, {3, 4})
-        assert safe_minimal_sides(g, A, B, S, ({0, 1}, {2}), ({3, 4}, {2})) == ({0, 1}, {3, 4})
-        # A seed that meets S, or misses min(A) (min(B)), is refused before
-        # any walk reads the graph.
-        reads = []
+    def test_validation_refuses_each_condition_that_fails_alone(self):
+        # Each query breaks one condition of safe_minimal_sides and keeps
+        # the others, so dropping any one of them lets a query through.
+        def validate(g, A, B, S):
+            A, B, S = frozenset(A), frozenset(B), frozenset(S)
+            sides = component_with_boundary(g, S, min(A)), component_with_boundary(g, S, min(B))
+            return safe_minimal_sides(A, B, S, *sides)
 
-        class CountingAdjacency(dict):
-            def __getitem__(self, v):
-                reads.append(v)
-                return super().__getitem__(v)
-
-        g._adj = CountingAdjacency(g._adj)
-        assert safe_minimal_sides(g, A, B, S, ({0, 1, 2}, {3}), one_b) is None
-        assert safe_minimal_sides(g, A, B, S, one_a, ({2, 3, 4}, {1})) is None
-        assert safe_minimal_sides(g, A, B, S, ({1}, {0, 2}), one_b) is None
-        assert safe_minimal_sides(g, A, B, S, one_a, ({3}, {2, 4})) is None
-        assert reads == []
+        assert validate(path_graph(5), {0}, {4}, {2})
+        # The claw without its center: A, then B, lies in two components.
+        assert not validate(claw(), {1, 3}, {2}, {0})
+        assert not validate(claw(), {1}, {2, 3}, {0})
+        # Nothing removed: A and B share the one component.
+        assert not validate(path_graph(3), {0}, {2}, set())
+        # Path 0-1-2-3 without 1 and 3: 3 touches only the side of 2.
+        assert not validate(path_graph(4), {2}, {0}, {1, 3})
+        assert not validate(path_graph(4), {0}, {2}, {1, 3})
 
     def test_separator_overlapping_the_sets_is_rejected(self):
         g = path_graph(5)
