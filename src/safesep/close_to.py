@@ -82,6 +82,7 @@ from .errors import InternalConsistencyError
 from .graph_core import (
     EMPTY_SET,
     WeightedGraph,
+    checked_set,
     closed_neighborhood,
     component_from_seed,
     component_with_boundary,
@@ -273,13 +274,10 @@ def close_to(g: WeightedGraph, s, t, A: Iterable[int], *, verified: bool = False
     InternalConsistencyError when it fails.  The checked query runs through
     :func:`close_to_run`.
     """
-    A = frozenset(A)
-    _check_terminals(g, s, t, EMPTY_SET)
+    _check_terminals(g, s, t)
+    A = checked_set(g, A, "A")
     if A & {s, t}:
         raise ValueError("A must avoid the terminals")
-    for v in A:
-        if not g.has_vertex(v):
-            raise ValueError(f"A contains inactive vertex {v!r}")
     if verified and not is_at_free(g):
         raise ValueError("input graph is not AT-free")
     return close_to_run(g, s, t, A).family

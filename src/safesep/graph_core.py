@@ -129,23 +129,29 @@ def _checked_edge(u, v, n: int) -> tuple:
     return int(u), int(v)
 
 
-def _check_subset(g: WeightedGraph, T: Iterable[int], what: str) -> frozenset:
-    T = frozenset(T)
+def checked_set(g: WeightedGraph, T: Iterable[int], what: str) -> frozenset:
+    """T as a frozenset, or ValueError naming ``what`` for a member that
+    ``has_vertex`` refuses.  The one check of vertex ids at the public
+    boundary; a single id goes through it as ``(v,)``."""
+    try:
+        T = frozenset(T)
+    except TypeError:  # T is not iterable, or holds an id that is not hashable
+        raise ValueError(f"{what}: {T!r} is not a set of active vertices") from None
     for v in T:
         if not g.has_vertex(v):
-            raise ValueError(f"{what} contains inactive vertex {v}")
+            raise ValueError(f"{what}: {v!r} is not an active vertex")
     return T
 
 
 def neighborhood(g: WeightedGraph, T: Iterable[int]) -> frozenset:
     """Open neighborhood N_G(T) = union of neighbors of T, minus T itself."""
-    T = _check_subset(g, T, "T")
+    T = checked_set(g, T, "T")
     return frozenset().union(*(g._adj[v] for v in T)) - T
 
 
 def closed_neighborhood(g: WeightedGraph, T: Iterable[int]) -> frozenset:
     """Closed neighborhood N_G[T] = N_G(T) | T."""
-    T = _check_subset(g, T, "T")
+    T = checked_set(g, T, "T")
     return T.union(*(g._adj[v] for v in T))
 
 
@@ -237,7 +243,7 @@ def hangs_together(g: WeightedGraph, core, rest) -> bool:
 def components(g: WeightedGraph, X: Iterable[int]) -> tuple:
     """The connected components C of G-X, as (C, N_G(C)) pairs in the order
     of their least vertex; each N_G(C) lies inside X."""
-    X = _check_subset(g, X, "X")
+    X = checked_set(g, X, "X")
     pairs = []
     seen = set()
     for start in g.vertices:
@@ -249,12 +255,12 @@ def components(g: WeightedGraph, X: Iterable[int]) -> tuple:
 
 
 def component_of(g: WeightedGraph, X: Iterable[int], v) -> frozenset:
-    """The component C_v(G-X): all vertices reachable from v in G-X."""
-    X = _check_subset(g, X, "X")
+    """The component C_v(G-X): all vertices reachable from v in G-X; ValueError
+    unless X is a set of active vertices and v an active vertex outside it."""
+    X = checked_set(g, X, "X")
+    checked_set(g, (v,), "v")
     if v in X:
         raise ValueError(f"vertex {v} is in the removed set")
-    if not g.has_vertex(v):
-        raise ValueError(f"vertex {v} is not active")
     return component_with_boundary(g, X, v)[0]
 
 
@@ -294,15 +300,15 @@ def is_connected(g: WeightedGraph) -> bool:
 def bfs_path(g: WeightedGraph, src, dst, forbidden: frozenset = EMPTY_SET):
     """Shortest src-dst path avoiding `forbidden`, or None.
 
-    Neighbor expansion in ascending order, so the returned path is
-    deterministic.
+    Raises ValueError unless src and dst are active vertices; `forbidden`
+    is only tested for membership.  Neighbor expansion in ascending order,
+    so the returned path is deterministic.
     """
+    checked_set(g, (src, dst), "endpoint")
     if src in forbidden or dst in forbidden:
         return None
     if src == dst:
         return (src,)
-    if not g.has_vertex(src):
-        raise ValueError(f"vertex {src} is not active")
     adj = g._adj
     parent = {src: None}
     queue = [src]

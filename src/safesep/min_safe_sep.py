@@ -51,6 +51,7 @@ from .close_to import close_to_run
 from .errors import InternalConsistencyError
 from .graph_core import (
     WeightedGraph,
+    checked_set,
     closed_neighborhood,
     component_with_boundary,
     hangs_together,
@@ -67,8 +68,8 @@ class QueryInstance:
 
     The one place a query is checked: both sets must be non-empty, disjoint
     and made of active vertices (ints, not bools), or construction raises
-    ValueError.  Sets that are merely adjacent are a valid query whose
-    answer is NONE.
+    ValueError naming the set.  Sets that are merely adjacent are a valid
+    query whose answer is NONE.
     """
 
     graph: WeightedGraph
@@ -76,15 +77,12 @@ class QueryInstance:
     B: FrozenSet[int]
 
     def __post_init__(self):
-        object.__setattr__(self, "A", frozenset(self.A))
-        object.__setattr__(self, "B", frozenset(self.B))
+        object.__setattr__(self, "A", checked_set(self.graph, self.A, "A"))
+        object.__setattr__(self, "B", checked_set(self.graph, self.B, "B"))
         if not self.A or not self.B:
             raise ValueError("terminal sets must be non-empty")
         if self.A & self.B:
             raise ValueError("terminal sets must be disjoint")
-        for v in self.A | self.B:
-            if not self.graph.has_vertex(v):
-                raise ValueError(f"terminal {v!r} is not an active vertex")
 
 
 @dataclass(frozen=True)

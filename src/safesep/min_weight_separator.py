@@ -211,7 +211,7 @@ def min_weight_st_separator(g: WeightedGraph, s, t):
     source-side residual-reachability cut is returned; it is always a minimal
     separator (validated before returning).
     """
-    _check_terminals(g, s, t, EMPTY_SET)
+    _check_terminals(g, s, t)
     if g.has_edge(s, t):
         raise NoSeparatorError("terminals are adjacent; no s,t-separator exists")
     sep, weight, _ = FlowNetwork(g, s, t).min_cut()

@@ -22,61 +22,65 @@ from .errors import NoSeparatorError
 from .graph_core import (
     EMPTY_SET,
     WeightedGraph,
+    checked_set,
     closed_neighborhood,
-    component_of,
     component_with_boundary,
     hangs_together,
 )
 
 
-def _check_terminals(g: WeightedGraph, s, t, S: frozenset):
+def _check_terminals(g: WeightedGraph, s, t, S: Iterable[int] = EMPTY_SET) -> frozenset:
+    """S as a frozenset, once s and t are distinct active vertices and S a
+    set of active vertices avoiding both; else ValueError."""
+    checked_set(g, (s, t), "terminal")
     if s == t:
         raise ValueError("terminals must be distinct")
-    for x in (s, t):
-        if not g.has_vertex(x):
-            raise ValueError(f"terminal {x!r} is not an active vertex")
-        if x in S:
-            raise ValueError(f"terminal {x} lies inside the candidate separator")
+    S = checked_set(g, S, "S")
+    if s in S or t in S:
+        raise ValueError("a terminal lies inside the candidate separator")
+    return S
 
 
 def is_st_separator(g: WeightedGraph, s, t, S: Iterable[int]) -> bool:
     """True iff s and t are in different connected components of G-S."""
-    S = frozenset(S)
-    _check_terminals(g, s, t, S)
-    return t not in component_of(g, S, s)
+    S = _check_terminals(g, s, t, S)
+    return t not in component_with_boundary(g, S, s)[0]
 
 
 def is_minimal_st_separator(g: WeightedGraph, s, t, S: Iterable[int]) -> bool:
     """True iff S separates s from t and both terminal components are full,
     i.e. N(C_s(G-S)) = N(C_t(G-S)) = S."""
-    S = frozenset(S)
-    _check_terminals(g, s, t, S)
+    return _has_full_sides(g, s, t, _check_terminals(g, s, t, S))
+
+
+def _has_full_sides(g: WeightedGraph, s, t, S: frozenset) -> bool:
+    """:func:`is_minimal_st_separator` on trusted input: S a set of active
+    vertices avoiding s and t, distinct active vertices."""
     c_s, n_s = component_with_boundary(g, S, s)
     if t in c_s or n_s != S:
         return False
     return component_with_boundary(g, S, t)[1] == S
 
 
-def _check_ab(g: WeightedGraph, A: frozenset, B: frozenset, S: frozenset):
+def _check_ab(g: WeightedGraph, A: Iterable[int], B: Iterable[int], S: Iterable[int]) -> tuple:
+    """The checked (A, B, S) as frozensets: A and B non-empty, disjoint and
+    non-adjacent, S avoiding both, all of active vertices; else ValueError."""
+    A, B, S = checked_set(g, A, "A"), checked_set(g, B, "B"), checked_set(g, S, "S")
     if not A or not B:
         raise ValueError("A and B must be non-empty")
-    for name, T in (("A", A), ("B", B), ("S", S)):
-        for v in T:
-            if not g.has_vertex(v):
-                raise ValueError(f"{name} contains inactive vertex {v}")
     if A & B:
         raise ValueError("A and B must be disjoint")
     if A & closed_neighborhood(g, B):
         raise ValueError("A and B must be non-adjacent")
     if S & (A | B):
         raise ValueError("S must avoid A and B")
+    return A, B, S
 
 
 def is_AB_separator(g: WeightedGraph, A: Iterable[int], B: Iterable[int], S: Iterable[int]) -> bool:
     """True iff no path joins A and B in G-S: B misses the side of A, the
     union of the components of G-S that meet A."""
-    A, B, S = frozenset(A), frozenset(B), frozenset(S)
-    _check_ab(g, A, B, S)
+    A, B, S = _check_ab(g, A, B, S)
     return B.isdisjoint(component_with_boundary(g, S, *A)[0])
 
 
@@ -85,8 +89,7 @@ def is_minimal_AB_separator(g: WeightedGraph, A: Iterable[int], B: Iterable[int]
     there are components C_A (meeting A) and C_B (meeting B) of G-S with
     w in N(C_A) and w in N(C_B).  The side of A (of B) is the union of the
     components that meet it, and its neighborhood the union of theirs."""
-    A, B, S = frozenset(A), frozenset(B), frozenset(S)
-    _check_ab(g, A, B, S)
+    A, B, S = _check_ab(g, A, B, S)
     side_a, near_a = component_with_boundary(g, S, *A)
     if not (B.isdisjoint(side_a) and S <= near_a):
         return False
@@ -97,8 +100,7 @@ def is_safe_AB_separator(g: WeightedGraph, A: Iterable[int], B: Iterable[int], S
     """True iff S separates A from B while A stays inside one component of
     G-S and B inside one (different) component: the components of min(A)
     and of min(B)."""
-    A, B, S = frozenset(A), frozenset(B), frozenset(S)
-    _check_ab(g, A, B, S)
+    A, B, S = _check_ab(g, A, B, S)
     b = min(B)
     side_a = component_with_boundary(g, S, min(A))[0]
     if b in side_a or not A <= side_a:
@@ -122,18 +124,15 @@ def safe_minimal_sides(A: frozenset, B: frozenset, S: frozenset, side_a: tuple, 
 def close_separator(g: WeightedGraph, X: Iterable[int], t) -> frozenset:
     """The unique minimal separator between X and t contained in N(X).
 
-    Requires g[X] connected and X disjoint from N[t]; computed as
-    N(C_t(G - N(X))).  If t cannot reach X at all, the result is the empty
-    separator.
+    Computed as N(C_t(G - N(X))); if t cannot reach X at all, the result
+    is the empty separator.  Raises ValueError unless X is a non-empty set
+    of active vertices with g[X] connected and t is an active vertex, and
+    NoSeparatorError when X meets N[t].
     """
-    X = frozenset(X)
+    X = checked_set(g, X, "X")
+    checked_set(g, (t,), "terminal")
     if not X:
         raise ValueError("X must be non-empty")
-    for v in X:
-        if not g.has_vertex(v):
-            raise ValueError(f"X contains inactive vertex {v}")
-    if not g.has_vertex(t):
-        raise ValueError(f"terminal {t} is not an active vertex")
     if X & closed_neighborhood(g, (t,)):
         raise NoSeparatorError("X intersects the closed neighborhood of t")
     start = next(iter(X))

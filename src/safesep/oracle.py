@@ -24,13 +24,14 @@ from .atfree import scan_asteroidal_triple
 from .errors import NoSeparatorError
 from .graph_core import (
     WeightedGraph,
+    checked_set,
     closed_neighborhood,
     component_of,
     family_sorted,
     hangs_together,
 )
-from .min_safe_sep import SafeSeparatorAnswer
-from .minimal_separators import close_separator, is_minimal_st_separator, is_safe_AB_separator
+from .min_safe_sep import QueryInstance, SafeSeparatorAnswer
+from .minimal_separators import _check_terminals, _has_full_sides, close_separator, is_safe_AB_separator
 
 DEFAULT_SUBSET_CAP = 16
 
@@ -71,21 +72,23 @@ def enumerate_minimal_st_separators(g: WeightedGraph, s, t) -> Tuple[FrozenSet[i
     """All minimal s,t-separators, by exhaustive scan of vertex subsets.
 
     Includes the empty separator exactly when s and t are already
-    disconnected.  Output is in lexicographic order.
+    disconnected.  Output is in lexicographic order.  Raises ValueError
+    unless s and t are distinct active vertices.
     """
-    if s == t or not g.has_vertex(s) or not g.has_vertex(t):
-        raise ValueError("terminals must be distinct active vertices")
+    _check_terminals(g, s, t)
     ground = set(g.vertices) - {s, t}
     _check_cap(len(ground), "minimal-separator enumeration")
-    found = [S for S in _subsets_by_size(ground) if is_minimal_st_separator(g, s, t, S)]
+    found = [S for S in _subsets_by_size(ground) if _has_full_sides(g, s, t, S)]
     return family_sorted(found)
 
 
 def close_family_brute(g: WeightedGraph, s, t, A: Iterable[int]) -> Tuple[FrozenSet[int], ...]:
     """The close-to-sA family, straight from the definition: keep the minimal
     s,t-separators with A on the s-side, then drop every one whose s-side
-    strictly contains another's."""
-    A = frozenset(A)
+    strictly contains another's.  Raises ValueError as :func:`close_to`
+    does."""
+    _check_terminals(g, s, t)
+    A = checked_set(g, A, "A")
     if A & {s, t}:
         raise ValueError("A must avoid the terminals")
     with_side = []
@@ -123,12 +126,10 @@ def min_safe_brute(g: WeightedGraph, A: Iterable[int], B: Iterable[int]) -> Safe
     Ties break toward the lexicographically smallest vertex tuple.  The
     polynomial ``min_safe_separator`` breaks ties differently, so the two
     agree on the weight and existence of an answer, not necessarily on the
-    set.
+    set.  Raises ValueError where :class:`QueryInstance` does.
     """
-    A = frozenset(A)
-    B = frozenset(B)
-    if not A or not B:
-        raise ValueError("terminal sets must be non-empty")
+    q = QueryInstance(g, A, B)
+    A, B = q.A, q.B
     if A & closed_neighborhood(g, B):
         return SafeSeparatorAnswer.none()
     ground = sorted(set(g.vertices) - A - B)
@@ -151,15 +152,10 @@ def min_safe_brute(g: WeightedGraph, A: Iterable[int], B: Iterable[int]) -> Safe
 def two_dcs_brute(g: WeightedGraph, A: Iterable[int], B: Iterable[int]) -> bool:
     """Decide 2-disjoint-connected-subgraphs by exhaustive search: are there
     disjoint vertex sets V_A >= A and V_B >= B, each inducing a connected
-    subgraph?  (A and B may be adjacent; only overlap is forbidden.)"""
-    A = frozenset(A)
-    B = frozenset(B)
-    if not A or not B:
-        raise ValueError("terminal sets must be non-empty")
-    if A & B:
-        raise ValueError("terminal sets must be disjoint")
-    if not all(g.has_vertex(v) for v in A | B):
-        raise ValueError("terminal sets must hold active vertices")
+    subgraph?  (A and B may be adjacent; only overlap is forbidden.)
+    Raises ValueError where :class:`QueryInstance` does."""
+    q = QueryInstance(g, A, B)
+    A, B = q.A, q.B
     ground = frozenset(g.vertices) - A - B
     _check_cap(len(ground), "two-disjoint-connected-subgraphs search")
     a0, b0 = frozenset({min(A)}), min(B)

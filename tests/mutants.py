@@ -38,6 +38,7 @@ CLOSE_TO = "src/safesep/close_to.py"
 MSS = "src/safesep/min_safe_sep.py"
 MINSEP = "src/safesep/minimal_separators.py"
 GRAPH = "src/safesep/graph_core.py"
+ORACLE = "src/safesep/oracle.py"
 
 FLOW_ORACLES = (
     "tests/test_min_weight_separator.py::test_cuts_with_settled_sets_match_the_subset_oracle",
@@ -162,6 +163,39 @@ MUTANTS = (
         "        return self.has_vertex(u) and self.has_vertex(v) and v in self._adj[u]\n",
         "        return v in self._adj.get(u, ())\n",
         ("tests/test_graph_core.py::TestConstruction::test_has_edge_is_false_for_ids_that_are_not_ints",),
+    ),
+    # The one id check of the public entry points, and the checks that
+    # route through it.
+    Mutant(
+        "the helper accepts every id",
+        GRAPH,
+        "        if not g.has_vertex(v):\n",
+        "        if False:\n",
+        ("tests/test_graph_core.py::TestConstruction::test_inactive_vertex_queries_raise",
+         "tests/test_minimal_separators.py::TestPairPredicates::test_refuse_vertex_ids_that_are_not_ints",
+         "tests/test_close_to.py::TestFrozenFamilies::test_refuses_vertex_ids_that_are_not_ints",
+         "tests/test_min_safe_sep.py::TestAnswerType::test_query_rejects_vertex_ids_that_are_not_integers"),
+    ),
+    Mutant(
+        "the helper lets TypeError out for an id that is not hashable",
+        GRAPH,
+        "    try:\n        T = frozenset(T)\n    except TypeError:",
+        "    T = frozenset(T)\n    if False:",
+        ("tests/test_minimal_separators.py::TestPairPredicates::test_refuse_vertex_ids_that_are_not_ints",),
+    ),
+    Mutant(
+        "_check_terminals leaves S unchecked",
+        MINSEP,
+        "    S = checked_set(g, S, \"S\")\n",
+        "    S = frozenset(S)\n",
+        ("tests/test_minimal_separators.py::TestPairPredicates::test_refuse_vertex_ids_that_are_not_ints",),
+    ),
+    Mutant(
+        "min_safe_brute skips the query check",
+        ORACLE,
+        "    q = QueryInstance(g, A, B)\n    A, B = q.A, q.B\n    if A & closed_neighborhood(g, B):\n",
+        "    A, B = frozenset(A), frozenset(B)\n    if A & closed_neighborhood(g, B):\n",
+        ("tests/test_min_safe_sep.py::TestAnswerType::test_query_validation",),
     ),
     Mutant(
         "connectivity: one walk must reach every vertex",

@@ -124,9 +124,10 @@ class TestFrozenFamilies:
         for s, t in ((True, 3), (0, 3.0), ("0", 3)):
             with pytest.raises(ValueError, match="not an active vertex"):
                 close_to(g, s, t, ())
-        for A in ({True}, {2.0}, {None}):
-            with pytest.raises(ValueError, match="inactive vertex"):
-                close_to(g, 0, 4, A)
+        for A in ({True}, {2.0}, {None}, {99}):
+            for family in (close_to, close_family_brute):
+                with pytest.raises(ValueError, match="not an active vertex"):
+                    family(g, 0, 4, A)
 
 
 class TestRunDetails:

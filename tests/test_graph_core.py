@@ -136,6 +136,12 @@ class TestConstruction:
             g.neighbors(1)
         with pytest.raises(ValueError):
             g.weight(1)
+        for src, dst in ((0, True), (0, 1), (99, 99)):
+            with pytest.raises(ValueError, match="not an active vertex"):
+                bfs_path(g, src, dst)
+        for h, X, v in ((g, (), True), (g, {True}, True), (g, {2}, 1), (path_graph(3), {1}, True)):
+            with pytest.raises(ValueError, match="not an active vertex"):
+                component_of(h, X, v)
 
 
 class TestAdjacencyTuples:

@@ -27,7 +27,7 @@ from safesep import (
 )
 from safesep.close_to import CloseToRun, close_to_run
 from safesep.min_weight_separator import FlowNetwork
-from safesep.oracle import min_safe_brute
+from safesep.oracle import min_safe_brute, two_dcs_brute
 from tests.brutes import contract_connected_set, induced_delete, random_weighted_graph
 from tests.test_close_to import fan_gadget
 
@@ -116,6 +116,9 @@ class TestAnswerType:
             QueryInstance(g, frozenset({0}), frozenset({9}))
         with pytest.raises(ValueError):
             QueryInstance(path_graph(5), {0, 1}, {1, 4})
+        for oracle in (min_safe_brute, two_dcs_brute):
+            with pytest.raises(ValueError, match="disjoint"):
+                oracle(path_graph(5), {0, 1}, {1, 4})
 
     def test_query_rejects_vertex_ids_that_are_not_integers(self):
         g = path_graph(3)

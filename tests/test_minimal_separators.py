@@ -85,13 +85,16 @@ class TestPairPredicates:
 
     def test_refuse_vertex_ids_that_are_not_ints(self):
         g = path_graph(5)
-        for s, t in ((True, 3), (0, 4.0), ("0", 4)):
+        for s, t, S in ((True, 3, {2}), (0, 4.0, {2}), ("0", 4, {2}), (0, 3, {True}), (0, 3, {7})):
             for predicate in (is_st_separator, is_minimal_st_separator):
                 with pytest.raises(ValueError, match="not an active vertex"):
-                    predicate(g, s, t, {2})
-        with pytest.raises(ValueError, match="inactive vertex"):
+                    predicate(g, s, t, S)
+        for s, S in (([0], {2}), (0, 2)):
+            with pytest.raises(ValueError, match="not a set of active vertices"):
+                is_st_separator(g, s, 4, S)
+        with pytest.raises(ValueError, match="not an active vertex"):
             close_separator(g, (True,), 4)
-        with pytest.raises(ValueError, match="inactive vertex"):
+        with pytest.raises(ValueError, match="not an active vertex"):
             is_AB_separator(g, {True}, {4}, {2})
 
     def test_empty_separator_for_disconnected_pair(self):
