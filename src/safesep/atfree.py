@@ -149,10 +149,8 @@ def _has_cocomparability_ordering(g: WeightedGraph) -> bool:
     previous ordering.  Every ordering is checked before it counts, so a
     True answer is proof; a False one only means no certificate turned up.
     """
-    verts = g.vertices
-    index = {v: i for i, v in enumerate(verts)}
-    nbrs = [[index[w] for w in g._adj[v]] for v in verts]
-    order = list(range(len(verts)))
+    nbrs = g._adj
+    order = list(range(g.n))
     seen = set()
     for _ in range(SWEEPS):
         order = _lex_bfs(nbrs, order)

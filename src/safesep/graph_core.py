@@ -1,13 +1,18 @@
 """Weighted undirected graphs and the structural operations everything else builds on.
 
-Vertex identifiers are dense ``0..n-1`` at construction time; ``subdivide``,
-the one derived graph, keeps them for the original vertices, so a vertex set
-computed there is a vertex set of the graph it came from (no lifting step).
+Vertex identifiers are dense: a graph on n vertices has exactly the ids
+``0..n-1``, and an id is *active* when it is an int (not a bool) in that
+range.  ``subdivide``, the one derived graph, keeps the ids of the original
+vertices and numbers the fresh ones from n, so a vertex set computed there
+is a vertex set of the graph it came from (no lifting step).  There are no
+holes: a graph never has an inactive id below n.
 All values are immutable after construction, except a graph's memo of its
 connectivity (see ``is_connected``).
 
-Every graph stores each adjacency as a strictly increasing tuple of
-neighbors; set operations against it run on the set side (X.isdisjoint(nb)).
+A graph stores its adjacency as a tuple indexed by id, holding each
+vertex's neighbors as a strictly increasing tuple, and its weights as a
+tuple indexed the same way; set operations against a neighbor tuple run on
+the set side (X.isdisjoint(nb)).
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ EMPTY_SET: frozenset = frozenset()
 class WeightedGraph:
     """Undirected simple graph with positive integer vertex weights."""
 
-    __slots__ = ("n", "_adj", "_w", "_vertices", "_total_weight", "_connected")
+    __slots__ = ("n", "_adj", "_w", "_total_weight", "_connected")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), weights=None):
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
@@ -41,22 +46,21 @@ class WeightedGraph:
         for v, nb in enumerate(adj):
             adj[v] = tuple(sorted(set(nb)))  # repeated edges merge
         self.n = n
-        self._adj = dict(enumerate(adj))
-        self._w = {v: weights[v] for v in range(n)}
-        self._vertices = tuple(range(n))
+        self._adj = tuple(adj)
+        self._w = tuple(weights)
         self._total_weight = sum(weights)
         self._connected = None  # unknown until proven: see is_connected
 
     @classmethod
-    def _from_parts(cls, n: int, adj: dict, w: dict) -> "WeightedGraph":
-        """Internal constructor for derived graphs; inputs are trusted:
-        adjacency values are strictly increasing tuples, keyed as ``w``."""
+    def _from_parts(cls, adj: tuple, w: tuple) -> "WeightedGraph":
+        """Internal constructor for derived graphs; inputs are trusted: ``adj``
+        and ``w`` are tuples of one entry per id 0..n-1, each adjacency a
+        strictly increasing tuple of ids, symmetric across ``adj``."""
         g = object.__new__(cls)
-        g.n = n
+        g.n = len(adj)
         g._adj = adj
         g._w = w
-        g._vertices = tuple(sorted(adj))
-        g._total_weight = sum(w.values())
+        g._total_weight = sum(w)
         g._connected = None
         return g
 
@@ -64,21 +68,23 @@ class WeightedGraph:
 
     @property
     def vertices(self) -> tuple:
-        """Active vertex identifiers in ascending order."""
-        return self._vertices
+        """Vertex identifiers in ascending order: ``tuple(range(n))``, built
+        on each call."""
+        return tuple(range(self.n))
 
     @property
     def vertex_count(self) -> int:
-        return len(self._adj)
+        return self.n
 
     @property
     def edge_count(self) -> int:
-        return sum(len(nb) for nb in self._adj.values()) // 2
+        return sum(map(len, self._adj)) // 2
 
     def has_vertex(self, v) -> bool:
-        """Whether v is an active vertex; ids that are not ints, and bools,
-        never are, and ``neighbors`` and ``weight`` raise ValueError for them."""
-        return isinstance(v, int) and not isinstance(v, bool) and v in self._adj
+        """Whether v is an active vertex: an int in 0..n-1.  Ids that are not
+        ints, bools, negative ids and ids from n up never are, and
+        ``neighbors`` and ``weight`` raise ValueError for them."""
+        return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < self.n
 
     def has_edge(self, u, v) -> bool:
         """Whether u and v are active vertices joined by an edge."""
@@ -86,13 +92,11 @@ class WeightedGraph:
 
     def neighbors(self, v) -> frozenset:
         """The neighbors of v, as a frozenset built from the stored tuple."""
-        if not self.has_vertex(v):
-            raise ValueError(f"vertex {v!r} is not active")
+        checked_set(self, (v,), "v")
         return frozenset(self._adj[v])
 
     def weight(self, v) -> int:
-        if not self.has_vertex(v):
-            raise ValueError(f"vertex {v!r} is not active")
+        checked_set(self, (v,), "v")
         return self._w[v]
 
     def weight_of(self, S: Iterable[int]) -> int:
@@ -100,21 +104,21 @@ class WeightedGraph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in ascending order."""
-        for u in self._vertices:
-            for v in self._adj[u]:
+        for u, nb in enumerate(self._adj):
+            for v in nb:
                 if u < v:
                     yield (u, v)
 
     def __eq__(self, other):
         if not isinstance(other, WeightedGraph):
             return NotImplemented
-        return self.n == other.n and self._adj == other._adj and self._w == other._w
+        return self._adj == other._adj and self._w == other._w
 
     def __hash__(self):
-        return hash((self.n, tuple(sorted(self._adj.items()))))
+        return hash(self._adj)
 
     def __repr__(self):
-        return f"WeightedGraph(n={self.n}, active={len(self._adj)}, m={self.edge_count})"
+        return f"WeightedGraph(n={self.n}, m={self.edge_count})"
 
 
 def _checked_edge(u, v, n: int) -> tuple:
@@ -246,7 +250,7 @@ def components(g: WeightedGraph, X: Iterable[int]) -> tuple:
     X = checked_set(g, X, "X")
     pairs = []
     seen = set()
-    for start in g.vertices:
+    for start in range(g.n):
         if start not in X and start not in seen:
             pair = component_with_boundary(g, X, start)
             seen.update(pair[0])
@@ -273,27 +277,21 @@ def subdivide(g: WeightedGraph, subdivision_weight: int = 1):
     """
     if not isinstance(subdivision_weight, int) or isinstance(subdivision_weight, bool) or subdivision_weight < 1:
         raise ValueError("subdivision weight must be a positive integer")
-    adj = {v: [] for v in g._adj}
-    w = dict(g._w)
+    adj = [[] for _ in range(g.n)]
     placed = {}
-    fresh = g.n
     # Edges, and so fresh ids, ascend: every list is built in ascending order.
-    for u, v in g.edges():
-        adj[fresh] = (u, v)
+    for fresh, (u, v) in enumerate(g.edges(), g.n):
         adj[u].append(fresh)
         adj[v].append(fresh)
-        w[fresh] = subdivision_weight
         placed[fresh] = (u, v)
-        fresh += 1
-    adj = {v: tuple(nb) for v, nb in adj.items()}
-    return WeightedGraph._from_parts(fresh, adj, w), placed
+    adj = (*map(tuple, adj), *placed.values())
+    return WeightedGraph._from_parts(adj, g._w + (subdivision_weight,) * len(placed)), placed
 
 
 def is_connected(g: WeightedGraph) -> bool:
     """Whether one walk from g's first vertex reaches all; g remembers it."""
     if g._connected is None:
-        g._connected = not g._adj or (
-            len(component_with_boundary(g, EMPTY_SET, g._vertices[0])[0]) == len(g._adj))
+        g._connected = not g.n or len(component_with_boundary(g, EMPTY_SET, 0)[0]) == g.n
     return g._connected
 
 

@@ -7,9 +7,11 @@ helpers under test are never part of the yardstick.  The one exception,
 ``vertex_connectivity_st``, is no reference: it is the package's
 minimum-weight cut on unit weights, kept here because only tests use it,
 and is itself checked against ``max_disjoint_paths_brute``.
+``CountingAdjacency`` is no reference either: it counts what a walk reads.
 """
 
 import random
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -101,38 +103,49 @@ def connected_within(g, X) -> bool:
 
 
 def induced_delete(g, X):
-    """G - X: the vertices of X become inactive and the others keep their
-    ids.  For tests that need a graph with inactive vertices; like
-    ``contract_connected_set`` it uses the internal constructor."""
+    """G - X with every id kept: each vertex of X stays, isolated and with
+    its weight, so every s,t-cut of G - X and every component of it that
+    holds s or t is one of this graph."""
     X = frozenset(X)
-    adj = {v: tuple(sorted(g.neighbors(v) - X)) for v in g.vertices if v not in X}
-    return WeightedGraph._from_parts(g.n, adj, {v: g.weight(v) for v in adj})
+    edges = [e for e in g.edges() if X.isdisjoint(e)]
+    return WeightedGraph(g.n, edges, [g.weight(v) for v in g.vertices])
 
 
 def contract_connected_set(g, u, A):
-    """The graph with the connected set {u} | A contracted into u: the
-    vertices of A leave, and u keeps its weight and sees every vertex outside
-    the set that touched it.  The reference for a flow network between
-    cores; it uses the internal constructor so that the ids of the
-    contracted vertices stay unused, and hands it each adjacency as the
-    strictly increasing tuple it stores."""
+    """The graph with the connected set {u} | A contracted into u: u keeps
+    its weight and sees every vertex outside the set that touched it, and
+    each vertex of A stays, isolated and with its weight.  The reference for
+    a flow network between cores."""
     A = frozenset(A)
     if not A:
         return g
     if u in A:
         raise ValueError("representative u must not be in A")
     if not g.has_vertex(u):
-        raise ValueError(f"vertex {u} is not active")
+        raise ValueError(f"u: {u!r} is not an active vertex")
     blob = A | {u}
     if not connected_within(g, blob):
         raise ValueError("the set {u} | A does not induce a connected subgraph")
-    adj = {x: g.neighbors(x) for x in g.vertices if x not in A}
-    for x, nb in adj.items():
-        if nb & blob:
-            adj[x] = (nb - blob) | {u}
-    adj[u] = frozenset().union(*(g.neighbors(b) for b in blob)) - blob
-    adj = {x: tuple(sorted(nb)) for x, nb in adj.items()}
-    return WeightedGraph._from_parts(g.n, adj, {x: g.weight(x) for x in adj})
+    ends = [(u if x in blob else x, u if y in blob else y) for x, y in g.edges()]
+    return WeightedGraph(g.n, [e for e in ends if e[0] != e[1]], [g.weight(v) for v in g.vertices])
+
+
+class CountingAdjacency(tuple):
+    """A graph's adjacency that counts, in ``reads``, each id whose neighbor
+    tuple a walk reads as ``adj[v]``; install it with :func:`count_reads`."""
+
+    def __getitem__(self, v):
+        self.reads[v] += 1
+        return tuple.__getitem__(self, v)
+
+
+def count_reads(g) -> Counter:
+    """Swap g's adjacency for a :class:`CountingAdjacency` and return its
+    (empty) Counter of reads."""
+    adj = CountingAdjacency(g._adj)
+    adj.reads = Counter()
+    g._adj = adj
+    return adj.reads
 
 
 class ArcNetwork:
@@ -243,8 +256,7 @@ def vertex_connectivity_st(g, s, t) -> int:
 
     Raises NoSeparatorError when s and t are adjacent, and ValueError when
     they are equal or either is not an active vertex."""
-    unit = WeightedGraph._from_parts(g.n, g._adj, dict.fromkeys(g.vertices, 1))
-    return min_weight_st_separator(unit, s, t)[1]
+    return min_weight_st_separator(WeightedGraph(g.n, g.edges()), s, t)[1]
 
 
 def separates(g, s, t, S) -> bool:

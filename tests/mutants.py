@@ -61,6 +61,7 @@ FLOW_READS = (
 CUT_PROOF = "tests/test_min_weight_separator.py::test_the_cut_check_refuses_what_is_not_a_minimal_separator"
 BAD_WINNER = "tests/test_min_safe_sep.py::TestFrozenAnswers::test_the_final_check_refuses_a_bad_winner"
 CONSTRUCTION = "tests/test_graph_core.py::TestConstruction"
+NEGATIVE_IDS = "tests/test_graph_core.py::TestConstruction::test_negative_and_out_of_range_ids_are_refused_everywhere"
 SET_PREDICATES = ("tests/test_minimal_separators.py::TestSetPredicates",)
 ANCHOR_READS = "tests/test_close_to.py::TestRunDetails::test_anchor_passes_read_no_vertex_the_search_for_s_walked"
 CORPUS_CLOSE = "tests/test_corpus.py::test_close_families_match_the_oracle_on_the_stratum"
@@ -132,18 +133,31 @@ MUTANTS = (
     Mutant(
         "has_vertex: ids that are not ints, and bools",
         GRAPH,
-        "        return isinstance(v, int) and not isinstance(v, bool) and v in self._adj\n",
-        "        return v in self._adj\n",
+        "        return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < self.n\n",
+        "        return 0 <= v < self.n\n",
         ("tests/test_graph_core.py::TestConstruction::test_has_vertex_refuses_ids_that_are_not_ints",
          "tests/test_min_safe_sep.py::TestAnswerType::test_query_rejects_vertex_ids_that_are_not_integers",
          "tests/test_close_to.py::TestFrozenFamilies::test_refuses_vertex_ids_that_are_not_ints",
          "tests/test_min_weight_separator.py::test_refuses_terminal_ids_that_are_not_ints"),
     ),
     Mutant(
+        "has_vertex: negative ids",
+        GRAPH,
+        " and 0 <= v < self.n\n",
+        " and v < self.n\n",
+        (NEGATIVE_IDS,),
+    ),
+    Mutant(
+        "has_vertex: ids from n up",
+        GRAPH,
+        " and 0 <= v < self.n\n",
+        " and 0 <= v\n",
+        (NEGATIVE_IDS,),
+    ),
+    Mutant(
         "neighbors: ids that has_vertex refuses",
         GRAPH,
-        "        if not self.has_vertex(v):\n"
-        "            raise ValueError(f\"vertex {v!r} is not active\")\n"
+        "        checked_set(self, (v,), \"v\")\n"
         "        return frozenset(self._adj[v])\n",
         "        return frozenset(self._adj[v])\n",
         ("tests/test_graph_core.py::TestConstruction::test_neighbors_refuses_ids_that_are_not_ints",),
@@ -151,8 +165,7 @@ MUTANTS = (
     Mutant(
         "weight: ids that has_vertex refuses",
         GRAPH,
-        "        if not self.has_vertex(v):\n"
-        "            raise ValueError(f\"vertex {v!r} is not active\")\n"
+        "        checked_set(self, (v,), \"v\")\n"
         "        return self._w[v]\n",
         "        return self._w[v]\n",
         ("tests/test_graph_core.py::TestConstruction::test_weight_refuses_ids_that_are_not_ints",),
@@ -161,7 +174,7 @@ MUTANTS = (
         "has_edge: ids that has_vertex refuses",
         GRAPH,
         "        return self.has_vertex(u) and self.has_vertex(v) and v in self._adj[u]\n",
-        "        return v in self._adj.get(u, ())\n",
+        "        return 0 <= u < self.n and v in self._adj[u]\n",
         ("tests/test_graph_core.py::TestConstruction::test_has_edge_is_false_for_ids_that_are_not_ints",),
     ),
     # The one id check of the public entry points, and the checks that
@@ -200,7 +213,7 @@ MUTANTS = (
     Mutant(
         "connectivity: one walk must reach every vertex",
         GRAPH,
-        "[0]) == len(g._adj)",
+        "[0]) == g.n",
         "[0]) > 0",
         ("tests/test_graph_core.py::TestConnectivity",
          "tests/test_min_safe_sep.py::TestFrozenAnswers::test_disconnected_graph_is_rejected"),

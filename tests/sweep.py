@@ -11,7 +11,9 @@ Two parts, each with a one-line summary:
 
 * ``close``: fast-mode ``close_to_run(g, s, t, A)`` for every ordered pair
   (s, t) and every A of at most three other vertices, against
-  ``close_family_brute``, and each run against :func:`unproven`.  It
+  ``close_family_brute``, and each run against :func:`unproven`.  The
+  oracle's subset scan runs once per (g, s, t), not once per A (see
+  :func:`one_scan_per_pair`).  It
   counts the runs that reached each branch of
   ``close_to_run`` (several anchors, the contraction branch, a non-empty
   ``rest``), and the raw candidates that the filter drops: for A outside
@@ -48,7 +50,7 @@ else:  # run as a script
     from brutes import is_safe_ab_separator_brute, side_with_boundary
     from corpus import load
 
-from safesep import QueryInstance, WeightedGraph, min_safe_separator
+from safesep import QueryInstance, WeightedGraph, min_safe_separator, oracle
 from safesep.atfree import _has_cocomparability_ordering
 from safesep.oracle import close_family_brute, min_safe_brute
 
@@ -78,6 +80,29 @@ def recorded_searches():
         yield log
     finally:
         close_to_module.near_search = real
+
+
+@contextmanager
+def one_scan_per_pair():
+    """Let ``close_family_brute`` scan the vertex subsets once per (g, s, t)
+    rather than once per A: the oracle's ``enumerate_minimal_st_separators``
+    repeats its answer for the (g, s, t) it was last asked.  The scan and
+    the definition-based filter that reads it are unchanged."""
+    real = oracle.enumerate_minimal_st_separators
+    memo = {}
+
+    def memoised(g, s, t):
+        key = (g, s, t)
+        if key not in memo:
+            memo.clear()
+            memo[key] = real(g, s, t)
+        return memo[key]
+
+    oracle.enumerate_minimal_st_separators = memoised
+    try:
+        yield
+    finally:
+        oracle.enumerate_minimal_st_separators = real
 
 
 def branches(log) -> set:
@@ -129,7 +154,7 @@ def close_sweep(graphs) -> tuple:
         ("calls", "several anchors", "contraction", "rest", "raw candidates",
          "A outside C_s", "dominated"), 0))
     bad = []
-    with recorded_searches() as log:
+    with recorded_searches() as log, one_scan_per_pair():
         for g in graphs:
             for s in g.vertices:
                 for t in g.vertices:

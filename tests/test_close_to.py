@@ -2,7 +2,6 @@
 
 import importlib
 import random
-from collections import Counter
 from itertools import count
 
 import pytest
@@ -22,7 +21,7 @@ from safesep import (
 from safesep.close_to import CloseToRun, close_to_run, nested_component_meet
 from safesep.oracle import close_family_bound_check, close_family_brute
 
-from .brutes import asteroidal_triple_brute, random_weighted_graph
+from .brutes import asteroidal_triple_brute, count_reads, random_weighted_graph
 from .sweep import recorded_searches, unproven
 
 # ``safesep.close_to`` is the function of that name; the module is reached
@@ -200,14 +199,7 @@ class TestRunDetails:
         # unreachable: the run must read that off s's side of 21 vertices,
         # not walk the 178 vertices beyond t.
         g = path_graph(200)
-        touched = set()
-
-        class CountingAdjacency(dict):
-            def __getitem__(self, v):
-                touched.add(v)
-                return super().__getitem__(v)
-
-        g._adj = CountingAdjacency(g._adj)
+        touched = count_reads(g)
         run = close_to_run(g, 20, 22, set())
         assert run.family == (frozenset({21}),)
         assert run.sides == (frozenset(range(21)),)
@@ -220,14 +212,7 @@ class TestRunDetails:
         # not once more per anchor.
         g, s, a, t, _ = fan_gadget(3, 60, 0)
         body = range(2, 62)
-        reads = Counter()
-
-        class CountingAdjacency(dict):
-            def __getitem__(self, v):
-                reads[v] += 1
-                return super().__getitem__(v)
-
-        g._adj = CountingAdjacency(g._adj)
+        reads = count_reads(g)
         run = close_to_run(g, s, t, {a})
         mids, exits = range(62, 65), range(65, 68)
         assert set(run.family) == {frozenset(mids) - {m} | {x} for m, x in zip(mids, exits)}
@@ -248,23 +233,19 @@ class TestRunDetails:
             g, s, a, t, _ = fan_gadget(3, 20, 0)
             tail = range(g.n, g.n + 15)
             g, A = WeightedGraph(g.n + 15, [*g.edges(), *zip([a, *tail], tail)]), {a}
-        searched, searches, read = [], [], set()  # X and result of each search
-
-        class CountingAdjacency(dict):
-            def __getitem__(self, v):
-                if len(searched) > 1:
-                    read.add(v)
-                return super().__getitem__(v)
+        searched, searches = [], []  # X and result of each search
 
         def recording(g, X, *args, **kwargs):
             searched.append(frozenset(X))
+            if len(searched) == 2:
+                read.clear()  # count from the second search on
             searches.append(minimal_separators.near_search(g, X, *args, **kwargs))
             return searches[-1]
 
         monkeypatch.setattr(close_to_module, "near_search", recording)
-        g._adj = CountingAdjacency(g._adj)
+        read = count_reads(g)
         run = close_to_run(g, s, t, A)
-        g._adj = dict(g._adj)  # the checks below are not counted
+        g._adj = tuple(g._adj)  # the checks below are not counted
         assert len(searched) > 1 and run.family
         assert run.sides == tuple(component_of(g, S, s) for S in run.family)
         for S, side in zip(run.family, run.sides):
@@ -273,7 +254,7 @@ class TestRunDetails:
         walked = set(first.pockets) | first.near_side()[0]
         closed = set().union(*(closed_neighborhood(g, X) for X in searched[1:]))
         assert len(walked - closed) >= 15
-        assert not read & (walked - closed)
+        assert read.keys().isdisjoint(walked - closed)
 
     def test_members_are_minimal_and_keep_a_on_the_source_side(self):
         for seed in range(40):

@@ -7,13 +7,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from safesep import (
+    QueryInstance,
     WeightedGraph,
     bfs_path,
+    close_to,
     closed_neighborhood,
     component_of,
     components,
     family_sorted,
     is_connected,
+    is_st_separator,
+    min_weight_st_separator,
     neighborhood,
     subdivide,
 )
@@ -26,6 +30,7 @@ from safesep.graph_core import (
 from tests.brutes import (
     connected_within,
     contract_connected_set,
+    count_reads,
     induced_delete,
     random_weighted_graph,
 )
@@ -41,13 +46,15 @@ def cycle_graph(n, weights=None):
 
 
 def assert_adjacency_tuples(g):
-    """Every stored adjacency is a strictly increasing tuple of active
-    vertices, and the adjacency is symmetric."""
-    for v, nb in g._adj.items():
+    """The adjacency and the weights are tuples of one entry per id 0..n-1,
+    every adjacency a strictly increasing tuple of active vertices, and the
+    adjacency is symmetric."""
+    assert type(g._adj) is tuple and type(g._w) is tuple
+    assert len(g._adj) == len(g._w) == g.n
+    for v, nb in enumerate(g._adj):
         assert type(nb) is tuple, (v, nb)
         assert all(a < b for a, b in zip(nb, nb[1:])), (v, nb)
-        assert all(type(u) is int and v in g._adj[u] for u in nb), (v, nb)
-    assert g._adj.keys() == g._w.keys()
+        assert all(type(u) is int and 0 <= u < g.n and v in g._adj[u] for u in nb), (v, nb)
 
 
 class TestConstruction:
@@ -99,14 +106,14 @@ class TestConstruction:
         g = path_graph(3)
         assert g.neighbors(1) == {0, 2}
         for v in (True, False, 1.0, "1", None, 3):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="v: .* is not an active vertex"):
                 g.neighbors(v)
 
     def test_weight_refuses_ids_that_are_not_ints(self):
         g = WeightedGraph(3, [(0, 1), (1, 2)], [4, 5, 6])
         assert g.weight(1) == 5 and g.weight_of({0, 2}) == 10
         for v in (True, False, 1.0, "1", None, 3):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="v: .* is not an active vertex"):
                 g.weight(v)
 
     def test_has_edge_is_false_for_ids_that_are_not_ints(self):
@@ -114,6 +121,33 @@ class TestConstruction:
         assert g.has_edge(0, 1) and g.has_edge(1, 0) and not g.has_edge(0, 2)
         for v in (True, 1.0, None, 3):
             assert not g.has_edge(0, v) and not g.has_edge(v, 0) and not g.has_edge(v, 2)
+
+    def test_negative_and_out_of_range_ids_are_refused_everywhere(self):
+        # On the 5-cycle a tuple indexed by -1 reads vertex 4, a neighbor of
+        # 0, and one indexed by 5 raises IndexError: neither may answer.
+        g = cycle_graph(5)
+        for bad in (-1, 5):
+            calls = [
+                lambda: QueryInstance(g, {bad}, {2}),
+                lambda: QueryInstance(g, {0}, {bad}),
+                lambda: close_to(g, bad, 2, ()),
+                lambda: close_to(g, 0, bad, ()),
+                lambda: close_to(g, 0, 2, {bad}),
+                lambda: min_weight_st_separator(g, bad, 2),
+                lambda: min_weight_st_separator(g, 0, bad),
+                lambda: is_st_separator(g, bad, 2, ()),
+                lambda: is_st_separator(g, 0, 2, {bad}),
+                lambda: component_of(g, {bad}, 0),
+                lambda: component_of(g, (), bad),
+                lambda: bfs_path(g, bad, 0),
+                lambda: bfs_path(g, 0, bad),
+                lambda: g.neighbors(bad),
+                lambda: g.weight(bad),
+            ]
+            for call in calls:
+                with pytest.raises(ValueError, match="not an active vertex"):
+                    call()
+            assert not g.has_vertex(bad) and not g.has_edge(bad, 0) and not g.has_edge(0, bad)
 
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):
@@ -131,15 +165,15 @@ class TestConstruction:
                 WeightedGraph(n)
 
     def test_inactive_vertex_queries_raise(self):
+        # Every id below n is active, an isolated one too; ids from n up, and
+        # ids that are not ints, are not.
         g = induced_delete(path_graph(3), {1})
-        with pytest.raises(ValueError):
-            g.neighbors(1)
-        with pytest.raises(ValueError):
-            g.weight(1)
-        for src, dst in ((0, True), (0, 1), (99, 99)):
+        assert g.neighbors(1) == frozenset() and g.weight(1) == 1
+        assert bfs_path(g, 0, 1) is None and component_of(g, (), 1) == {1}
+        for src, dst in ((0, True), (0, 3), (99, 99)):
             with pytest.raises(ValueError, match="not an active vertex"):
                 bfs_path(g, src, dst)
-        for h, X, v in ((g, (), True), (g, {True}, True), (g, {2}, 1), (path_graph(3), {1}, True)):
+        for h, X, v in ((g, (), True), (g, {True}, True), (g, {2}, 3), (path_graph(3), {1}, True)):
             with pytest.raises(ValueError, match="not an active vertex"):
                 component_of(h, X, v)
 
@@ -263,15 +297,19 @@ class TestComponents:
 
 class TestDeletionAndContraction:
     def test_induced_delete_keeps_identifiers(self):
-        g = induced_delete(path_graph(5), {2})
-        assert g.vertices == (0, 1, 3, 4)
-        assert g.has_edge(0, 1) and g.has_edge(3, 4)
-        assert not g.has_edge(1, 3)
+        g = induced_delete(path_graph(5, [1, 2, 3, 4, 5]), {2})
+        assert g.vertices == (0, 1, 2, 3, 4)
+        assert g.neighbors(2) == frozenset() and g.weight(2) == 3
+        assert list(g.edges()) == [(0, 1), (3, 4)]
+        assert components(g, ()) == (
+            (frozenset({0, 1}), frozenset()), (frozenset({2}), frozenset()), (frozenset({3, 4}), frozenset()))
 
     def test_contract_connected_set(self):
-        g = contract_connected_set(path_graph(5), 1, {2, 3})
-        assert g.vertices == (0, 1, 4)
-        assert g.has_edge(0, 1) and g.has_edge(1, 4)
+        g = contract_connected_set(path_graph(5, [1, 2, 3, 4, 5]), 1, {2, 3})
+        assert g.vertices == (0, 1, 2, 3, 4)
+        assert list(g.edges()) == [(0, 1), (1, 4)]
+        assert g.neighbors(2) == g.neighbors(3) == frozenset()
+        assert [g.weight(v) for v in g.vertices] == [1, 2, 3, 4, 5]
 
     def test_contract_disconnected_set_raises(self):
         with pytest.raises(ValueError):
@@ -321,13 +359,6 @@ class TestConnectivity:
         # Every constructor leaves the memo unset, is_connected walks the
         # graph once and remembers the answer, and the memo is no part of a
         # graph's value.
-        reads = []
-
-        class CountingAdjacency(dict):
-            def __getitem__(self, v):
-                reads.append(v)
-                return super().__getitem__(v)
-
         rng = random.Random(23)
         for _ in range(100):
             g = random_weighted_graph(rng.randint(2, 9), rng, p=rng.choice((0.15, 0.3, 0.5)))
@@ -335,11 +366,10 @@ class TestConnectivity:
             for h in (g, *derived):
                 assert h._connected is None
                 expected = len(components(h, ())) == 1
-                copy = WeightedGraph._from_parts(h.n, dict(h._adj), dict(h._w))
+                copy = WeightedGraph._from_parts(h._adj, h._w)
                 assert is_connected(h) is expected and h._connected is expected
                 assert h == copy and hash(h) == hash(copy) and copy._connected is None
-                h._adj = CountingAdjacency(h._adj)
-                reads.clear()
+                reads = count_reads(h)
                 assert is_connected(h) is expected and not reads
 
 

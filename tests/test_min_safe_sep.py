@@ -28,7 +28,7 @@ from safesep import (
 from safesep.close_to import CloseToRun, close_to_run
 from safesep.min_weight_separator import FlowNetwork
 from safesep.oracle import min_safe_brute, two_dcs_brute
-from tests.brutes import contract_connected_set, induced_delete, random_weighted_graph
+from tests.brutes import contract_connected_set, count_reads, induced_delete, random_weighted_graph
 from tests.test_close_to import fan_gadget
 
 
@@ -258,16 +258,9 @@ class TestFrozenAnswers:
         A, B = frozenset({0, 299}), frozenset({150})
         R = neighborhood(g, A) & neighborhood(g, B)
         gate_side = component_of(g, R | neighborhood(g, B), 0)
-        touched = set()
-
-        class CountingAdjacency(dict):
-            def __getitem__(self, v):
-                touched.add(v)
-                return super().__getitem__(v)
-
-        g._adj = CountingAdjacency(g._adj)
+        touched = count_reads(g)
         assert not min_safe_separator(QueryInstance(g, A, B)).exists
-        assert touched <= gate_side | A | B and 0 < len(gate_side) < g.vertex_count // 2
+        assert touched.keys() <= gate_side | A | B and 0 < len(gate_side) < g.vertex_count // 2
 
     def test_a_disconnected_graph_is_refused_on_every_repeated_query(self):
         # On the path 0-...-4 plus the lone vertex 5, the query ({0}, {4})
@@ -414,13 +407,6 @@ class TestFrozenAnswers:
         body makes the pairs' cuts differ (three-member families, so the
         cores are walked: s and t alone, as the middles join them to a and
         b); and terminals at distance two (R not empty)."""
-        reads = set()
-
-        class CountingAdjacency(dict):
-            def __getitem__(self, v):
-                reads.add(v)
-                return super().__getitem__(v)
-
         gadget, s, a, t, b = fan_gadget(3, 12, 3)
         body = range(2, 14)
         weights = [50 if v in body else 1 + 5 * v % 7 for v in gadget.vertices]
@@ -441,7 +427,8 @@ class TestFrozenAnswers:
             (core_s, _), (core_t, _) = args[3:5]
             assert args[:3] == (g, s, t) and args[5] == R
             seen.update(cores=len(core_s) + len(core_t) > 2, pairs=len(pairs) > 1, R=bool(R))
-            h = WeightedGraph._from_parts(g.n, CountingAdjacency(g._adj), g._w)
+            h = WeightedGraph._from_parts(g._adj, g._w)
+            reads = count_reads(h)
             net = FlowNetwork(h, *args[1:])
             rest = induced_delete(g, R)
             for _, _, c_sA, c_tB in pairs:
@@ -449,8 +436,7 @@ class TestFrozenAnswers:
                 contracted = contract_connected_set(contracted, t, c_tB - {t})
                 expected = min_weight_st_separator(contracted, s, t)
                 assert net.min_cut((c_sA - core_s) | (c_tB - core_t))[:2] == expected
-            assert reads and reads.isdisjoint(core_s | core_t | R)
-            reads.clear()
+            assert reads and reads.keys().isdisjoint(core_s | core_t | R)
         assert seen == {"cores": 2, "pairs": 1, "R": 1}
 
     def test_after_the_pair_loop_the_query_reads_neither_side(self, monkeypatch):
@@ -459,15 +445,9 @@ class TestFrozenAnswers:
         vertex of C_A or C_B.  Terminals far apart on an interval graph:
         C_B is far larger than the settled side of t that it holds, so a
         validation that grew the sides again would read it."""
-        reads = []
-
-        class CountingAdjacency(dict):
-            def __getitem__(self, v):
-                reads.append(v)
-                return super().__getitem__(v)
-
         g = gen_interval(300, wmax=5, seed=3)
-        h = WeightedGraph._from_parts(g.n, CountingAdjacency(g._adj), g._w)
+        h = WeightedGraph._from_parts(g._adj, g._w)
+        reads = count_reads(h)
         calls = []
         best_pair_cut = min_safe_sep._best_pair_cut
 
@@ -481,7 +461,7 @@ class TestFrozenAnswers:
         ((_, _, _, pairs, _, _), (_, winner, ((c_a, _), (c_b, _)))), = calls
         ((_, _, _, c_tB),) = pairs
         assert ans.separator == winner and len(c_b - c_tB) > 200
-        assert set(reads).isdisjoint(c_a | c_b)
+        assert reads.keys().isdisjoint(c_a | c_b)
 
     def test_a_flow_of_zero_answers_through_the_proven_empty_cut(self, monkeypatch):
         """Path 0-1-2 with A = {0}, B = {2}: R = {1} alone separates, so the
