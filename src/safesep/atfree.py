@@ -18,8 +18,8 @@ the size of the graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .graph_core import WeightedGraph, bfs_path, closed_neighborhood, components
 
@@ -27,8 +27,7 @@ from .graph_core import WeightedGraph, bfs_path, closed_neighborhood, components
 SWEEPS = 8
 
 
-@dataclass(frozen=True)
-class AtWitness:
+class AtWitness(NamedTuple):
     """An asteroidal triple (a, b, c) with the three certifying paths.
 
     ``path_ab`` avoids N[c], ``path_ac`` avoids N[b], ``path_bc`` avoids N[a].

@@ -74,8 +74,7 @@ candidates.  No candidate needs its t-side walked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .atfree import is_at_free
 from .errors import InternalConsistencyError
@@ -113,8 +112,7 @@ def nested_component_meet(T_s: frozenset, boundaries):
     return ordered[0]
 
 
-@dataclass(frozen=True)
-class CloseToRun:
+class CloseToRun(NamedTuple):
     """One close_to invocation: the family that survived the definitional
     filter, the raw candidates emitted by the procedure, and the s-side of
     each family member.  ``sides[i]`` is C_s(G-S) for S = family[i], the full

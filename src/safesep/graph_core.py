@@ -92,15 +92,14 @@ class WeightedGraph:
 
     def neighbors(self, v) -> frozenset:
         """The neighbors of v, as a frozenset built from the stored tuple."""
-        checked_set(self, (v,), "v")
-        return frozenset(self._adj[v])
+        return frozenset(self._adj[checked_id(self, v, "v")])
 
     def weight(self, v) -> int:
-        checked_set(self, (v,), "v")
-        return self._w[v]
+        return self._w[checked_id(self, v, "v")]
 
     def weight_of(self, S: Iterable[int]) -> int:
-        return sum(self.weight(v) for v in S)
+        """The total weight of the vertex set S."""
+        return sum(self._w[v] for v in checked_set(self, S, "S"))
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in ascending order."""
@@ -133,17 +132,24 @@ def _checked_edge(u, v, n: int) -> tuple:
     return int(u), int(v)
 
 
+def checked_id(g: WeightedGraph, v, what: str):
+    """v, or ValueError naming ``what`` if ``has_vertex`` refuses it.  The
+    one check of vertex ids at the public boundary; :func:`checked_set`
+    runs it on each member of a set."""
+    if not g.has_vertex(v):
+        raise ValueError(f"{what}: {v!r} is not an active vertex")
+    return v
+
+
 def checked_set(g: WeightedGraph, T: Iterable[int], what: str) -> frozenset:
-    """T as a frozenset, or ValueError naming ``what`` for a member that
-    ``has_vertex`` refuses.  The one check of vertex ids at the public
-    boundary; a single id goes through it as ``(v,)``."""
+    """T as a frozenset of ids that :func:`checked_id` accepts, or
+    ValueError naming ``what``."""
     try:
         T = frozenset(T)
     except TypeError:  # T is not iterable, or holds an id that is not hashable
         raise ValueError(f"{what}: {T!r} is not a set of active vertices") from None
     for v in T:
-        if not g.has_vertex(v):
-            raise ValueError(f"{what}: {v!r} is not an active vertex")
+        checked_id(g, v, what)
     return T
 
 
@@ -262,7 +268,7 @@ def component_of(g: WeightedGraph, X: Iterable[int], v) -> frozenset:
     """The component C_v(G-X): all vertices reachable from v in G-X; ValueError
     unless X is a set of active vertices and v an active vertex outside it."""
     X = checked_set(g, X, "X")
-    checked_set(g, (v,), "v")
+    checked_id(g, v, "v")
     if v in X:
         raise ValueError(f"vertex {v} is in the removed set")
     return component_with_boundary(g, X, v)[0]
@@ -302,7 +308,8 @@ def bfs_path(g: WeightedGraph, src, dst, forbidden: frozenset = EMPTY_SET):
     is only tested for membership.  Neighbor expansion in ascending order,
     so the returned path is deterministic.
     """
-    checked_set(g, (src, dst), "endpoint")
+    checked_id(g, src, "endpoint")
+    checked_id(g, dst, "endpoint")
     if src in forbidden or dst in forbidden:
         return None
     if src == dst:

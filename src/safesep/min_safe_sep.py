@@ -43,8 +43,7 @@ know it yet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import FrozenSet, Optional
+from typing import FrozenSet, NamedTuple, Optional
 
 from .atfree import is_at_free
 from .close_to import close_to_run
@@ -62,31 +61,32 @@ from .min_weight_separator import FlowNetwork
 from .minimal_separators import safe_minimal_sides
 
 
-@dataclass(frozen=True)
-class QueryInstance:
+class QueryInstance(NamedTuple("QueryInstance", [("graph", WeightedGraph), ("A", frozenset), ("B", frozenset)])):
     """A safe-separator query: a weighted graph and the two terminal sets.
 
     The one place a query is checked: both sets must be non-empty, disjoint
     and made of active vertices (ints, not bools), or construction raises
     ValueError naming the set.  Sets that are merely adjacent are a valid
-    query whose answer is NONE.
+    query whose answer is NONE.  A named tuple whose every way of being
+    built (call, ``_make``, ``_replace``) runs the check.
     """
 
-    graph: WeightedGraph
-    A: FrozenSet[int]
-    B: FrozenSet[int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "A", checked_set(self.graph, self.A, "A"))
-        object.__setattr__(self, "B", checked_set(self.graph, self.B, "B"))
-        if not self.A or not self.B:
+    def __new__(cls, graph: WeightedGraph, A, B):
+        A, B = checked_set(graph, A, "A"), checked_set(graph, B, "B")
+        if not A or not B:
             raise ValueError("terminal sets must be non-empty")
-        if self.A & self.B:
+        if A & B:
             raise ValueError("terminal sets must be disjoint")
+        return super().__new__(cls, graph, A, B)
+
+    @classmethod
+    def _make(cls, iterable) -> "QueryInstance":
+        return cls(*iterable)  # _replace builds through _make
 
 
-@dataclass(frozen=True)
-class SafeSeparatorAnswer:
+class SafeSeparatorAnswer(NamedTuple):
     """Either a minimum-weight safe separator with its weight, or NONE."""
 
     separator: Optional[FrozenSet[int]] = None

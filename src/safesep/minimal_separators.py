@@ -22,6 +22,7 @@ from .errors import NoSeparatorError
 from .graph_core import (
     EMPTY_SET,
     WeightedGraph,
+    checked_id,
     checked_set,
     closed_neighborhood,
     component_with_boundary,
@@ -32,7 +33,8 @@ from .graph_core import (
 def _check_terminals(g: WeightedGraph, s, t, S: Iterable[int] = EMPTY_SET) -> frozenset:
     """S as a frozenset, once s and t are distinct active vertices and S a
     set of active vertices avoiding both; else ValueError."""
-    checked_set(g, (s, t), "terminal")
+    checked_id(g, s, "terminal")
+    checked_id(g, t, "terminal")
     if s == t:
         raise ValueError("terminals must be distinct")
     S = checked_set(g, S, "S")
@@ -130,7 +132,7 @@ def close_separator(g: WeightedGraph, X: Iterable[int], t) -> frozenset:
     NoSeparatorError when X meets N[t].
     """
     X = checked_set(g, X, "X")
-    checked_set(g, (t,), "terminal")
+    checked_id(g, t, "terminal")
     if not X:
         raise ValueError("X must be non-empty")
     if X & closed_neighborhood(g, (t,)):

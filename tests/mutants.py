@@ -61,6 +61,7 @@ FLOW_READS = (
 CUT_PROOF = "tests/test_min_weight_separator.py::test_the_cut_check_refuses_what_is_not_a_minimal_separator"
 BAD_WINNER = "tests/test_min_safe_sep.py::TestFrozenAnswers::test_the_final_check_refuses_a_bad_winner"
 CONSTRUCTION = "tests/test_graph_core.py::TestConstruction"
+QUERY_CHECK = "tests/test_min_safe_sep.py::TestAnswerType::test_query_validation"
 NEGATIVE_IDS = "tests/test_graph_core.py::TestConstruction::test_negative_and_out_of_range_ids_are_refused_everywhere"
 SET_PREDICATES = ("tests/test_minimal_separators.py::TestSetPredicates",)
 ANCHOR_READS = "tests/test_close_to.py::TestRunDetails::test_anchor_passes_read_no_vertex_the_search_for_s_walked"
@@ -157,17 +158,22 @@ MUTANTS = (
     Mutant(
         "neighbors: ids that has_vertex refuses",
         GRAPH,
-        "        checked_set(self, (v,), \"v\")\n"
-        "        return frozenset(self._adj[v])\n",
+        "        return frozenset(self._adj[checked_id(self, v, \"v\")])\n",
         "        return frozenset(self._adj[v])\n",
         ("tests/test_graph_core.py::TestConstruction::test_neighbors_refuses_ids_that_are_not_ints",),
     ),
     Mutant(
         "weight: ids that has_vertex refuses",
         GRAPH,
-        "        checked_set(self, (v,), \"v\")\n"
+        "        return self._w[checked_id(self, v, \"v\")]\n",
         "        return self._w[v]\n",
-        "        return self._w[v]\n",
+        ("tests/test_graph_core.py::TestConstruction::test_weight_refuses_ids_that_are_not_ints",),
+    ),
+    Mutant(
+        "weight_of: ids that has_vertex refuses",
+        GRAPH,
+        "        return sum(self._w[v] for v in checked_set(self, S, \"S\"))\n",
+        "        return sum(self._w[v] for v in S)\n",
         ("tests/test_graph_core.py::TestConstruction::test_weight_refuses_ids_that_are_not_ints",),
     ),
     Mutant(
@@ -182,8 +188,8 @@ MUTANTS = (
     Mutant(
         "the helper accepts every id",
         GRAPH,
-        "        if not g.has_vertex(v):\n",
-        "        if False:\n",
+        "    if not g.has_vertex(v):\n",
+        "    if False:\n",
         ("tests/test_graph_core.py::TestConstruction::test_inactive_vertex_queries_raise",
          "tests/test_minimal_separators.py::TestPairPredicates::test_refuse_vertex_ids_that_are_not_ints",
          "tests/test_close_to.py::TestFrozenFamilies::test_refuses_vertex_ids_that_are_not_ints",
@@ -195,6 +201,43 @@ MUTANTS = (
         "    try:\n        T = frozenset(T)\n    except TypeError:",
         "    T = frozenset(T)\n    if False:",
         ("tests/test_minimal_separators.py::TestPairPredicates::test_refuse_vertex_ids_that_are_not_ints",),
+    ),
+    Mutant(
+        "the set helper skips its members",
+        GRAPH,
+        "    for v in T:\n        checked_id(g, v, what)\n",
+        "",
+        ("tests/test_graph_core.py::TestConstruction::test_weight_refuses_ids_that_are_not_ints",
+         "tests/test_min_safe_sep.py::TestAnswerType::test_query_rejects_vertex_ids_that_are_not_integers"),
+    ),
+    # QueryInstance is the one check of a query, on every way of building one.
+    Mutant(
+        "QueryInstance: empty sides",
+        MSS,
+        "        if not A or not B:\n",
+        "        if False:\n",
+        (QUERY_CHECK,),
+    ),
+    Mutant(
+        "QueryInstance: overlapping sides",
+        MSS,
+        "        if A & B:\n",
+        "        if False:\n",
+        (QUERY_CHECK,),
+    ),
+    Mutant(
+        "QueryInstance: ids unchecked",
+        MSS,
+        "        A, B = checked_set(graph, A, \"A\"), checked_set(graph, B, \"B\")\n",
+        "        A, B = frozenset(A), frozenset(B)\n",
+        (QUERY_CHECK,),
+    ),
+    Mutant(
+        "QueryInstance: _make and _replace skip the check",
+        MSS,
+        "        return cls(*iterable)",
+        "        return tuple.__new__(cls, iterable)",
+        (QUERY_CHECK,),
     ),
     Mutant(
         "_check_terminals leaves S unchecked",

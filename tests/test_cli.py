@@ -439,16 +439,27 @@ class TestErrorPaths:
         assert "usage error" in err
 
 
-def test_help_runs_as_a_program():
+def run_python(*args):
+    """A fresh interpreter on the package source, with ``args``."""
     env = dict(os.environ)
     src = Path(__file__).resolve().parent.parent / "src"
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "safesep.cli", "--help"],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_help_runs_as_a_program():
+    proc = run_python("-m", "safesep.cli", "--help")
     assert proc.returncode == 0
     assert "min-safe-sep" in proc.stdout
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    # Their import chain (inspect, ast, dis, tokenize) was about half of the
+    # package's import time, paid by every CLI call.
+    proc = run_python(
+        "-c",
+        "import sys; before = set(sys.modules); import safesep.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

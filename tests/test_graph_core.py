@@ -1,6 +1,7 @@
 """Graph container and basic operations."""
 
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -105,16 +106,18 @@ class TestConstruction:
     def test_neighbors_refuses_ids_that_are_not_ints(self):
         g = path_graph(3)
         assert g.neighbors(1) == {0, 2}
-        for v in (True, False, 1.0, "1", None, 3):
-            with pytest.raises(ValueError, match="v: .* is not an active vertex"):
+        for v in (True, False, 1.0, "1", None, 3, [1]):
+            with pytest.raises(ValueError, match=f"^v: {re.escape(repr(v))} is not an active vertex$"):
                 g.neighbors(v)
 
     def test_weight_refuses_ids_that_are_not_ints(self):
         g = WeightedGraph(3, [(0, 1), (1, 2)], [4, 5, 6])
-        assert g.weight(1) == 5 and g.weight_of({0, 2}) == 10
-        for v in (True, False, 1.0, "1", None, 3):
-            with pytest.raises(ValueError, match="v: .* is not an active vertex"):
+        assert g.weight(1) == 5 and g.weight_of({0, 2}) == 10 and g.weight_of(()) == 0
+        for v in (True, False, 1.0, "1", None, 3, [1]):
+            with pytest.raises(ValueError, match=f"^v: {re.escape(repr(v))} is not an active vertex$"):
                 g.weight(v)
+            with pytest.raises(ValueError, match="^S: .* is not (an active vertex|a set of active vertices)$"):
+                g.weight_of([2, v])
 
     def test_has_edge_is_false_for_ids_that_are_not_ints(self):
         g = path_graph(3)
@@ -170,10 +173,10 @@ class TestConstruction:
         g = induced_delete(path_graph(3), {1})
         assert g.neighbors(1) == frozenset() and g.weight(1) == 1
         assert bfs_path(g, 0, 1) is None and component_of(g, (), 1) == {1}
-        for src, dst in ((0, True), (0, 3), (99, 99)):
+        for src, dst in ((0, True), (0, 3), (99, 99), ([1], 2), (0, [1])):
             with pytest.raises(ValueError, match="not an active vertex"):
                 bfs_path(g, src, dst)
-        for h, X, v in ((g, (), True), (g, {True}, True), (g, {2}, 3), (path_graph(3), {1}, True)):
+        for h, X, v in ((g, (), True), (g, {True}, True), (g, {2}, 3), (path_graph(3), {1}, True), (g, (), [1])):
             with pytest.raises(ValueError, match="not an active vertex"):
                 component_of(h, X, v)
 

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from safesep import (
+    AtWitness,
     InternalConsistencyError,
     QueryInstance,
     SafeSeparatorAnswer,
@@ -107,18 +108,49 @@ class TestAnswerType:
     def test_exists(self):
         assert SafeSeparatorAnswer(frozenset({1}), 3).exists
         assert not SafeSeparatorAnswer.none().exists
+        assert SafeSeparatorAnswer() == SafeSeparatorAnswer.none()
 
     def test_query_validation(self):
+        # Every way of building a query runs its check.
         g = path_graph(3)
-        with pytest.raises(ValueError):
-            QueryInstance(g, frozenset(), frozenset({2}))
-        with pytest.raises(ValueError):
-            QueryInstance(g, frozenset({0}), frozenset({9}))
-        with pytest.raises(ValueError):
-            QueryInstance(path_graph(5), {0, 1}, {1, 4})
+        q = QueryInstance(g, {0}, {2})
+        builds = (
+            lambda A, B: QueryInstance(g, A, B),
+            lambda A, B: QueryInstance(graph=g, A=A, B=B),
+            lambda A, B: QueryInstance._make((g, A, B)),
+            lambda A, B: q._replace(A=A, B=B),
+        )
+        bad = (
+            ((), {2}, "non-empty"),
+            ({0}, (), "non-empty"),
+            ({0, 1}, {1, 2}, "disjoint"),
+            ({0}, {9}, "^B: 9 is not an active vertex$"),
+            ([[0]], {2}, "^A: .* is not a set of active vertices$"),
+        )
+        for build in builds:
+            built = build([0], (2,))
+            assert built == q and type(built.A) is type(built.B) is frozenset
+            for A, B, message in bad:
+                with pytest.raises(ValueError, match=message):
+                    build(A, B)
         for oracle in (min_safe_brute, two_dcs_brute):
             with pytest.raises(ValueError, match="disjoint"):
                 oracle(path_graph(5), {0, 1}, {1, 4})
+
+    def test_records_are_immutable_and_equal_by_fields(self):
+        g = path_graph(3)
+        records = (
+            QueryInstance(g, {0}, {2}),
+            SafeSeparatorAnswer(frozenset({1}), 1),
+            CloseToRun((frozenset({1}),), (frozenset({1}),), (frozenset({0}),)),
+            AtWitness(0, 2, 4, (0, 1, 2), (0, 5, 4), (2, 3, 4)),
+        )
+        for record in records:
+            assert record == type(record)(**record._asdict())
+            for field in record._fields:
+                with pytest.raises(AttributeError):
+                    setattr(record, field, None)
+        assert CloseToRun((), ()).sides == () and records[3].triple == (0, 2, 4)
 
     def test_query_rejects_vertex_ids_that_are_not_integers(self):
         g = path_graph(3)

@@ -88,11 +88,15 @@ class TestPairPredicates:
             for predicate in (is_st_separator, is_minimal_st_separator):
                 with pytest.raises(ValueError, match="not an active vertex"):
                     predicate(g, s, t, S)
-        for s, S in (([0], {2}), (0, 2)):
-            with pytest.raises(ValueError, match="not a set of active vertices"):
-                is_st_separator(g, s, 4, S)
+        # A single id is named as passed, never as a set.
+        with pytest.raises(ValueError, match=r"^terminal: \[0\] is not an active vertex$"):
+            is_st_separator(g, [0], 4, {2})
+        with pytest.raises(ValueError, match="^S: 2 is not a set of active vertices$"):
+            is_st_separator(g, 0, 4, 2)
         with pytest.raises(ValueError, match="not an active vertex"):
             close_separator(g, (True,), 4)
+        with pytest.raises(ValueError, match=r"^terminal: \[1\] is not an active vertex$"):
+            close_separator(g, {3}, [1])
         with pytest.raises(ValueError, match="not an active vertex"):
             is_AB_separator(g, {True}, {4}, {2})
 
