@@ -180,12 +180,15 @@ def component_from_seed(g: WeightedGraph, X, seed, seed_boundary) -> tuple:
     """(C, N_G(C)) for C the union of the components of G-X that meet
     ``seed``, grown from ``seed_boundary`` without reading the adjacency of
     any seed vertex; a connected seed lies in one component, so C is
-    C_v(G-X) for any v in it.
+    C_v(G-X) for any v in it.  A frozenset seed whose boundary lies in X is
+    C itself: it comes back as the same object, with nothing walked.
 
     Trusted: X is a set, seed a set of active vertices outside it, and
     seed_boundary an iterable that holds N_G(seed) and may repeat it or
     hold seed vertices, but holds no other vertex; nothing here checks that.
     """
+    if isinstance(seed, frozenset) and X.issuperset(seed_boundary):
+        return seed, frozenset(seed_boundary)
     adj = g._adj
     seen = set(seed)
     boundary = set()

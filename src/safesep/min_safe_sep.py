@@ -36,9 +36,9 @@ validated against the safety and minimality definitions on the original
 graph before it is returned, on the full sides of G minus the winner that
 hold A and B.  The flow network grew both sides, with their neighborhoods,
 to prove the winning cut minimal, so the validation is a handful of set
-tests and walks nothing.  The full sides also prove G connected, which G
-remembers; a NONE answer walks the whole graph for that only if G does not
-know it yet.
+tests and walks nothing.  The sides, with a walk of any vertex outside them
+and the winner, prove G connected, which G remembers; that walk, and a NONE
+answer's walk of the whole graph, run only while G is not known to be so.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .atfree import is_at_free
 from .close_to import close_to_run
 from .errors import InternalConsistencyError
 from .graph_core import (
+    EMPTY_SET,
     WeightedGraph,
     checked_set,
     closed_neighborhood,
@@ -120,14 +121,15 @@ def _best_pair_cut(g: WeightedGraph, s, t, pairs, R, weight_R):
     one network of G - R between the cores, handed to it as seeds; sides are
     the two sides, each with its neighborhood, on which the network proved
     the winning cut minimal: the components of G minus the candidate that
-    hold s and t."""
+    hold s and t; a lone member's side is its core and settles nothing."""
     seed_s = _core(g, R, s, {S_A: c_sA for S_A, _, c_sA, _ in pairs})
     seed_t = _core(g, R, t, {S_B: c_tB for _, S_B, _, c_tB in pairs})
     core_s, core_t = seed_s[0], seed_t[0]
     net = FlowNetwork(g, s, t, seed_s, seed_t, R)
     best = None
     for _, _, c_sA, c_tB in pairs:
-        sep, wt, sides = net.min_cut((c_sA - core_s) | (c_tB - core_t))
+        settled = (EMPTY_SET if c_sA is core_s else c_sA - core_s) | (EMPTY_SET if c_tB is core_t else c_tB - core_t)
+        sep, wt, sides = net.min_cut(settled)
         answer_set = sep | R
         key = (wt + weight_R, tuple(sorted(answer_set)))
         if best is None or key < best[0]:
@@ -151,9 +153,10 @@ def min_safe_separator(q: QueryInstance, *, verified: bool = False) -> SafeSepar
     graph none of them fails.  In fast mode on a graph with an asteroidal
     triple nothing is guaranteed beyond three outcomes: a NONE (possibly
     wrong), a safe minimal separator (possibly not of minimum weight), or
-    this error.  Only a NONE answer or this error walks the whole graph to
-    check connectivity, once per graph; an answer reads it off the two
-    full sides on which its winning cut was proved, and g remembers it.
+    this error.  Connectivity is read off the winning cut's two full sides
+    plus a walk of any vertex outside them and the winner, or, for a NONE
+    answer or this error, a walk of the whole graph; neither walk runs once
+    g, which remembers it, is known to be connected.
     """
     try:
         answer = _answer(q.graph, q.A, q.B, verified)
@@ -211,8 +214,9 @@ def _answer(g: WeightedGraph, A: frozenset, B: frozenset, verified: bool) -> Saf
     # is connected if W is not empty, and g is if every other vertex reaches W.
     c_a, c_b = side_a[0], side_b[0]
     if not winner or (
-        len(c_a) + len(c_b) + len(winner) < g.vertex_count
-        and not hangs_together(g, winner, set(g.vertices).difference(c_a, c_b, winner))
+        g._connected is not True
+        and len(c_a) + len(c_b) + len(winner) < g.n
+        and not hangs_together(g, winner, set(range(g.n)).difference(c_a, c_b, winner))
     ):
         raise ValueError("input graph must be connected")
     g._connected = True

@@ -183,7 +183,10 @@ class NearSearch:
     for a set inside X, and are never walked; the separator is unchanged,
     but a search given dead vertices has no :meth:`near_side`.  Every vertex
     of S is next to a vertex that reaches t, so N(C_t(G - E - S)) - E = S
-    holds by construction.  Build it with :func:`near_search`.
+    holds by construction.  Each walk's vertex set is built once: less its
+    boundary, in place, it joins the vertices known to reach t or becomes
+    the pocket that every one of its vertices maps to.  Build it with
+    :func:`near_search`.
     """
 
     def __init__(self, adj, X, t, closed, border, near_adj, known, dead):
@@ -228,24 +231,27 @@ class NearSearch:
                     if w in closed:
                         boundary.add(w)
                     elif w in reach:
-                        reach.update(seen - boundary)
+                        seen -= boundary
+                        reach.update(seen)
                         return True
                     else:
                         stack.append(w)
-        comp = frozenset(seen - boundary)
-        self.pockets.update(dict.fromkeys(comp, (comp, frozenset(boundary))))
+        seen -= boundary
+        comp = frozenset(seen)
+        found = dict.fromkeys(comp, (comp, frozenset(boundary)))
+        if self.pockets:
+            self.pockets.update(found)
+        else:
+            self.pockets = found
         return False
 
     def near_side(self) -> tuple:
         """(C, N_G(C)) for C = C_s(G - E - S) when X = {s}, with no walk:
         C is s, the border vertices outside S, and the pockets those touch,
-        all of which the search has classified."""
-        side = set(self._X)
-        side.update(self._inner)
+        all of which the search has classified.  C is built by one union,
+        taking each touched pocket once by the identity of its entry."""
         boundary = set().union(*self._near_adj)
-        for u in boundary - self._closed:
-            if u not in side:
-                pocket, pocket_boundary = self.pockets[u]
-                side |= pocket
-                boundary |= pocket_boundary
-        return frozenset(side), frozenset(boundary - side)
+        touched = {id(entry): entry for entry in map(self.pockets.__getitem__, boundary - self._closed)}
+        side = frozenset(self._X).union(self._inner, *(pocket for pocket, _ in touched.values()))
+        boundary.update(*(pocket_boundary for _, pocket_boundary in touched.values()))
+        return side, frozenset(boundary - side)

@@ -58,6 +58,14 @@ FLOW_READS = (
     "tests/test_min_safe_sep.py::TestFrozenAnswers"
     "::test_the_flow_reads_no_core_and_cuts_like_the_contracted_graph"
 )
+REPEATED_REFUSAL = (
+    "tests/test_min_safe_sep.py::TestFrozenAnswers"
+    "::test_a_disconnected_graph_is_refused_on_every_repeated_query"
+)
+SEED_ITSELF = (
+    "tests/test_graph_core.py::TestComponents"
+    "::test_a_frozenset_seed_with_its_neighbors_removed_comes_back_itself"
+)
 CUT_PROOF = "tests/test_min_weight_separator.py::test_the_cut_check_refuses_what_is_not_a_minimal_separator"
 BAD_WINNER = "tests/test_min_safe_sep.py::TestFrozenAnswers::test_the_final_check_refuses_a_bad_winner"
 CONSTRUCTION = "tests/test_graph_core.py::TestConstruction"
@@ -483,19 +491,36 @@ MUTANTS = (
         MSS,
         "    c_a, c_b = side_a[0], side_b[0]\n"
         "    if not winner or (\n"
-        "        len(c_a) + len(c_b) + len(winner) < g.vertex_count\n"
-        "        and not hangs_together(g, winner, set(g.vertices).difference(c_a, c_b, winner))\n"
+        "        g._connected is not True\n"
+        "        and len(c_a) + len(c_b) + len(winner) < g.n\n"
+        "        and not hangs_together(g, winner, set(range(g.n)).difference(c_a, c_b, winner))\n"
         "    ):\n"
         "        raise ValueError(\"input graph must be connected\")\n"
         "    g._connected = True\n",
         "    c_a, c_b = side_a[0], side_b[0]\n"
         "    g._connected = True\n"
         "    if not winner or (\n"
-        "        len(c_a) + len(c_b) + len(winner) < g.vertex_count\n"
-        "        and not hangs_together(g, winner, set(g.vertices).difference(c_a, c_b, winner))\n"
+        "        g._connected is not True\n"
+        "        and len(c_a) + len(c_b) + len(winner) < g.n\n"
+        "        and not hangs_together(g, winner, set(range(g.n)).difference(c_a, c_b, winner))\n"
         "    ):\n"
         "        raise ValueError(\"input graph must be connected\")\n",
-        ("tests/test_min_safe_sep.py::TestFrozenAnswers::test_a_disconnected_graph_is_refused_on_every_repeated_query",),
+        (REPEATED_REFUSAL,),
+    ),
+    Mutant(
+        "connectivity memo: the validation trusts a graph known disconnected",
+        MSS,
+        "        g._connected is not True\n",
+        "        g._connected is None\n",
+        (REPEATED_REFUSAL,),
+    ),
+    Mutant(
+        "connectivity memo: not read by the validation",
+        MSS,
+        "        g._connected is not True\n        and len(",
+        "        len(",
+        ("tests/test_min_safe_sep.py::TestFrozenAnswers"
+         "::test_an_answer_on_a_graph_known_connected_reads_nothing_outside_its_sides",),
     ),
     Mutant(
         "connectivity memo: read",
@@ -518,6 +543,28 @@ MUTANTS = (
         "component_from_seed(g, gone_1, *seed)",
         "component_with_boundary(g, gone_1, s)",
         (ANCHOR_READS,),
+    ),
+    Mutant(
+        "seed component: no walk only when the seed's boundary is removed",
+        GRAPH,
+        "    if isinstance(seed, frozenset) and X.issuperset(seed_boundary):\n",
+        "    if isinstance(seed, frozenset):\n",
+        (SEED_ITSELF,),
+    ),
+    Mutant(
+        "seed component: no walk only for a frozenset seed",
+        GRAPH,
+        "    if isinstance(seed, frozenset) and X.issuperset(seed_boundary):\n",
+        "    if X.issuperset(seed_boundary):\n",
+        (SEED_ITSELF,),
+    ),
+    Mutant(
+        "pair loop: every side taken for its core",
+        MSS,
+        "        settled = (EMPTY_SET if c_sA is core_s else c_sA - core_s)"
+        " | (EMPTY_SET if c_tB is core_t else c_tB - core_t)\n",
+        "        settled = EMPTY_SET\n",
+        QUERY_LEVEL,
     ),
     # The close family: the filter's tests that construction does not prove,
     # and the contraction branch's anchors.

@@ -297,6 +297,21 @@ class TestComponents:
         grown = component_from_seed(g, removed, frozenset(seed), neighborhood(g, seed))
         assert grown == component_with_boundary(g, removed, v)
 
+    def test_a_frozenset_seed_with_its_neighbors_removed_comes_back_itself(self):
+        # On the path 0-...-5 the seed {2, 3} has N(seed) = {1, 4}.  With
+        # both removed it is its own component: the same object, nothing read.
+        g = path_graph(6)
+        seed = frozenset({2, 3})
+        reads = count_reads(g)
+        side, boundary = component_from_seed(g, frozenset({1, 4}), seed, (1, 4))
+        assert side is seed and boundary == {1, 4} and not reads
+        # One seed neighbour outside X: the component grows through it.
+        grown = component_from_seed(g, frozenset({1, 5}), seed, (1, 4))
+        assert grown == (frozenset({2, 3, 4}), frozenset({1, 5})) and reads == {4: 1}
+        # A tuple seed is grown into a frozenset component.
+        side, boundary = component_from_seed(g, frozenset({1, 4}), (2, 3), (1, 4))
+        assert type(side) is frozenset and side == seed and boundary == {1, 4}
+
 
 class TestDeletionAndContraction:
     def test_induced_delete_keeps_identifiers(self):

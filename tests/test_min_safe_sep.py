@@ -294,6 +294,21 @@ class TestFrozenAnswers:
         assert not min_safe_separator(QueryInstance(g, A, B)).exists
         assert touched.keys() <= gate_side | A | B and 0 < len(gate_side) < g.vertex_count // 2
 
+    def test_an_answer_on_a_graph_known_connected_reads_nothing_outside_its_sides(self):
+        # The answer to ({20}, {40}) on this interval graph leaves 259 vertices
+        # outside C_A | W | C_B.  A fresh copy of the graph walks all of them
+        # to prove itself connected; a copy already known connected reads none.
+        fresh, known = (gen_interval(300, wmax=5, seed=0) for _ in range(2))
+        assert graph_core.is_connected(known)
+        answers, reads = [], []
+        for g in (fresh, known):
+            reads.append(count_reads(g))
+            answers.append(min_safe_separator(QueryInstance(g, {20}, {40})))
+        W = answers[0].separator
+        rest = set(range(300)) - component_of(fresh, W, 20) - component_of(fresh, W, 40) - W
+        assert answers[0] == answers[1] and len(rest) == 259
+        assert rest <= reads[0].keys() and rest.isdisjoint(reads[1])
+
     def test_a_disconnected_graph_is_refused_on_every_repeated_query(self):
         # On the path 0-...-4 plus the lone vertex 5, the query ({0}, {4})
         # finds a winner that fails the connectivity test, ({0, 4}, {2}) has

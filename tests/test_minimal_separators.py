@@ -319,6 +319,16 @@ class TestNearSearch:
             assert search.reaches_t(u) == (u in reference[0])
         assert read.keys().isdisjoint(set(dead) - closed)
 
+    def test_near_side_with_a_pocket_reached_from_two_border_vertices(self):
+        # s = 0 has the border {1, 2, 5}.  The pocket {3, 4} hangs off both 1
+        # (through 3) and 2 (through 4); 5 leads on to t = 7 by 6.
+        g = WeightedGraph(8, [(0, 1), (0, 2), (0, 5), (1, 3), (2, 4), (3, 4), (5, 6), (6, 7)])
+        search = near_search(g, (0,), 7)
+        assert search.separator == {5}
+        assert search.pockets[3] is search.pockets[4]
+        assert search.near_side() == component_with_boundary(g, search.separator, 0)
+        assert search.near_side() == (frozenset({0, 1, 2, 3, 4}), frozenset({5}))
+
 
 class TestComponentOrder:
     """The pair loop orders minimal separators by their source components
