@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from safesep import cli
 from safesep.cli import ParseError, main, parse_graph, serialize_graph
 from safesep.graph_core import WeightedGraph
+from safesep.min_safe_sep import SafeSeparatorAnswer
 from safesep.oracle import gen_interval
 
 P5_DOC = "n=5\ne 0 1\ne 1 2\ne 2 3\ne 3 4\n"
@@ -99,6 +101,8 @@ class TestParseGraph:
             ("n=3\nset A 0\nset A 1\n", 3),
             ("n=3\nset A 9\n", 2),
             ("n=3\nq 0 1\n", 2),
+            ("n=3\ne 0 x\n", 2),  # expected a vertex id
+            ("n=3\nset A x\n", 2),
         ],
     )
     def test_errors_carry_the_offending_line(self, doc, line_no):
@@ -406,6 +410,39 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--seeds", "1", "--n", "5", "--workers", "2")
         assert code == 64
         assert "usage error" in err
+
+    def test_a_mismatch_is_reported_with_its_seed(self, capsys, monkeypatch):
+        # The oracle's first answer is forged; the other two instances check.
+        honest, calls = cli.min_safe_brute, []
+
+        def forged(g, A, B):
+            calls.append(A)
+            if len(calls) == 1:
+                return SafeSeparatorAnswer(frozenset({99}), 10**6)
+            return honest(g, A, B)
+
+        monkeypatch.setattr(cli, "min_safe_brute", forged)
+        detail = "n=5 A=[3] B=[2]: algorithm frozenset({0, 1}) w=11, oracle frozenset({99}) w=1000000"
+        code, out, err = run_cli(capsys, "verify", "--seeds", "3", "--n", "5")
+        assert (code, err) == (1, "")
+        assert out == f"verified 2/3 instances\nmismatch at seed 0: {detail}\n"
+        calls.clear()
+        code, out, _ = run_cli(capsys, "--json", "verify", "--seeds", "3", "--n", "5")
+        assert code == 1
+        assert json.loads(out) == {
+            "status": "mismatch", "separator": None, "weight": None, "family": None,
+            "runtime_ms": None, "instances": 3, "checked": 2,
+            "mismatches": [{"seed": 0, "detail": detail}],
+        }
+
+    def test_differing_close_families_are_a_mismatch(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "close_family_brute", lambda g, s, t, A: [])
+        code, out, _ = run_cli(capsys, "verify", "--seeds", "1", "--n", "5")
+        assert code == 1
+        assert out == (
+            "verified 0/1 instances\n"
+            "mismatch at seed 0: close families differ for A=[3], s=3, t=2\n"
+        )
 
     @pytest.mark.parametrize(
         "argv, named",
