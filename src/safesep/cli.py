@@ -2,11 +2,15 @@
 
 Reads graphs from a small line-oriented document format, runs the separator
 queries, and emits either plain text or a single JSON document per
-invocation; ``gen`` writes a graph document, meant for a file, with or
-without ``--json``.  Exit codes follow batch conventions: 0 success-with-answer,
-1 property-false (e.g. a witness that the graph is not AT-free, or verify
-mismatches), 2 answer-is-none, 64 usage errors (including refused oversize
-brute-force scans), 65 parse errors, 70 internal consistency failures.
+invocation, with the keys status, separator, weight, family and runtime_ms;
+a check-atfree witness adds ``witness`` (``triple``, ``path_ab``,
+``path_ac``, ``path_bc``), and verify adds ``instances``, ``checked`` and
+``mismatches``, with runtime_ms null.  ``gen`` writes a graph document,
+meant for a file, with or without ``--json``.  Exit codes follow batch
+conventions: 0 success-with-answer, 1 property-false (e.g. a witness that
+the graph is not AT-free, or verify mismatches), 2 answer-is-none, 64 usage
+errors (including refused oversize brute-force scans), 65 parse errors, 70
+internal consistency failures.
 
 Graph document format, one directive per line (``#`` starts a comment):
 
@@ -60,8 +64,7 @@ class ParseError(Exception):
 def parse_graph(text: str):
     """Parse a graph document into (WeightedGraph, named vertex sets)."""
     n = None
-    weights = []
-    saw_weights = False
+    weights = None
     edges = []
     edge_seen = set()
     named = {}
@@ -97,7 +100,7 @@ def parse_graph(text: str):
         tag, args = fields[0], fields[1:]
         if tag == "w":
             need_n(line_no)
-            saw_weights = True
+            weights = weights or []
             for tok in args:
                 try:
                     w = int(tok)
@@ -134,10 +137,8 @@ def parse_graph(text: str):
 
     if n is None:
         raise ParseError(1, "missing n=<int> header")
-    if saw_weights and len(weights) != n:
+    if weights is not None and len(weights) != n:
         raise ParseError(1, f"expected {n} weights, got {len(weights)}")
-    if not saw_weights:
-        weights = [1] * n
     return WeightedGraph(n, edges, weights), named
 
 
@@ -177,107 +178,92 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _read_document(path: str):
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+def _read_graph(args):
+    """(graph, named sets) of the document args.file, ``-`` for stdin."""
+    if args.file == "-":
+        text = sys.stdin.read()
+    else:
+        with open(args.file, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    return parse_graph(text)
 
 
-def _emit(args, payload: dict, plain_lines) -> None:
+def _emit(args, code, status, lines, started, separator=None, weight=None, family=None, **extra) -> int:
+    """Print one JSON document (the five common keys, any extra keys of the
+    command, runtime_ms null when started is None) or the plain lines, and
+    return the exit code."""
     if args.json:
+        payload = {
+            "status": status,
+            "separator": sorted(separator) if separator is not None else None,
+            "weight": weight,
+            "family": [sorted(S) for S in family] if family is not None else None,
+            "runtime_ms": round((time.perf_counter() - started) * 1000.0, 3) if started is not None else None,
+            **extra,
+        }
         print(json.dumps(payload, sort_keys=True))
     else:
-        for line in plain_lines:
+        for line in lines:
             print(line)
+    return code
 
 
-def _answer_payload(status, separator=None, weight=None, family=None, started=None):
-    return {
-        "status": status,
-        "separator": sorted(separator) if separator is not None else None,
-        "weight": weight,
-        "family": [sorted(S) for S in family] if family is not None else None,
-        "runtime_ms": round((time.perf_counter() - started) * 1000.0, 3),
-    }
+def _emit_separator(args, started, separator, weight) -> int:
+    """A separator with its weight, or NONE when separator is None."""
+    if separator is None:
+        return _emit(args, EXIT_NONE, "none", ["none"], started)
+    lines = [f"separator {' '.join(map(str, sorted(separator)))}".rstrip(), f"weight {weight}"]
+    return _emit(args, EXIT_OK, "ok", lines, started, separator, weight)
 
 
-def _emit_family(args, family, started) -> int:
+def _emit_family(args, started, family) -> int:
     lines = [f"family {len(family)}"]
     lines.extend(" ".join(map(str, sorted(S))) if S else "(empty)" for S in family)
-    _emit(args, _answer_payload("ok", family=family, started=started), lines)
-    return EXIT_OK
+    return _emit(args, EXIT_OK, "ok", lines, started, family=family)
 
 
 def _cmd_check_atfree(args) -> int:
-    g, _ = parse_graph(_read_document(args.file))
+    g, _ = _read_graph(args)
     started = time.perf_counter()
     witness = find_asteroidal_triple(g)
     if witness is None:
-        _emit(args, _answer_payload("atfree", started=started), ["atfree"])
-        return EXIT_OK
-    payload = _answer_payload("witness", started=started)
-    payload["witness"] = {
-        "triple": sorted(witness.triple),
-        "path_ab": list(witness.path_ab),
-        "path_ac": list(witness.path_ac),
-        "path_bc": list(witness.path_bc),
-    }
-    _emit(
-        args,
-        payload,
-        [f"asteroidal triple: {' '.join(str(v) for v in sorted(witness.triple))}"],
-    )
-    return EXIT_PROPERTY_FALSE
+        return _emit(args, EXIT_OK, "atfree", ["atfree"], started)
+    triple = sorted(witness.triple)
+    lines = [f"asteroidal triple: {' '.join(map(str, triple))}"]
+    paths = {"path_ab": list(witness.path_ab), "path_ac": list(witness.path_ac), "path_bc": list(witness.path_bc)}
+    return _emit(args, EXIT_PROPERTY_FALSE, "witness", lines, started, witness={"triple": triple, **paths})
 
 
 def _cmd_min_safe_sep(args) -> int:
-    g, named = parse_graph(_read_document(args.file))
+    g, named = _read_graph(args)
     A = _resolve_set(args.A, named, "--A")
     B = _resolve_set(args.B, named, "--B")
     started = time.perf_counter()
     answer = min_safe_separator(QueryInstance(g, A, B), verified=not args.fast)
-    if not answer.exists:
-        _emit(args, _answer_payload("none", started=started), ["none"])
-        return EXIT_NONE
-    sep = sorted(answer.separator)
-    _emit(
-        args,
-        _answer_payload("ok", answer.separator, answer.weight, started=started),
-        [f"separator {' '.join(map(str, sep))}".rstrip(), f"weight {answer.weight}"],
-    )
-    return EXIT_OK
+    return _emit_separator(args, started, answer.separator, answer.weight)
 
 
 def _cmd_close_to(args) -> int:
-    g, named = parse_graph(_read_document(args.file))
+    g, named = _read_graph(args)
     A = _resolve_set(args.A, named, "--A") if args.A is not None else frozenset()
     started = time.perf_counter()
-    family = close_to(g, args.s, args.t, A, verified=not args.fast)
-    return _emit_family(args, family, started)
+    return _emit_family(args, started, close_to(g, args.s, args.t, A, verified=not args.fast))
 
 
 def _cmd_min_sep(args) -> int:
-    g, _ = parse_graph(_read_document(args.file))
+    g, _ = _read_graph(args)
     started = time.perf_counter()
     try:
         sep, weight = min_weight_st_separator(g, args.s, args.t)
     except NoSeparatorError:
-        _emit(args, _answer_payload("none", started=started), ["none"])
-        return EXIT_NONE
-    _emit(
-        args,
-        _answer_payload("ok", sep, weight, started=started),
-        [f"separator {' '.join(map(str, sorted(sep)))}".rstrip(), f"weight {weight}"],
-    )
-    return EXIT_OK
+        sep = weight = None
+    return _emit_separator(args, started, sep, weight)
 
 
 def _cmd_enum_minimal(args) -> int:
-    g, _ = parse_graph(_read_document(args.file))
+    g, _ = _read_graph(args)
     started = time.perf_counter()
-    family = enumerate_minimal_st_separators(g, args.s, args.t)
-    return _emit_family(args, family, started)
+    return _emit_family(args, started, enumerate_minimal_st_separators(g, args.s, args.t))
 
 
 def _cmd_gen(args) -> int:
@@ -324,101 +310,65 @@ def _cmd_verify(args) -> int:
     results = [_verify_one(seed, args.n, args.wmax) for seed in range(args.seeds)]
     failures = [(seed, detail) for seed, ok, detail in results if not ok]
     checked = sum(1 for _, ok, detail in results if ok and detail == "ok")
-    payload = {
-        "status": "ok" if not failures else "mismatch",
-        "separator": None,
-        "weight": None,
-        "family": None,
-        "runtime_ms": None,
-        "instances": len(results),
-        "checked": checked,
-        "mismatches": [{"seed": seed, "detail": d} for seed, d in failures],
-    }
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(f"verified {checked}/{len(results)} instances")
-        for seed, detail in failures:
-            print(f"mismatch at seed {seed}: {detail}")
-    return EXIT_OK if not failures else EXIT_PROPERTY_FALSE
+    lines = [f"verified {checked}/{len(results)} instances"]
+    lines.extend(f"mismatch at seed {seed}: {detail}" for seed, detail in failures)
+    return _emit(
+        args, EXIT_PROPERTY_FALSE if failures else EXIT_OK, "mismatch" if failures else "ok", lines, None,
+        instances=len(results), checked=checked, mismatches=[{"seed": seed, "detail": d} for seed, d in failures],
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="safesep", description=__doc__.splitlines()[0])
     parser.add_argument("--json", action="store_true", help="emit one JSON document (all commands but gen)")
     sub = parser.add_subparsers(dest="command", required=True)
+    file_arg, terminals, fast = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    file_arg.add_argument("file")
+    terminals.add_argument("--s", type=int, required=True)
+    terminals.add_argument("--t", type=int, required=True)
+    fast.add_argument("--fast", action="store_true", help="skip the AT-free check")
 
-    p = sub.add_parser("check-atfree", help="report an asteroidal triple if any")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_check_atfree)
+    def command(name, func, summary, *parents):
+        p = sub.add_parser(name, help=summary, parents=parents)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("min-safe-sep", help="minimum-weight safe A,B-separator")
-    p.add_argument("file")
+    command("check-atfree", _cmd_check_atfree, "report an asteroidal triple if any", file_arg)
+    p = command("min-safe-sep", _cmd_min_safe_sep, "minimum-weight safe A,B-separator", file_arg, fast)
     p.add_argument("--A", required=True, help="named set or vertex ids")
     p.add_argument("--B", required=True, help="named set or vertex ids")
-    p.add_argument("--fast", action="store_true", help="skip the AT-free check")
-    p.set_defaults(func=_cmd_min_safe_sep)
-
-    p = sub.add_parser("close-to", help="family of minimal separators close to sA")
-    p.add_argument("file")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
+    p = command("close-to", _cmd_close_to, "family of minimal separators close to sA", file_arg, terminals, fast)
     p.add_argument("--A", default=None, help="named set or vertex ids (default empty)")
-    p.add_argument("--fast", action="store_true", help="skip the AT-free check")
-    p.set_defaults(func=_cmd_close_to)
+    command("min-sep", _cmd_min_sep, "minimum-weight s,t-separator", file_arg, terminals)
+    command("enum-minimal", _cmd_enum_minimal, "all minimal s,t-separators (brute force)", file_arg, terminals)
 
-    p = sub.add_parser("min-sep", help="minimum-weight s,t-separator")
-    p.add_argument("file")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.set_defaults(func=_cmd_min_sep)
-
-    p = sub.add_parser("enum-minimal", help="all minimal s,t-separators (brute force)")
-    p.add_argument("file")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.set_defaults(func=_cmd_enum_minimal)
-
-    p = sub.add_parser("gen", help="generate a test instance document")
+    p = command("gen", _cmd_gen, "generate a test instance document")
     p.add_argument("--family", choices=("interval", "reject"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--wmax", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("verify", help="batch oracle-equivalence check")
+    p = command("verify", _cmd_verify, "batch oracle-equivalence check")
     p.add_argument("--seeds", type=int, required=True, help="number of instances")
     p.add_argument("--n", type=int, required=True, help="vertices per instance")
     p.add_argument("--wmax", type=int, default=10)
-    p.set_defaults(func=_cmd_verify)
-
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (UsageError, FileNotFoundError, ValueError) as exc:
+        failure, code = f"usage error: {exc}", EXIT_USAGE
     except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        failure, code = f"parse error: {exc}", EXIT_PARSE
     except SubsetCapError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        failure, code = f"refused: {exc}", EXIT_USAGE
     except InternalConsistencyError as exc:
-        print(f"internal consistency failure: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        failure, code = f"internal consistency failure: {exc}", EXIT_INTERNAL
+    print(failure, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -156,8 +156,11 @@ def min_safe_separator(q: QueryInstance, *, verified: bool = False) -> SafeSepar
     this error.  Connectivity is read off the winning cut's two full sides
     plus a walk of any vertex outside them and the winner, or, for a NONE
     answer or this error, a walk of the whole graph; neither walk runs once
-    g, which remembers it, is known to be connected.
+    g, which remembers it, is known to be connected.  A graph already known
+    to be disconnected is refused before anything is read.
     """
+    if q.graph._connected is False:
+        raise ValueError("input graph must be connected")
     try:
         answer = _answer(q.graph, q.A, q.B, verified)
     except InternalConsistencyError:

@@ -39,6 +39,7 @@ MSS = "src/safesep/min_safe_sep.py"
 MINSEP = "src/safesep/minimal_separators.py"
 GRAPH = "src/safesep/graph_core.py"
 ORACLE = "src/safesep/oracle.py"
+CLI = "src/safesep/cli.py"
 
 FLOW_ORACLES = (
     "tests/test_min_weight_separator.py::test_cuts_with_settled_sets_match_the_subset_oracle",
@@ -72,6 +73,7 @@ CONSTRUCTION = "tests/test_graph_core.py::TestConstruction"
 QUERY_CHECK = "tests/test_min_safe_sep.py::TestAnswerType::test_query_validation"
 NEGATIVE_IDS = "tests/test_graph_core.py::TestConstruction::test_negative_and_out_of_range_ids_are_refused_everywhere"
 SET_PREDICATES = ("tests/test_minimal_separators.py::TestSetPredicates",)
+SET_REFUSALS = "tests/test_minimal_separators.py::TestSetPredicates::test_separator_overlapping_the_sets_is_rejected"
 ANCHOR_READS = "tests/test_close_to.py::TestRunDetails::test_anchor_passes_read_no_vertex_the_search_for_s_walked"
 CORPUS_CLOSE = "tests/test_corpus.py::test_close_families_match_the_oracle_on_the_stratum"
 REST_PINS = "tests/test_close_to.py::TestAgainstBruteForce::test_the_member_that_only_the_rest_anchor_finds"
@@ -327,6 +329,28 @@ MUTANTS = (
         "    return True\n",
         SET_PREDICATES,
     ),
+    # The refusals of the check that the three predicates share.
+    Mutant(
+        "_check_ab: empty sets",
+        MINSEP,
+        "    if not A or not B:\n        raise ValueError(\"A and B must be non-empty\")\n",
+        "",
+        (SET_REFUSALS,),
+    ),
+    Mutant(
+        "_check_ab: overlapping sets",
+        MINSEP,
+        "    if A & B:\n        raise ValueError(\"A and B must be disjoint\")\n",
+        "",
+        (SET_REFUSALS,),
+    ),
+    Mutant(
+        "_check_ab: adjacent sets",
+        MINSEP,
+        "    if A & closed_neighborhood(g, B):\n        raise ValueError(\"A and B must be non-adjacent\")\n",
+        "",
+        (SET_REFUSALS,),
+    ),
     # The cold reference network of tests/brutes.py, which the flow tests
     # compare against.
     Mutant(
@@ -392,6 +416,13 @@ MUTANTS = (
         "                        if v in excluded or v in core_s:\n",
         "                        if v in excluded:\n",
         (FLOW_READS,),
+    ),
+    Mutant(
+        "cut check: the cut weighs the flow",
+        MWS,
+        "        if g.weight_of(sep) != flow:\n",
+        "        if False:\n",
+        ("tests/test_min_weight_separator.py::test_the_cut_check_refuses_a_cut_that_does_not_weigh_the_flow",),
     ),
     Mutant(
         "cut proof: t on the side of s",
@@ -513,6 +544,16 @@ MUTANTS = (
         "        g._connected is not True\n",
         "        g._connected is None\n",
         (REPEATED_REFUSAL,),
+        survivor="equivalent while min_safe_separator refuses a graph known disconnected at its entry: "
+        "inside _answer the memo is then None or True, where 'is not True' and 'is None' agree; "
+        "without that entry refusal the repeated-refusal test kills it",
+    ),
+    Mutant(
+        "connectivity memo: not read at the entry",
+        MSS,
+        "    if q.graph._connected is False:\n        raise ValueError(\"input graph must be connected\")\n",
+        "",
+        ("tests/test_min_safe_sep.py::TestFrozenAnswers::test_a_graph_known_disconnected_is_refused_before_any_read",),
     ),
     Mutant(
         "connectivity memo: not read by the validation",
@@ -605,6 +646,36 @@ MUTANTS = (
         "            X_w = c_s_1 | {w}\n",
         "            X_w = frozenset({w})\n",
         (TRUSTED,) + QUERY_LEVEL,
+    ),
+    # The CLI's exit-code contract: the error mapping in main and NONE.
+    Mutant(
+        "cli: an internal consistency failure exits 70",
+        CLI,
+        'f"internal consistency failure: {exc}", EXIT_INTERNAL\n',
+        'f"internal consistency failure: {exc}", EXIT_USAGE\n',
+        ("tests/test_cli.py::TestMinSafeSep::test_broken_chain_fails_fast_mode_and_is_refused_by_default",),
+    ),
+    Mutant(
+        "cli: a parse error exits 65",
+        CLI,
+        'f"parse error: {exc}", EXIT_PARSE\n',
+        'f"parse error: {exc}", EXIT_USAGE\n',
+        ("tests/test_cli.py::TestErrorPaths::test_parse_error_exit_code",),
+    ),
+    Mutant(
+        "cli: a refused scan says refused",
+        CLI,
+        'f"refused: {exc}"',
+        'f"usage error: {exc}"',
+        ("tests/test_cli.py::TestEnumMinimal::test_oversize_scan_is_refused",),
+    ),
+    Mutant(
+        "cli: NONE exits 2",
+        CLI,
+        "_emit(args, EXIT_NONE,",
+        "_emit(args, EXIT_OK,",
+        ("tests/test_cli.py::TestMinSafeSep::test_named_sets_from_the_document",
+         "tests/test_cli.py::TestMinSep::test_adjacent_terminals_have_no_separator"),
     ),
 )
 

@@ -325,6 +325,18 @@ class TestFrozenAnswers:
                     assert g._connected is not True
             assert g._connected is False
 
+    def test_a_graph_known_disconnected_is_refused_before_any_read(self):
+        # The path 0-...-1999 plus the lone vertex 2000, once is_connected has
+        # said so: the query is refused with the message of the validation's
+        # walk, in both modes, without reading one adjacency tuple.
+        g = WeightedGraph(2001, [(i, i + 1) for i in range(1999)])
+        assert not graph_core.is_connected(g)
+        reads = count_reads(g)
+        for verified in (False, True):
+            with pytest.raises(ValueError, match="^input graph must be connected$"):
+                min_safe_separator(QueryInstance(g, {0}, {1998}), verified=verified)
+        assert sum(reads.values()) == 0
+
     def test_verified_mode_rejects_asteroidal_triples(self):
         g = WeightedGraph(6, [(i, (i + 1) % 6) for i in range(6)])
         with pytest.raises(ValueError):

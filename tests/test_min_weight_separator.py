@@ -240,6 +240,25 @@ def test_the_cut_check_refuses_what_is_not_a_minimal_separator(edges, t, sep):
         net._cut((dict.fromkeys(sep, 0), {}), len(sep))
 
 
+def test_the_cut_check_refuses_a_cut_that_does_not_weigh_the_flow(monkeypatch):
+    """Every cut, the base cut and each settled one, must weigh what the flow
+    reports: a max_flow that overstates its value by one is refused."""
+    honest = FlowNetwork.max_flow
+
+    def overstated(self, settled=frozenset()):
+        flow, reached = honest(self, settled)
+        return flow + 1, reached
+
+    g = WeightedGraph(5, [(i, i + 1) for i in range(4)], [1, 3, 2, 5, 1])
+    net = FlowNetwork(g, 0, 4)
+    assert (net.cut, net.base) == (frozenset({2}), 2)
+    monkeypatch.setattr(FlowNetwork, "max_flow", overstated)
+    with pytest.raises(InternalConsistencyError, match="^cut weight 2 does not match flow value 3$"):
+        FlowNetwork(g, 0, 4)
+    with pytest.raises(InternalConsistencyError, match="^cut weight 3 does not match flow value 4$"):
+        net.min_cut({2})
+
+
 def test_settled_sides_that_touch_have_no_finite_cut():
     g = WeightedGraph(5, [(i, i + 1) for i in range(4)])
     net = FlowNetwork(g, 0, 4)

@@ -190,6 +190,17 @@ class TestSetPredicates:
             is_AB_separator(g, {0, 1}, {4}, {1, 2})
         with pytest.raises(ValueError):
             is_safe_AB_separator(g, {0, 1}, {4}, {1, 2})
+        # and the other refusals of their shared check, in each predicate
+        for predicate in (is_AB_separator, is_minimal_AB_separator, is_safe_AB_separator):
+            for A, B, S, message in (
+                ({0, 1}, {4}, {1, 2}, "S must avoid A and B"),
+                (set(), {4}, {2}, "A and B must be non-empty"),
+                ({0}, set(), {2}, "A and B must be non-empty"),
+                ({0, 2}, {2, 4}, {3}, "A and B must be disjoint"),
+                ({0, 1}, {2}, {3}, "A and B must be non-adjacent"),
+            ):
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    predicate(g, A, B, S)
 
 
 class TestCloseSeparator:
