@@ -9,7 +9,8 @@ a check-atfree witness adds ``witness`` (``triple``, ``path_ab``,
 meant for a file, with or without ``--json``.  Exit codes follow batch
 conventions: 0 success-with-answer, 1 property-false (e.g. a witness that
 the graph is not AT-free, or verify mismatches), 2 answer-is-none, 64 usage
-errors (including refused oversize brute-force scans), 65 parse errors, 70
+errors (including unreadable documents and refused oversize brute-force
+scans), 65 parse errors (including documents that are not UTF-8), 70
 internal consistency failures.
 
 Graph document format, one directive per line (``#`` starts a comment):
@@ -158,11 +159,8 @@ def _resolve_set(spec: str, named: dict, what: str) -> frozenset:
     comma/space-separated id list."""
     if spec in named:
         return named[spec]
-    toks = spec.replace(",", " ").split()
-    if not toks:
-        return frozenset()
     try:
-        return frozenset(int(t) for t in toks)
+        return frozenset(int(t) for t in spec.replace(",", " ").split())
     except ValueError:
         raise UsageError(
             f"{what}: {spec!r} is neither a named set nor a list of vertex ids"
@@ -180,11 +178,17 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_graph(args):
     """(graph, named sets) of the document args.file, ``-`` for stdin."""
-    if args.file == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    try:
+        if args.file != "-":
+            with open(args.file, "rb") as fh:
+                data = fh.read()
+        else:  # a stand-in for stdin may be a text stream with no byte buffer
+            data = sys.stdin.buffer.read() if hasattr(sys.stdin, "buffer") else sys.stdin.read().encode()
+        text = data.decode("utf-8")
+    except OSError as exc:
+        raise UsageError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(data.count(b"\n", 0, exc.start) + 1, f"not UTF-8: {exc.reason}") from None
     return parse_graph(text)
 
 
@@ -281,7 +285,7 @@ def _verify_one(seed, n, wmax):
     if seed % 2 == 0:
         g = gen_interval(n, wmax, seed)
     else:
-        g = gen_atfree_rejection(min(n, 12), wmax, seed)
+        g = gen_atfree_rejection(n, wmax, seed)
     picked = sample_terminals(g, rng)
     if picked is None:
         return seed, True, "skipped (no admissible terminals)"
@@ -359,7 +363,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except (UsageError, FileNotFoundError, ValueError) as exc:
+    except (UsageError, ValueError) as exc:
         failure, code = f"usage error: {exc}", EXIT_USAGE
     except ParseError as exc:
         failure, code = f"parse error: {exc}", EXIT_PARSE

@@ -81,7 +81,6 @@ from .errors import InternalConsistencyError
 from .graph_core import (
     EMPTY_SET,
     WeightedGraph,
-    checked_set,
     closed_neighborhood,
     component_from_seed,
     component_with_boundary,
@@ -190,9 +189,9 @@ def close_to_run(g: WeightedGraph, s, t, A: Iterable[int], R: frozenset = EMPTY_
     T_s = search.separator
     c_s_ts, nb_ts = search.near_side()
     if sA <= c_s_ts:
+        # The lone candidate keeps A on its side c_s_ts: the filter would keep it.
         S = T_s | L
-        family, sides = _definition_filter(g, s, A, [S], {S: c_s_ts}, R)
-        return CloseToRun(family, (S,), sides)
+        return CloseToRun((S,), (S,), (c_s_ts,))
 
     # The vertices of A in C_s, T_s or C_t(G' - T_s) form the anchored core.
     # Any other a lies in a pocket P of the search, which is its component of
@@ -264,7 +263,8 @@ def close_to(g: WeightedGraph, s, t, A: Iterable[int], *, verified: bool = False
     order.
 
     Raises ValueError unless s and t are distinct active vertices and A is a
-    set of active vertices avoiding both.  ``verified=True`` additionally
+    set of active vertices avoiding both ("A must avoid the terminals"), as
+    :func:`_check_terminals` checks them.  ``verified=True`` additionally
     scans g once for an asteroidal triple (ValueError if it has one); fast
     mode skips the scan, and the correctness guarantee then rests on the
     caller supplying an AT-free graph.  Both modes check the
@@ -272,10 +272,7 @@ def close_to(g: WeightedGraph, s, t, A: Iterable[int], *, verified: bool = False
     InternalConsistencyError when it fails.  The checked query runs through
     :func:`close_to_run`.
     """
-    _check_terminals(g, s, t)
-    A = checked_set(g, A, "A")
-    if A & {s, t}:
-        raise ValueError("A must avoid the terminals")
+    A = _check_terminals(g, s, t, A, "A")
     if verified and not is_at_free(g):
         raise ValueError("input graph is not AT-free")
     return close_to_run(g, s, t, A).family

@@ -51,19 +51,6 @@ class WeightedGraph:
         self._total_weight = sum(weights)
         self._connected = None  # unknown until proven: see is_connected
 
-    @classmethod
-    def _from_parts(cls, adj: tuple, w: tuple) -> "WeightedGraph":
-        """Internal constructor for derived graphs; inputs are trusted: ``adj``
-        and ``w`` are tuples of one entry per id 0..n-1, each adjacency a
-        strictly increasing tuple of ids, symmetric across ``adj``."""
-        g = object.__new__(cls)
-        g.n = len(adj)
-        g._adj = adj
-        g._w = w
-        g._total_weight = sum(w)
-        g._connected = None
-        return g
-
     # -- inspection --------------------------------------------------------
 
     @property
@@ -286,15 +273,9 @@ def subdivide(g: WeightedGraph, subdivision_weight: int = 1):
     """
     if not isinstance(subdivision_weight, int) or isinstance(subdivision_weight, bool) or subdivision_weight < 1:
         raise ValueError("subdivision weight must be a positive integer")
-    adj = [[] for _ in range(g.n)]
-    placed = {}
-    # Edges, and so fresh ids, ascend: every list is built in ascending order.
-    for fresh, (u, v) in enumerate(g.edges(), g.n):
-        adj[u].append(fresh)
-        adj[v].append(fresh)
-        placed[fresh] = (u, v)
-    adj = (*map(tuple, adj), *placed.values())
-    return WeightedGraph._from_parts(adj, g._w + (subdivision_weight,) * len(placed)), placed
+    placed = dict(enumerate(g.edges(), g.n))
+    edges = [(x, fresh) for fresh, uv in placed.items() for x in uv]
+    return WeightedGraph(g.n + len(placed), edges, g._w + (subdivision_weight,) * len(placed)), placed
 
 
 def is_connected(g: WeightedGraph) -> bool:

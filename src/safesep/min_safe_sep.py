@@ -51,7 +51,6 @@ from .errors import InternalConsistencyError
 from .graph_core import (
     EMPTY_SET,
     WeightedGraph,
-    checked_set,
     closed_neighborhood,
     component_with_boundary,
     hangs_together,
@@ -59,28 +58,23 @@ from .graph_core import (
     neighborhood,
 )
 from .min_weight_separator import FlowNetwork
-from .minimal_separators import safe_minimal_sides
+from .minimal_separators import checked_sides, safe_minimal_sides
 
 
 class QueryInstance(NamedTuple("QueryInstance", [("graph", WeightedGraph), ("A", frozenset), ("B", frozenset)])):
     """A safe-separator query: a weighted graph and the two terminal sets.
 
-    The one place a query is checked: both sets must be non-empty, disjoint
-    and made of active vertices (ints, not bools), or construction raises
-    ValueError naming the set.  Sets that are merely adjacent are a valid
-    query whose answer is NONE.  A named tuple whose every way of being
-    built (call, ``_make``, ``_replace``) runs the check.
+    The one place a query is checked, by :func:`checked_sides`: both sets
+    must be non-empty, disjoint and made of active vertices (ints, not
+    bools), or construction raises ValueError.  Sets that are merely
+    adjacent are a valid query whose answer is NONE.  A named tuple whose
+    every way of being built (call, ``_make``, ``_replace``) runs the check.
     """
 
     __slots__ = ()
 
     def __new__(cls, graph: WeightedGraph, A, B):
-        A, B = checked_set(graph, A, "A"), checked_set(graph, B, "B")
-        if not A or not B:
-            raise ValueError("terminal sets must be non-empty")
-        if A & B:
-            raise ValueError("terminal sets must be disjoint")
-        return super().__new__(cls, graph, A, B)
+        return super().__new__(cls, graph, *checked_sides(graph, A, B))
 
     @classmethod
     def _make(cls, iterable) -> "QueryInstance":

@@ -30,16 +30,17 @@ from .graph_core import (
 )
 
 
-def _check_terminals(g: WeightedGraph, s, t, S: Iterable[int] = EMPTY_SET) -> frozenset:
+def _check_terminals(g: WeightedGraph, s, t, S: Iterable[int] = EMPTY_SET, what: str = "S") -> frozenset:
     """S as a frozenset, once s and t are distinct active vertices and S a
-    set of active vertices avoiding both; else ValueError."""
+    set of active vertices avoiding both; else ValueError naming S as
+    ``what`` ("<what> must avoid the terminals")."""
     checked_id(g, s, "terminal")
     checked_id(g, t, "terminal")
     if s == t:
         raise ValueError("terminals must be distinct")
-    S = checked_set(g, S, "S")
+    S = checked_set(g, S, what)
     if s in S or t in S:
-        raise ValueError("a terminal lies inside the candidate separator")
+        raise ValueError(f"{what} must avoid the terminals")
     return S
 
 
@@ -64,14 +65,21 @@ def _has_full_sides(g: WeightedGraph, s, t, S: frozenset) -> bool:
     return component_with_boundary(g, S, t)[1] == S
 
 
-def _check_ab(g: WeightedGraph, A: Iterable[int], B: Iterable[int], S: Iterable[int]) -> tuple:
-    """The checked (A, B, S) as frozensets: A and B non-empty, disjoint and
-    non-adjacent, S avoiding both, all of active vertices; else ValueError."""
-    A, B, S = checked_set(g, A, "A"), checked_set(g, B, "B"), checked_set(g, S, "S")
+def checked_sides(g: WeightedGraph, A: Iterable[int], B: Iterable[int]) -> tuple:
+    """(A, B) as non-empty, disjoint frozensets of active vertices, else
+    ValueError; the one check of two sides, for QueryInstance and _check_ab."""
+    A, B = checked_set(g, A, "A"), checked_set(g, B, "B")
     if not A or not B:
         raise ValueError("A and B must be non-empty")
     if A & B:
         raise ValueError("A and B must be disjoint")
+    return A, B
+
+
+def _check_ab(g: WeightedGraph, A: Iterable[int], B: Iterable[int], S: Iterable[int]) -> tuple:
+    """(A, B, S) as frozensets: non-adjacent sides that :func:`checked_sides`
+    accepts, and S a set of active vertices avoiding both; else ValueError."""
+    (A, B), S = checked_sides(g, A, B), checked_set(g, S, "S")
     if A & closed_neighborhood(g, B):
         raise ValueError("A and B must be non-adjacent")
     if S & (A | B):

@@ -24,7 +24,6 @@ from .atfree import scan_asteroidal_triple
 from .errors import NoSeparatorError
 from .graph_core import (
     WeightedGraph,
-    checked_set,
     closed_neighborhood,
     component_of,
     family_sorted,
@@ -87,10 +86,7 @@ def close_family_brute(g: WeightedGraph, s, t, A: Iterable[int]) -> Tuple[Frozen
     s,t-separators with A on the s-side, then drop every one whose s-side
     strictly contains another's.  Raises ValueError as :func:`close_to`
     does."""
-    _check_terminals(g, s, t)
-    A = checked_set(g, A, "A")
-    if A & {s, t}:
-        raise ValueError("A must avoid the terminals")
+    A = _check_terminals(g, s, t, A, "A")
     with_side = []
     for S in enumerate_minimal_st_separators(g, s, t):
         c_s = component_of(g, S, s)

@@ -71,6 +71,11 @@ CUT_PROOF = "tests/test_min_weight_separator.py::test_the_cut_check_refuses_what
 BAD_WINNER = "tests/test_min_safe_sep.py::TestFrozenAnswers::test_the_final_check_refuses_a_bad_winner"
 CONSTRUCTION = "tests/test_graph_core.py::TestConstruction"
 QUERY_CHECK = "tests/test_min_safe_sep.py::TestAnswerType::test_query_validation"
+SIDES_WORDING = (
+    "tests/test_min_safe_sep.py::TestAnswerType"
+    "::test_query_refusals_are_worded_as_the_separator_predicates_word_them"
+)
+TERMINAL_REFUSALS = "tests/test_close_to.py::TestFrozenFamilies::test_close_to_and_its_oracle_refuse_alike"
 NEGATIVE_IDS = "tests/test_graph_core.py::TestConstruction::test_negative_and_out_of_range_ids_are_refused_everywhere"
 SET_PREDICATES = ("tests/test_minimal_separators.py::TestSetPredicates",)
 SET_REFUSALS = "tests/test_minimal_separators.py::TestSetPredicates::test_separator_overlapping_the_sets_is_rejected"
@@ -220,26 +225,35 @@ MUTANTS = (
         ("tests/test_graph_core.py::TestConstruction::test_weight_refuses_ids_that_are_not_ints",
          "tests/test_min_safe_sep.py::TestAnswerType::test_query_rejects_vertex_ids_that_are_not_integers"),
     ),
-    # QueryInstance is the one check of a query, on every way of building one.
+    # checked_sides is the one check of two sides: QueryInstance runs it on
+    # every way of building a query, and _check_ab for the A,B-separator
+    # predicates.
     Mutant(
-        "QueryInstance: empty sides",
-        MSS,
-        "        if not A or not B:\n",
-        "        if False:\n",
+        "checked_sides: empty sides",
+        MINSEP,
+        "    if not A or not B:\n        raise ValueError(\"A and B must be non-empty\")\n",
+        "",
+        (SIDES_WORDING,),
+    ),
+    Mutant(
+        "checked_sides: overlapping sides",
+        MINSEP,
+        "    if A & B:\n        raise ValueError(\"A and B must be disjoint\")\n",
+        "",
+        (SIDES_WORDING,),
+    ),
+    Mutant(
+        "checked_sides: ids unchecked",
+        MINSEP,
+        "    A, B = checked_set(g, A, \"A\"), checked_set(g, B, \"B\")\n",
+        "    A, B = frozenset(A), frozenset(B)\n",
         (QUERY_CHECK,),
     ),
     Mutant(
-        "QueryInstance: overlapping sides",
+        "QueryInstance: the sides unchecked",
         MSS,
-        "        if A & B:\n",
-        "        if False:\n",
-        (QUERY_CHECK,),
-    ),
-    Mutant(
-        "QueryInstance: ids unchecked",
-        MSS,
-        "        A, B = checked_set(graph, A, \"A\"), checked_set(graph, B, \"B\")\n",
-        "        A, B = frozenset(A), frozenset(B)\n",
+        "*checked_sides(graph, A, B))",
+        "frozenset(A), frozenset(B))",
         (QUERY_CHECK,),
     ),
     Mutant(
@@ -250,11 +264,42 @@ MUTANTS = (
         (QUERY_CHECK,),
     ),
     Mutant(
+        "_check_ab: the sides unchecked",
+        MINSEP,
+        "    (A, B), S = checked_sides(g, A, B), checked_set(g, S, \"S\")\n",
+        "    (A, B), S = (frozenset(A), frozenset(B)), checked_set(g, S, \"S\")\n",
+        (SET_REFUSALS,),
+    ),
+    # _check_terminals is the one check of a terminal pair and the set that
+    # must avoid it: a candidate separator, or the A of close_to and of its
+    # oracle.
+    Mutant(
         "_check_terminals leaves S unchecked",
         MINSEP,
-        "    S = checked_set(g, S, \"S\")\n",
+        "    S = checked_set(g, S, what)\n",
         "    S = frozenset(S)\n",
         ("tests/test_minimal_separators.py::TestPairPredicates::test_refuse_vertex_ids_that_are_not_ints",),
+    ),
+    Mutant(
+        "_check_terminals: a set holding a terminal",
+        MINSEP,
+        "    if s in S or t in S:\n",
+        "    if False:\n",
+        (TERMINAL_REFUSALS,),
+    ),
+    Mutant(
+        "close_to: A left unchecked",
+        CLOSE_TO,
+        "    A = _check_terminals(g, s, t, A, \"A\")\n",
+        "    _check_terminals(g, s, t)\n",
+        (TERMINAL_REFUSALS,),
+    ),
+    Mutant(
+        "close_family_brute: A left unchecked",
+        ORACLE,
+        "    A = _check_terminals(g, s, t, A, \"A\")\n",
+        "    _check_terminals(g, s, t)\n",
+        (TERMINAL_REFUSALS,),
     ),
     Mutant(
         "min_safe_brute skips the query check",
@@ -329,21 +374,7 @@ MUTANTS = (
         "    return True\n",
         SET_PREDICATES,
     ),
-    # The refusals of the check that the three predicates share.
-    Mutant(
-        "_check_ab: empty sets",
-        MINSEP,
-        "    if not A or not B:\n        raise ValueError(\"A and B must be non-empty\")\n",
-        "",
-        (SET_REFUSALS,),
-    ),
-    Mutant(
-        "_check_ab: overlapping sets",
-        MINSEP,
-        "    if A & B:\n        raise ValueError(\"A and B must be disjoint\")\n",
-        "",
-        (SET_REFUSALS,),
-    ),
+    # The refusal that the three predicates add to checked_sides.
     Mutant(
         "_check_ab: adjacent sets",
         MINSEP,
@@ -647,7 +678,29 @@ MUTANTS = (
         "            X_w = frozenset({w})\n",
         (TRUSTED,) + QUERY_LEVEL,
     ),
-    # The CLI's exit-code contract: the error mapping in main and NONE.
+    # The CLI's exit-code contract: the error mapping in main, the reader's
+    # decode mapping, and NONE.
+    Mutant(
+        "cli: an unreadable document exits 64",
+        CLI,
+        "    except OSError as exc:\n        raise UsageError(str(exc)) from None\n",
+        "",
+        ("tests/test_cli.py::TestErrorPaths::test_a_document_that_cannot_be_read_is_a_usage_error",),
+    ),
+    Mutant(
+        "cli: a document that is not UTF-8 is a parse error",
+        CLI,
+        "    except UnicodeDecodeError as exc:\n",
+        "    except UnicodeTranslateError as exc:\n",
+        ("tests/test_cli.py::TestErrorPaths::test_a_document_that_is_not_utf8_is_a_parse_error",),
+    ),
+    Mutant(
+        "cli: the decode error's line counts the newlines before the bad byte",
+        CLI,
+        "data.count(b\"\\n\", 0, exc.start) + 1",
+        "1",
+        ("tests/test_cli.py::TestErrorPaths::test_a_document_that_is_not_utf8_is_a_parse_error",),
+    ),
     Mutant(
         "cli: an internal consistency failure exits 70",
         CLI,

@@ -402,6 +402,17 @@ class TestVerify:
         assert payload["mismatches"] == []
         assert 0 <= payload["checked"] <= 3
 
+    def test_instances_without_admissible_terminals_are_skipped(self, capsys):
+        # Two vertices leave no room for non-adjacent terminal sets: every
+        # instance is skipped, none checked, and nothing mismatches.
+        assert run_cli(capsys, "verify", "--seeds", "3", "--n", "2") == (0, "verified 0/3 instances\n", "")
+        code, out, _ = run_cli(capsys, "--json", "verify", "--seeds", "3", "--n", "2")
+        assert code == 0
+        assert json.loads(out) == {
+            "status": "ok", "separator": None, "weight": None, "family": None,
+            "runtime_ms": None, "instances": 3, "checked": 0, "mismatches": [],
+        }
+
     def test_oversize_instances_are_refused(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--seeds", "1", "--n", "13")
         assert code == 64
@@ -474,6 +485,22 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, "frobnicate")
         assert code == 64
         assert "usage error" in err
+
+    def test_a_document_that_cannot_be_read_is_a_usage_error(self, capsys, tmp_path):
+        # A directory raises IsADirectoryError, an OSError like a missing file.
+        code, out, err = run_cli(capsys, "check-atfree", str(tmp_path))
+        assert (code, out) == (64, "")
+        assert err.startswith("usage error: [Errno ") and err.rstrip().endswith(repr(str(tmp_path)))
+
+    def test_a_document_that_is_not_utf8_is_a_parse_error(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "graph.txt"
+        path.write_bytes(b"n=2\n\xff\n")
+        code, out, err = run_cli(capsys, "check-atfree", str(path))
+        assert (code, out, err) == (65, "", "parse error: line 2: not UTF-8: invalid start byte\n")
+        # the same bytes on stdin, read from its byte buffer
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"n=3\ne 0 1\n# \xc3\n")))
+        code, _, err = run_cli(capsys, "check-atfree", "-")
+        assert (code, err) == (65, "parse error: line 3: not UTF-8: invalid continuation byte\n")
 
 
 def run_python(*args):

@@ -117,6 +117,23 @@ class TestFrozenFamilies:
         with pytest.raises(ValueError):
             close_to(cycle_graph(6), 0, 3, set(), verified=True)
 
+    def test_close_to_and_its_oracle_refuse_alike(self):
+        # Both run the one check of a terminal pair and the set that must
+        # avoid it, which names the set it checks.
+        g = path_graph(5)
+        for s, t, A, message in (
+            (0, 4, {0}, "^A must avoid the terminals$"),
+            (0, 4, {2, 4}, "^A must avoid the terminals$"),
+            (0, 4, {11}, "^A: 11 is not an active vertex$"),
+            (0, 0, (), "^terminals must be distinct$"),
+            (0, 5, (), "^terminal: 5 is not an active vertex$"),
+        ):
+            for family in (close_to, close_family_brute):
+                with pytest.raises(ValueError, match=message):
+                    family(g, s, t, A)
+        with pytest.raises(ValueError, match="^S must avoid the terminals$"):
+            is_minimal_st_separator(g, 0, 4, {0, 2})
+
 
     def test_refuses_vertex_ids_that_are_not_ints(self):
         g = path_graph(5)

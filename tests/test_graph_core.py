@@ -384,7 +384,7 @@ class TestConnectivity:
             for h in (g, *derived):
                 assert h._connected is None
                 expected = len(components(h, ())) == 1
-                copy = WeightedGraph._from_parts(h._adj, h._w)
+                copy = WeightedGraph(h.n, h.edges(), h._w)
                 assert is_connected(h) is expected and h._connected is expected
                 assert h == copy and hash(h) == hash(copy) and copy._connected is None
                 reads = count_reads(h)
@@ -392,6 +392,16 @@ class TestConnectivity:
 
 
 class TestTraversal:
+    def test_bfs_path_is_none_without_a_path(self):
+        # Two components: the walk from 0 runs out before it reaches 3.
+        g = WeightedGraph(5, [(0, 1), (1, 2), (3, 4)])
+        assert bfs_path(g, 0, 3) is None and bfs_path(g, 4, 2) is None
+        assert bfs_path(g, 0, 2) == (0, 1, 2)
+        # A forbidden endpoint is refused before any walk.
+        reads = count_reads(g)
+        assert bfs_path(g, 0, 2, frozenset({2})) is None and bfs_path(g, 0, 0, frozenset({0})) is None
+        assert not reads
+
     def test_bfs_path_avoids_forbidden(self):
         g = cycle_graph(4)
         assert bfs_path(g, 0, 2) in ((0, 1, 2), (0, 3, 2))

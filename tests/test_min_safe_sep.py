@@ -137,6 +137,20 @@ class TestAnswerType:
             with pytest.raises(ValueError, match="disjoint"):
                 oracle(path_graph(5), {0, 1}, {1, 4})
 
+    def test_query_refusals_are_worded_as_the_separator_predicates_word_them(self):
+        # QueryInstance and the A,B-separator predicates share one check of
+        # the sides, so each refusal reads the same from both.
+        g = path_graph(5)
+        for A, B, message in (
+            ((), {4}, "^A and B must be non-empty$"),
+            ({0}, set(), "^A and B must be non-empty$"),
+            ({0, 2}, {2, 4}, "^A and B must be disjoint$"),
+            ({0}, {9}, "^B: 9 is not an active vertex$"),
+        ):
+            for build in (lambda: QueryInstance(g, A, B), lambda: is_safe_AB_separator(g, A, B, ())):
+                with pytest.raises(ValueError, match=message):
+                    build()
+
     def test_records_are_immutable_and_equal_by_fields(self):
         g = path_graph(3)
         records = (
@@ -486,7 +500,7 @@ class TestFrozenAnswers:
             (core_s, _), (core_t, _) = args[3:5]
             assert args[:3] == (g, s, t) and args[5] == R
             seen.update(cores=len(core_s) + len(core_t) > 2, pairs=len(pairs) > 1, R=bool(R))
-            h = WeightedGraph._from_parts(g._adj, g._w)
+            h = WeightedGraph(g.n, g.edges(), g._w)
             reads = count_reads(h)
             net = FlowNetwork(h, *args[1:])
             rest = induced_delete(g, R)
@@ -505,7 +519,7 @@ class TestFrozenAnswers:
         C_B is far larger than the settled side of t that it holds, so a
         validation that grew the sides again would read it."""
         g = gen_interval(300, wmax=5, seed=3)
-        h = WeightedGraph._from_parts(g._adj, g._w)
+        h = WeightedGraph(g.n, g.edges(), g._w)
         reads = count_reads(h)
         calls = []
         best_pair_cut = min_safe_sep._best_pair_cut
