@@ -188,7 +188,8 @@ def _read_graph(args):
     except OSError as exc:
         raise UsageError(str(exc)) from None
     except UnicodeDecodeError as exc:
-        raise ParseError(data.count(b"\n", 0, exc.start) + 1, f"not UTF-8: {exc.reason}") from None
+        # the bad byte's line, numbered by str.splitlines as parse_graph numbers lines
+        raise ParseError(len((data[:exc.start].decode() + "?").splitlines()), f"not UTF-8: {exc.reason}") from None
     return parse_graph(text)
 
 

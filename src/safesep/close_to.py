@@ -46,8 +46,8 @@ A lies inside C_s: the definitional filter tests only that, and domination
 among the survivors, and keeps exactly the family from any list that
 contains it, as a survivor outside the family is dominated by a member
 (domination is well-founded).  On AT-free inputs the raw candidates contain
-the whole family.  The unfiltered candidates, and the s-side of each
-member, stay available to callers.
+the whole family.  The s-side of each member, and the branches the run
+took, stay available to callers.
 
 In the contraction branch the anchor pass left part of A_v outside
 c_s_1 = C_s(G' - S_1), and Q_s is the part of S_1 touched by the walk from
@@ -84,7 +84,6 @@ from .graph_core import (
     closed_neighborhood,
     component_from_seed,
     component_with_boundary,
-    family_sorted,
     neighborhood,
     reaches_all,
 )
@@ -113,14 +112,18 @@ def nested_component_meet(T_s: frozenset, boundaries):
 
 class CloseToRun(NamedTuple):
     """One close_to invocation: the family that survived the definitional
-    filter, the raw candidates emitted by the procedure, and the s-side of
-    each family member.  ``sides[i]`` is C_s(G-S) for S = family[i], the full
-    component on which the filter proved A on the s-side; it was walked
-    once, by the procedure or by the filter."""
+    filter, the s-side of each member, and the path the run took.
+    ``sides[i]`` is C_s(G-S) for S = family[i], the full component on which
+    the filter proved A on the s-side; it was walked once, by the procedure
+    or by the filter.  ``path`` names the branches reached: exactly one of
+    ``adjacent`` (sA meets N[t]), ``gate``, ``shortcut`` (closest to s),
+    ``anchor at s`` (no pockets) and ``chain`` (:func:`nested_component_meet`
+    anchors), and any of ``several anchors``, ``contraction`` (a boundary
+    search was made) and ``rest`` (a rest search was made)."""
 
     family: tuple
-    raw_candidates: tuple
-    sides: tuple = ()
+    sides: tuple
+    path: frozenset
 
 
 def _definition_filter(g: WeightedGraph, s, A: frozenset, candidates, walked: dict, R) -> tuple:
@@ -156,7 +159,7 @@ def _definition_filter(g: WeightedGraph, s, A: frozenset, candidates, walked: di
 
 def close_to_run(g: WeightedGraph, s, t, A: Iterable[int], R: frozenset = EMPTY_SET) -> CloseToRun:
     """The procedure behind :func:`close_to` on G - R, returning the filtered
-    family with the sides of each member, and the raw candidates.
+    family with the sides of each member, and the path the run took.
 
     G - R is never built: every walk runs in g with R excluded.  Trusts its
     input: s and t must be distinct active vertices, A a set of active
@@ -168,7 +171,7 @@ def close_to_run(g: WeightedGraph, s, t, A: Iterable[int], R: frozenset = EMPTY_
     A = frozenset(A)
     sA = A | {s}
     if sA & closed_neighborhood(g, (t,)):
-        return CloseToRun(family=(), raw_candidates=())
+        return CloseToRun((), (), frozenset({"adjacent"}))
 
     # G' = G - gone.  A walk returns the neighborhood N_G(C) of its component:
     # minus gone it is a separator of G', minus R the neighborhood in G - R.
@@ -180,7 +183,7 @@ def close_to_run(g: WeightedGraph, s, t, A: Iterable[int], R: frozenset = EMPTY_
     # C = C_s(G' - N(t)), and C is also C_s(G' - T_t), so the gate asks
     # whether sA lies in C.
     if not reaches_all(g, gone.union(g._adj[t]), s, sA):
-        return CloseToRun(family=(), raw_candidates=())
+        return CloseToRun((), (), frozenset({"gate"}))
 
     # The separator T_s closest to s, found from s's side, which also yields
     # C_s(G' - T_s), the s-side of the candidate T_s | L in G - R.  t lies
@@ -191,7 +194,7 @@ def close_to_run(g: WeightedGraph, s, t, A: Iterable[int], R: frozenset = EMPTY_
     if sA <= c_s_ts:
         # The lone candidate keeps A on its side c_s_ts: the filter would keep it.
         S = T_s | L
-        return CloseToRun((S,), (S,), (c_s_ts,))
+        return CloseToRun((S,), (c_s_ts,), frozenset({"shortcut"}))
 
     # The vertices of A in C_s, T_s or C_t(G' - T_s) form the anchored core.
     # Any other a lies in a pocket P of the search, which is its component of
@@ -209,10 +212,12 @@ def close_to_run(g: WeightedGraph, s, t, A: Iterable[int], R: frozenset = EMPTY_
     # With no pocket to reach, the single pass anchors at s itself: X is the
     # same set, and s lies on every s-side.
     anchors = sorted(nested_component_meet(T_s, pockets.values())) if pockets else [s]
+    path = {"chain" if pockets else "anchor at s"}
     # Every anchor's N[X] lies in Z = N[{s} | a_core | anchors], so the
     # vertices of C_t(G' - Z), walked once, reach t in each anchor's search.
     known = EMPTY_SET
     if len(anchors) > 1:
+        path.add("several anchors")
         known = component_with_boundary(g, gone | closed_neighborhood(g, a_core.union(anchors, (s,))), t)[0]
     # Each X below holds s, so the pockets of G' - N[s] walked so far are
     # dead there.  S_1 misses C_s(G' - T_s) and the target pockets (its
@@ -245,6 +250,7 @@ def close_to_run(g: WeightedGraph, s, t, A: Iterable[int], R: frozenset = EMPTY_
         Q_s = component_with_boundary(g, gone_1, *(closed_neighborhood(g, X) - gone_1))[1] - gone
         d_v = A_v - c_s_1
         for w in sorted(Q_s):
+            path.add("contraction")
             X_w = c_s_1 | {w}
             found = near_search(g, X_w, t, gone, dead=search.pockets)
             if found is None:
@@ -252,10 +258,11 @@ def close_to_run(g: WeightedGraph, s, t, A: Iterable[int], R: frozenset = EMPTY_
             candidates.append(found.separator | L)
             rest = d_v - {w}
             if rest:
+                path.add("rest")
                 candidates.append(near_search(g, X_w | rest, t, gone, dead=search.pockets).separator | L)
 
     family, sides = _definition_filter(g, s, A, candidates, walked, R)
-    return CloseToRun(family, family_sorted(candidates), sides)
+    return CloseToRun(family, sides, frozenset(path))
 
 
 def close_to(g: WeightedGraph, s, t, A: Iterable[int], *, verified: bool = False) -> tuple:

@@ -7,7 +7,8 @@ helpers under test are never part of the yardstick.  The one exception,
 ``vertex_connectivity_st``, is no reference: it is the package's
 minimum-weight cut on unit weights, kept here because only tests use it,
 and is itself checked against ``max_disjoint_paths_brute``.
-``CountingAdjacency`` is no reference either: it counts what a walk reads.
+``CountingAdjacency`` is no reference either: it counts what a walk reads,
+and the small named graphs and ``random_weighted_graph`` build inputs.
 """
 
 import random
@@ -396,3 +397,15 @@ def random_weighted_graph(n: int, rng: random.Random, p: float = 0.35, wmax: int
             edges.add((u, v))
     weights = [rng.randint(1, wmax) for _ in range(n)]
     return WeightedGraph(n, sorted(edges), weights)
+
+
+def path_graph(n: int, weights=None) -> WeightedGraph:
+    return WeightedGraph(n, [(i, i + 1) for i in range(n - 1)], weights)
+
+
+def cycle_graph(n: int, weights=None) -> WeightedGraph:
+    return WeightedGraph(n, [(i, (i + 1) % n) for i in range(n)], weights)
+
+
+def claw() -> WeightedGraph:
+    return WeightedGraph(4, [(0, 1), (0, 2), (0, 3)])

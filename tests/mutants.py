@@ -83,6 +83,7 @@ ANCHOR_READS = "tests/test_close_to.py::TestRunDetails::test_anchor_passes_read_
 CORPUS_CLOSE = "tests/test_corpus.py::test_close_families_match_the_oracle_on_the_stratum"
 REST_PINS = "tests/test_close_to.py::TestAgainstBruteForce::test_the_member_that_only_the_rest_anchor_finds"
 TRUSTED = "tests/test_close_to.py::TestWhatTheFilterTrusts"
+CHAIN_LIVE = "tests/test_acceptance.py::test_nested_component_chain_check_is_live_and_never_fires"
 VALIDATION = (
     "tests/test_minimal_separators.py::TestSetPredicates::test_validation_refuses_each_condition_that_fails_alone",
     "tests/test_minimal_separators.py::TestSetPredicates"
@@ -661,6 +662,28 @@ MUTANTS = (
         "            if False:\n",
         (REST_PINS,),
     ),
+    # The branches a run records in its path.
+    Mutant(
+        "path: the contraction branch unrecorded",
+        CLOSE_TO,
+        "            path.add(\"contraction\")\n",
+        "",
+        (CORPUS_CLOSE,),
+    ),
+    Mutant(
+        "path: the rest search unrecorded",
+        CLOSE_TO,
+        "                path.add(\"rest\")\n",
+        "",
+        (CORPUS_CLOSE,),
+    ),
+    Mutant(
+        "path: chain anchors recorded as the anchor at s",
+        CLOSE_TO,
+        "    path = {\"chain\" if pockets else \"anchor at s\"}\n",
+        "    path = {\"anchor at s\"}\n",
+        (CHAIN_LIVE,),
+    ),
     Mutant(
         "contraction branch: anchor at {s, w} instead of c_s_1 | {w}",
         CLOSE_TO,
@@ -695,10 +718,17 @@ MUTANTS = (
         ("tests/test_cli.py::TestErrorPaths::test_a_document_that_is_not_utf8_is_a_parse_error",),
     ),
     Mutant(
-        "cli: the decode error's line counts the newlines before the bad byte",
+        "cli: the decode error's line counts the line breaks before the bad byte",
         CLI,
-        "data.count(b\"\\n\", 0, exc.start) + 1",
+        "len((data[:exc.start].decode() + \"?\").splitlines())",
         "1",
+        ("tests/test_cli.py::TestErrorPaths::test_a_document_that_is_not_utf8_is_a_parse_error",),
+    ),
+    Mutant(
+        "cli: the decode error's line counts only newlines",
+        CLI,
+        "len((data[:exc.start].decode() + \"?\").splitlines())",
+        "data.count(b\"\\n\", 0, exc.start) + 1",
         ("tests/test_cli.py::TestErrorPaths::test_a_document_that_is_not_utf8_is_a_parse_error",),
     ),
     Mutant(

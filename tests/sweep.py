@@ -14,10 +14,10 @@ Two parts, each with a one-line summary:
   ``close_family_brute``, and each run against :func:`unproven`.  The
   oracle's subset scan runs once per (g, s, t), not once per A (see
   :func:`one_scan_per_pair`).  It
-  counts the runs that reached each branch of
-  ``close_to_run`` (several anchors, the contraction branch, a non-empty
-  ``rest``), and the raw candidates that the filter drops: for A outside
-  C_s, and as dominated.
+  counts the runs that reached each branch of ``close_to_run``, by the
+  names in the run's ``path``, and the raw candidates (see
+  :func:`candidate_run`) that the filter drops: for A outside C_s, and as
+  dominated.
 * ``safe``: verified ``min_safe_separator`` for every pair of disjoint sets
   A and B of one or two vertices, against ``min_safe_brute``, once with unit
   weights, once with the weights 1 + (5v mod 7) and once with the many ties
@@ -50,7 +50,7 @@ else:  # run as a script
     from brutes import is_safe_ab_separator_brute, side_with_boundary
     from corpus import load
 
-from safesep import QueryInstance, WeightedGraph, min_safe_separator, oracle
+from safesep import QueryInstance, WeightedGraph, family_sorted, min_safe_separator, oracle
 from safesep.atfree import _has_cocomparability_ordering
 from safesep.oracle import close_family_brute, min_safe_brute
 
@@ -58,28 +58,6 @@ from safesep.oracle import close_family_brute, min_safe_brute
 # through importlib.
 close_to_module = importlib.import_module("safesep.close_to")
 min_safe_module = importlib.import_module("safesep.min_safe_sep")
-
-
-@contextmanager
-def recorded_searches():
-    """Record each ``near_search`` that ``close_to_run`` makes, as
-    (kind, X, found): kind is ``anchor`` for an anchor pass (handed the
-    shared walk and the dead pockets), ``boundary`` for the contraction
-    branch (handed the dead pockets alone) and ``first`` otherwise."""
-    log = []
-    real = close_to_module.near_search
-
-    def recording(g, X, t, *args, **kwargs):
-        found = real(g, X, t, *args, **kwargs)
-        kind = "anchor" if len(args) == 3 else "boundary" if "dead" in kwargs else "first"
-        log.append((kind, frozenset(X), found))
-        return found
-
-    close_to_module.near_search = recording
-    try:
-        yield log
-    finally:
-        close_to_module.near_search = real
 
 
 @contextmanager
@@ -105,32 +83,36 @@ def one_scan_per_pair():
         oracle.enumerate_minimal_st_separators = real
 
 
-def branches(log) -> set:
-    """The branches one run's searches reached: ``several anchors``,
-    ``contraction`` and ``rest`` (a boundary search for X_w | rest, which
-    strictly holds the X_w searched just before it)."""
-    kinds = Counter(kind for kind, _, _ in log)
-    reached = set()
-    if kinds["anchor"] > 1:
-        reached.add("several anchors")
-    if kinds["boundary"]:
-        reached.add("contraction")
-    for (k1, X1, _), (k2, X2, _) in zip(log, log[1:]):
-        if k1 == k2 == "boundary" and X1 < X2:
-            reached.add("rest")
-    return reached
+def candidate_run(g: WeightedGraph, s, t, A, R=frozenset()) -> tuple:
+    """(run, candidates) of ``close_to_run(g, s, t, A, R)``: the raw
+    candidates that the run handed its definitional filter, sorted and
+    without repeats, or its family when it returned before the filter (none
+    at the first two returns, the lone candidate at the shortcut)."""
+    handed = []
+    real = close_to_module._definition_filter
+
+    def capturing(g, s, A, candidates, *rest):
+        handed.append(candidates)
+        return real(g, s, A, candidates, *rest)
+
+    close_to_module._definition_filter = capturing
+    try:
+        run = close_to_module.close_to_run(g, s, t, A, R)
+    finally:
+        close_to_module._definition_filter = real
+    return run, family_sorted(handed[0]) if handed else run.family
 
 
-def unproven(g: WeightedGraph, s, t, A, R, run) -> list:
+def unproven(g: WeightedGraph, s, t, A, R, run, candidates) -> list:
     """The facts that the definitional filter trusts and that fail for one
-    ``close_to_run`` on G - R, checked from the definitions: every raw
-    candidate S avoids s and t, separates them, and has N(C_t) - R = S, and
-    N(C_s) - R = S as well if A lies inside C_s (the lemma of the close_to
-    module); every member is a minimal s,t-separator with A on its s-side,
-    whose side the run reports; and no member's s-side strictly holds
-    another's."""
+    ``close_to_run`` on G - R, checked from the definitions: every one of
+    its candidates S (see :func:`candidate_run`) avoids s and t, separates
+    them, and has N(C_t) - R = S, and N(C_s) - R = S as well if A lies
+    inside C_s (the lemma of the close_to module); every member is a
+    minimal s,t-separator with A on its s-side, whose side the run reports;
+    and no member's s-side strictly holds another's."""
     faults = []
-    for S in run.raw_candidates:
+    for S in candidates:
         c_t, n_t = side_with_boundary(g, t, S | R)
         c_s, n_s = side_with_boundary(g, s, S | R)
         if s in S or t in S or s in c_t or n_t - R != S or (A <= c_s and n_s - R != S):
@@ -148,13 +130,15 @@ def unproven(g: WeightedGraph, s, t, A, R, run) -> list:
     return faults
 
 
+# The names of ``CloseToRun.path``: a run reaches exactly one of the first five.
+PATHS = ("adjacent", "gate", "shortcut", "anchor at s", "chain", "several anchors", "contraction", "rest")
+
+
 def close_sweep(graphs) -> tuple:
     """(counts, disagreements) of the close part over graphs."""
-    counts = Counter(dict.fromkeys(
-        ("calls", "several anchors", "contraction", "rest", "raw candidates",
-         "A outside C_s", "dominated"), 0))
+    counts = Counter(dict.fromkeys(("calls", *PATHS, "raw candidates", "A outside C_s", "dominated"), 0))
     bad = []
-    with recorded_searches() as log, one_scan_per_pair():
+    with one_scan_per_pair():
         for g in graphs:
             for s in g.vertices:
                 for t in g.vertices:
@@ -164,15 +148,14 @@ def close_sweep(graphs) -> tuple:
                     for k in range(4):
                         for A in combinations(others, k):
                             A = frozenset(A)
-                            log.clear()
-                            run = close_to_module.close_to_run(g, s, t, A)
+                            run, raw = candidate_run(g, s, t, A)
                             counts["calls"] += 1
-                            counts.update(branches(log))
+                            counts.update(run.path)
                             expected = close_family_brute(g, s, t, A)
-                            faults = unproven(g, s, t, A, frozenset(), run)
+                            faults = unproven(g, s, t, A, frozenset(), run, raw)
                             if run.family != expected or faults:
                                 bad.append((g, s, t, sorted(A), run.family, expected, faults))
-                            for S in run.raw_candidates:
+                            for S in raw:
                                 counts["raw candidates"] += 1
                                 if not A <= side_with_boundary(g, s, S)[0]:
                                     counts["A outside C_s"] += 1

@@ -14,13 +14,9 @@ from safesep import (
     is_at_free,
     is_connected,
 )
-from tests.brutes import asteroidal_triple_brute, random_weighted_graph, reachable
+from tests.brutes import asteroidal_triple_brute, cycle_graph, random_weighted_graph, reachable
 from tests.strategies import connected_graphs
 from tests.test_min_safe_sep import broken_chain_query
-
-
-def cycle_graph(n):
-    return WeightedGraph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def test_six_cycle_has_the_alternating_triple():

@@ -501,6 +501,12 @@ class TestErrorPaths:
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"n=3\ne 0 1\n# \xc3\n")))
         code, _, err = run_cli(capsys, "check-atfree", "-")
         assert (code, err) == (65, "parse error: line 3: not UTF-8: invalid continuation byte\n")
+        # Lines are numbered as parse_graph numbers the last document's: a
+        # lone carriage return ends one.
+        for data, line in ((b"n=2\r# \xff\r", 2), (b"n=2\r\n\xff\r\n", 2), (b"n=2\r# c\rx 1\r", 3)):
+            path.write_bytes(data)
+            code, out, err = run_cli(capsys, "check-atfree", str(path))
+            assert (code, out) == (65, "") and err.startswith(f"parse error: line {line}: ")
 
 
 def run_python(*args):

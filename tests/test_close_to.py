@@ -1,6 +1,5 @@
 """Close-family computation and its structural guarantees."""
 
-import importlib
 import random
 from itertools import count
 
@@ -21,20 +20,8 @@ from safesep import (
 from safesep.close_to import CloseToRun, close_to_run, nested_component_meet
 from safesep.oracle import close_family_bound_check, close_family_brute
 
-from .brutes import asteroidal_triple_brute, count_reads, random_weighted_graph
-from .sweep import recorded_searches, unproven
-
-# ``safesep.close_to`` is the function of that name; the module is reached
-# through importlib.
-close_to_module = importlib.import_module("safesep.close_to")
-
-
-def path_graph(n):
-    return WeightedGraph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle_graph(n):
-    return WeightedGraph(n, [(i, (i + 1) % n) for i in range(n)])
+from .brutes import asteroidal_triple_brute, count_reads, cycle_graph, path_graph, random_weighted_graph
+from .sweep import candidate_run, close_to_module, unproven
 
 
 def fan_gadget(k, body_n, k_b):
@@ -149,8 +136,8 @@ class TestFrozenFamilies:
 class TestRunDetails:
     def test_family_members_come_from_the_candidate_pool(self):
         g = gen_interval(12, wmax=5, seed=3)
-        run = close_to_run(g, 0, 11, {5})
-        assert set(run.family) <= set(run.raw_candidates)
+        run, candidates = candidate_run(g, 0, 11, {5})
+        assert set(run.family) <= set(candidates)
 
     def test_sides_are_the_two_full_components_of_each_member(self):
         # A run hands on the s-side of each member; the t-side it proved full
@@ -163,25 +150,18 @@ class TestRunDetails:
             assert neighborhood(g, component_of(g, S, 0)) == S
             assert neighborhood(g, component_of(g, S, 29)) == S
 
-    def test_gate_stops_queries_whose_set_lies_beyond_t(self, monkeypatch):
+    def test_gate_stops_queries_whose_set_lies_beyond_t(self):
         # sA = {0, 6} avoids N[3] = {2, 3, 4}, but 6 lies beyond t, outside
         # C_s(G - N(t)) = {0, 1}: the gate answers before any close
         # separator is searched for.
         g = path_graph(7)
-        walks = []
-
-        def recording(*args):
-            walks.append(args)
-            return minimal_separators.near_search(*args)
-
-        monkeypatch.setattr(close_to_module, "near_search", recording)
-        assert close_to_run(g, 0, 3, {6}) == CloseToRun(family=(), raw_candidates=())
-        assert walks == []
+        assert close_to_run(g, 0, 3, {6}) == CloseToRun(family=(), sides=(), path=frozenset({"gate"}))
         assert close_family_brute(g, 0, 3, {6}) == ()
 
     def test_each_set_is_walked_once(self, monkeypatch):
-        # A run that takes the closest-to-s shortcut: the gate, the separator
-        # closest to s and the filter share their walks instead of repeating
+        # A run that takes the closest-to-s shortcut, and one that makes a
+        # single anchor pass at s: the gate, the separator closest to s, the
+        # anchor pass and the filter share their walks instead of repeating
         # them.  Spies sit in the namespaces of the callers, so a walk that
         # graph_core builds from another is seen once; the gate's early-exit
         # walk returns no set and is not recorded.  The near side that the
@@ -206,10 +186,12 @@ class TestRunDetails:
                     monkeypatch.setattr(module, name, spy(getattr(module, name), sets_of))
         near_side = minimal_separators.NearSearch.near_side
         monkeypatch.setattr(minimal_separators.NearSearch, "near_side", spy(near_side, lambda side: [side[0]]))
-        run = close_to_run(g, 0, 29, {3, 4})
-        assert len(run.family) == 1 and run.raw_candidates == run.family
-        assert walks
-        assert len(set(walks)) == len(walks)
+        for A, path in (({4}, "shortcut"), ({3, 4}, "anchor at s")):
+            walks.clear()
+            run = close_to_run(g, 0, 29, A)
+            assert len(run.family) == 1 and run.path == {path}
+            assert walks
+            assert len(set(walks)) == len(walks)
 
     def test_a_near_separator_leaves_the_far_side_unwalked(self):
         # On a 200-vertex path with s = 20 and t = 22, G' = G - {21} leaves t
@@ -329,7 +311,8 @@ class TestAgainstBruteForce:
         # side and the boundary vertex, would add the candidate
         # {1, 3, 5, 9, 10}.
         assert close_to(g, s, t, A, verified=True) == close_family_brute(g, s, t, A)
-        assert close_to_run(g, s, t, A).raw_candidates == tuple(frozenset(S) for S in raw)
+        run, candidates = candidate_run(g, s, t, A)
+        assert "contraction" in run.path and candidates == tuple(frozenset(S) for S in raw)
 
 
     @pytest.mark.parametrize(
@@ -416,10 +399,10 @@ class TestWhatTheFilterTrusts:
             R = frozenset(rng.sample(rest, rng.randint(0, min(2, len(rest)))))
             with_triple += asteroidal_triple_brute(g) is not None
             try:
-                run = close_to_run(g, s, t, A, R)
+                run, candidates = candidate_run(g, s, t, A, R)
             except InternalConsistencyError:
                 continue
-            assert unproven(g, s, t, A, R, run) == [], (seed, s, t, sorted(A), sorted(R))
+            assert unproven(g, s, t, A, R, run, candidates) == [], (seed, s, t, sorted(A), sorted(R))
         assert with_triple > 1500
 
     def test_a_boundary_vertex_that_touches_only_the_stranded_target(self):
@@ -430,16 +413,17 @@ class TestWhatTheFilterTrusts:
         # N(C_s) = {3}, as the module's lemma says.
         g = WeightedGraph(6, [(0, 3), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)])
         A = frozenset({2})
-        with recorded_searches() as log:
-            run = close_to_run(g, 1, 0, A)
-        found = {(kind, X): search.separator for kind, X, search in log}
-        assert found[("anchor", frozenset({1, 2}))] == frozenset({4, 5})
-        assert found[("boundary", frozenset({1, 4}))] == frozenset({3})
+        run, candidates = candidate_run(g, 1, 0, A)
+        assert run.path == {"anchor at s", "contraction", "rest"}
+        assert candidates == (frozenset({3}), frozenset({4, 5}))
+        # No vertex is common to N(sA) and N(t), so the run searches in G.
+        assert minimal_separators.near_search(g, {1, 2}, 0).separator == frozenset({4, 5})
+        assert minimal_separators.near_search(g, {1, 4}, 0).separator == frozenset({3})
         assert not g.has_edge(1, 4) and g.has_edge(2, 4)
         assert run.family == (frozenset({3}),) == close_family_brute(g, 1, 0, A)
         assert run.sides == (frozenset({1, 2, 4, 5}),)
         assert neighborhood(g, run.sides[0]) == frozenset({3})
-        assert unproven(g, 1, 0, A, frozenset(), run) == []
+        assert unproven(g, 1, 0, A, frozenset(), run, candidates) == []
 
 
 class TestNestedComponentMeet:

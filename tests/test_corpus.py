@@ -8,7 +8,7 @@ test_close_to.py.
 """
 
 from .corpus import generate, load
-from .sweep import close_sweep, safe_sweep
+from .sweep import PATHS, close_sweep, safe_sweep
 
 STRATUM = 6
 
@@ -30,9 +30,10 @@ def test_close_families_match_the_oracle_on_the_stratum():
     # run also satisfies every fact the definitional filter trusts.
     counts, bad = close_sweep(load(STRATUM))
     assert bad == []
-    assert counts["calls"] == 51824
-    # The stratum reaches the rare branches.
-    assert counts["several anchors"] > 0 and counts["contraction"] > 0 and counts["rest"] > 0
+    assert counts["calls"] == 51824 == sum(counts[name] for name in PATHS[:5])
+    # The stratum reaches the rare branches, and its filter drops candidates.
+    assert [counts[name] for name in ("several anchors", "contraction", "rest")] == [4, 7, 7]
+    assert [counts[name] for name in ("raw candidates", "A outside C_s", "dominated")] == [4449, 7, 0]
 
 
 def test_safe_separators_match_the_oracle_on_the_stratum():

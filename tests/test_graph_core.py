@@ -32,18 +32,12 @@ from tests.brutes import (
     connected_within,
     contract_connected_set,
     count_reads,
+    cycle_graph,
     induced_delete,
+    path_graph,
     random_weighted_graph,
 )
 from tests.strategies import connected_graphs
-
-
-def path_graph(n, weights=None):
-    return WeightedGraph(n, [(i, i + 1) for i in range(n - 1)], weights)
-
-
-def cycle_graph(n, weights=None):
-    return WeightedGraph(n, [(i, (i + 1) % n) for i in range(n)], weights)
 
 
 def assert_adjacency_tuples(g):

@@ -29,16 +29,15 @@ from safesep import (
 from safesep.close_to import CloseToRun, close_to_run
 from safesep.min_weight_separator import FlowNetwork
 from safesep.oracle import min_safe_brute, two_dcs_brute
-from tests.brutes import contract_connected_set, count_reads, induced_delete, random_weighted_graph
+from tests.brutes import (
+    claw,
+    contract_connected_set,
+    count_reads,
+    induced_delete,
+    path_graph,
+    random_weighted_graph,
+)
 from tests.test_close_to import fan_gadget
-
-
-def path_graph(n, weights=None):
-    return WeightedGraph(n, [(i, i + 1) for i in range(n - 1)], weights)
-
-
-def claw():
-    return WeightedGraph(4, [(0, 1), (0, 2), (0, 3)])
 
 
 def fan_query():
@@ -156,7 +155,7 @@ class TestAnswerType:
         records = (
             QueryInstance(g, {0}, {2}),
             SafeSeparatorAnswer(frozenset({1}), 1),
-            CloseToRun((frozenset({1}),), (frozenset({1}),), (frozenset({0}),)),
+            CloseToRun((frozenset({1}),), (frozenset({0}),), frozenset({"shortcut"})),
             AtWitness(0, 2, 4, (0, 1, 2), (0, 5, 4), (2, 3, 4)),
         )
         for record in records:
@@ -164,7 +163,7 @@ class TestAnswerType:
             for field in record._fields:
                 with pytest.raises(AttributeError):
                     setattr(record, field, None)
-        assert CloseToRun((), ()).sides == () and records[3].triple == (0, 2, 4)
+        assert records[2].path == {"shortcut"} and records[3].triple == (0, 2, 4)
 
     def test_query_rejects_vertex_ids_that_are_not_integers(self):
         g = path_graph(3)
@@ -242,8 +241,7 @@ class TestFrozenAnswers:
             run = honest(g, s, t, A, R)
             if s != 4:
                 return run
-            sides = (frozenset({1, 4}),)
-            return CloseToRun(run.family, run.raw_candidates, sides)
+            return run._replace(sides=(frozenset({1, 4}),))
 
         monkeypatch.setattr(min_safe_sep, "close_to_run", tampered)
         with pytest.raises(InternalConsistencyError, match="qualifying pair meet"):
@@ -372,8 +370,7 @@ class TestFrozenAnswers:
             run = honest(g, s, t, A, R)
             if s != 4:
                 return run
-            sides = (frozenset({1, 4}),)
-            return CloseToRun(run.family, run.raw_candidates, sides)
+            return run._replace(sides=(frozenset({1, 4}),))
 
         monkeypatch.setattr(min_safe_sep, "close_to_run", tampered)
         with pytest.raises(InternalConsistencyError, match="qualifying pair meet"):

@@ -23,30 +23,21 @@ from safesep.minimal_separators import near_search, safe_minimal_sides
 from safesep.oracle import enumerate_minimal_st_separators
 from tests.brutes import (
     ab_separates,
+    claw,
     close_side,
     components_brute,
     count_reads,
+    cycle_graph,
     induced_delete,
     is_minimal_ab_separator_brute,
     is_minimal_separator_by_deletion,
     is_safe_ab_separator_brute,
+    path_graph,
     reachable,
     separates,
     side_with_boundary,
 )
 from tests.strategies import atfree_graphs, connected_graphs, graphs_with_terminals
-
-
-def path_graph(n):
-    return WeightedGraph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle_graph(n):
-    return WeightedGraph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def claw():
-    return WeightedGraph(4, [(0, 1), (0, 2), (0, 3)])
 
 
 def draw_ab_query(g, data):

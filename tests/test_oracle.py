@@ -22,18 +22,12 @@ from safesep.oracle import (
     two_dcs_brute,
 )
 from tests.brutes import (
+    claw,
     minimal_st_separators_by_deletion,
+    path_graph,
     random_weighted_graph,
     two_dcs_partition_brute,
 )
-
-
-def path_graph(n):
-    return WeightedGraph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def claw():
-    return WeightedGraph(4, [(0, 1), (0, 2), (0, 3)])
 
 
 class TestEnumeration:
