@@ -15,7 +15,8 @@ from pathlib import Path
 
 from safesep.cli import main
 
-workdir = Path(tempfile.mkdtemp(prefix="safesep-demo-"))
+workspace = tempfile.TemporaryDirectory(prefix="safesep-demo-")
+workdir = Path(workspace.name)
 
 
 def run(*argv):
@@ -61,3 +62,5 @@ print("min-sep  ->", out.replace("\n", " | ").strip())
 # oracle and reports agreement; nonzero seeds/sizes keep it quick here.
 code, out = run("verify", "--seeds", "6", "--n", "7")
 print(out.strip(), "(exit %d)" % code)
+
+workspace.cleanup()

@@ -167,30 +167,30 @@ def component_from_seed(g: WeightedGraph, X, seed, seed_boundary) -> tuple:
     """(C, N_G(C)) for C the union of the components of G-X that meet
     ``seed``, grown from ``seed_boundary`` without reading the adjacency of
     any seed vertex; a connected seed lies in one component, so C is
-    C_v(G-X) for any v in it.  A frozenset seed whose boundary lies in X is
-    C itself: it comes back as the same object, with nothing walked.
+    C_v(G-X) for any v in it.  A frozenset seed is never copied: it comes
+    back as the same object whenever the walk adds no vertex to it.
 
     Trusted: X is a set, seed a set of active vertices outside it, and
     seed_boundary an iterable that holds N_G(seed) and may repeat it or
     hold seed vertices, but holds no other vertex; nothing here checks that.
     """
-    if isinstance(seed, frozenset) and X.issuperset(seed_boundary):
-        return seed, frozenset(seed_boundary)
+    seed = frozenset(seed)
     adj = g._adj
-    seen = set(seed)
+    seen = set()
     boundary = set()
     stack = []
     nbrs = seed_boundary
     while True:
         for w in nbrs:
-            if w not in seen:
+            if w not in seen and w not in seed:
                 seen.add(w)
                 if w in X:
                     boundary.add(w)
                 else:
                     stack.append(w)
         if not stack:
-            return frozenset(seen - boundary), frozenset(boundary)
+            seen -= boundary
+            return (seed.union(seen) if seen else seed), frozenset(boundary)
         nbrs = adj[stack.pop()]
 
 

@@ -65,7 +65,9 @@ REPEATED_REFUSAL = (
 )
 SEED_ITSELF = (
     "tests/test_graph_core.py::TestComponents"
-    "::test_a_frozenset_seed_with_its_neighbors_removed_comes_back_itself"
+    "::test_a_frozenset_seed_with_its_neighbors_removed_comes_back_itself",
+    "tests/test_graph_core.py::TestComponents"
+    "::test_a_seed_listed_in_its_own_boundary_still_comes_back_itself",
 )
 CUT_PROOF = "tests/test_min_weight_separator.py::test_the_cut_check_refuses_what_is_not_a_minimal_separator"
 BAD_WINNER = "tests/test_min_safe_sep.py::TestFrozenAnswers::test_the_final_check_refuses_a_bad_winner"
@@ -618,18 +620,18 @@ MUTANTS = (
         (ANCHOR_READS,),
     ),
     Mutant(
-        "seed component: no walk only when the seed's boundary is removed",
+        "seed component: the walk skips the seed's vertices",
         GRAPH,
-        "    if isinstance(seed, frozenset) and X.issuperset(seed_boundary):\n",
-        "    if isinstance(seed, frozenset):\n",
-        (SEED_ITSELF,),
+        "            if w not in seen and w not in seed:\n",
+        "            if w not in seen:\n",
+        SEED_ITSELF,
     ),
     Mutant(
-        "seed component: no walk only for a frozenset seed",
+        "seed component: the seed itself when the walk adds nothing",
         GRAPH,
-        "    if isinstance(seed, frozenset) and X.issuperset(seed_boundary):\n",
-        "    if X.issuperset(seed_boundary):\n",
-        (SEED_ITSELF,),
+        "            return (seed.union(seen) if seen else seed), frozenset(boundary)\n",
+        "            return seed.union(seen), frozenset(boundary)\n",
+        SEED_ITSELF,
     ),
     Mutant(
         "pair loop: every side taken for its core",

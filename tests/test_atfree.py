@@ -121,6 +121,17 @@ def test_five_cycle_falls_back_to_the_scan(scan_calls):
     assert len(scan_calls) == 5
 
 
+def test_sweeps_that_run_out_fall_back_to_the_scan(monkeypatch, scan_calls):
+    # One sweep proposes one ordering; when it fails, the sweeps have run out
+    # with no ordering repeated, and only the scan decides.
+    monkeypatch.setattr(atfree, "SWEEPS", 1)
+    assert atfree._has_cocomparability_ordering(cycle_graph(5)) is False
+    assert find_asteroidal_triple(cycle_graph(5)) is None and len(scan_calls) == 5
+    for g in (cycle_graph(6), broken_chain_query().graph):
+        assert atfree._has_cocomparability_ordering(g) is False
+        assert find_asteroidal_triple(g).triple == asteroidal_triple_brute(g)
+
+
 def test_graphs_with_a_triple_still_yield_a_witness():
     for g, triple in ((cycle_graph(6), (0, 2, 4)), (broken_chain_query().graph, (0, 1, 9))):
         wit = find_asteroidal_triple(g)

@@ -12,8 +12,10 @@ DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS)
-def test_demo_runs(demo):
-    env = dict(os.environ)
+def test_demo_runs(demo, tmp_path):
+    # The demo's temporary files go to a fresh folder, which must be empty
+    # again when it ends.
+    env = dict(os.environ, TMPDIR=str(tmp_path))
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
@@ -26,3 +28,4 @@ def test_demo_runs(demo):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert list(tmp_path.iterdir()) == []

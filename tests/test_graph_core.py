@@ -64,6 +64,13 @@ class TestConstruction:
         assert g.weight(1) == 5
         assert g.weight_of({0, 2}) == 9
         assert list(g.edges()) == [(0, 1), (1, 2)]
+        assert repr(g) == "WeightedGraph(n=3, m=2)"
+
+    def test_a_graph_is_never_equal_to_what_is_not_a_graph(self):
+        g = WeightedGraph(2, [(0, 1)])
+        for other in (None, 2, g._adj):
+            assert not g == other and g != other
+        assert g == WeightedGraph(2, [(1, 0)]) and g != WeightedGraph(2, [(0, 1)], [1, 2])
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
@@ -305,6 +312,15 @@ class TestComponents:
         # A tuple seed is grown into a frozenset component.
         side, boundary = component_from_seed(g, frozenset({1, 4}), (2, 3), (1, 4))
         assert type(side) is frozenset and side == seed and boundary == {1, 4}
+
+    def test_a_seed_listed_in_its_own_boundary_still_comes_back_itself(self):
+        # The boundary (1, 2, 4) lists the seed vertex 2 beside N(seed) = {1, 4}:
+        # the walk skips it, adds nothing, and reads no adjacency.
+        g = path_graph(6)
+        seed = frozenset({2, 3})
+        reads = count_reads(g)
+        side, boundary = component_from_seed(g, frozenset({1, 4}), seed, (1, 2, 4))
+        assert side is seed and boundary == {1, 4} and not reads
 
 
 class TestDeletionAndContraction:

@@ -131,6 +131,11 @@ class TestGenerators:
             assert is_at_free(g1)
             assert all(1 <= g1.weight(v) <= 9 for v in g1.vertices)
 
+    def test_a_one_vertex_interval_graph_has_one_weighted_vertex(self):
+        g = gen_interval(1, wmax=9, seed=4)
+        assert g.vertex_count == 1 and g.edge_count == 0 and 1 <= g.weight(0) <= 9
+        assert g == gen_interval(1, wmax=9, seed=4) and is_connected(g) and is_at_free(g)
+
     def test_interval_scales(self):
         g = gen_interval(2000, wmax=10, seed=0)
         assert g.vertex_count == 2000
