@@ -13,8 +13,8 @@ neighbors of sA and t (vertices every qualifying separator must contain),
 walks the component structure under the separator closest to s, and reads
 off one close separator N(C_t(G' - N[X])) per anchor set X: s with the
 anchored part of A and one candidate anchor vertex, and in the contraction
-branch a settled source side with one of its boundary vertices, alone and
-with the part of A that the side strands.  Each is found from X's side
+branch a settled source side with that part of A, the anchor vertex and
+one of the side's boundary vertices.  Each is found from X's side
 (``near_search``), which walks t's side only as far as the first vertex
 known to reach t; X need not be connected, and the result is the close
 separator of s in G' with s joined to N[X] - {s}.  Several anchor vertices
@@ -36,8 +36,7 @@ N(C_s) - R = T | L, on any graph, AT-free or not.
   other vertices of X lie in G'.
 * So s, A and an anchor vertex v, in N(s), lie in C_s; c_s_1 below is
   connected, holds s and misses T | L | R; a boundary vertex w lies in
-  S_1 <= N(A_v | {s}), so it touches c_s_1 or d_v = A_v - c_s_1, which
-  lies in A, as v lies in c_s_1.
+  S_1 <= N(A_v | {s}), so it touches c_s_1 or A_v.
 * Every vertex of T touches X, and every vertex of L touches sA, so
   T | L <= N(C_s) <= T | L | R.
 
@@ -49,11 +48,21 @@ contains it, as a survivor outside the family is dominated by a member
 the whole family.  The s-side of each member, and the branches the run
 took, stay available to callers.
 
-In the contraction branch the anchor pass left part of A_v outside
-c_s_1 = C_s(G' - S_1), and Q_s is the part of S_1 touched by the walk from
-N[X] - S_1.  That walk holds c_s_1, so c_s_1 is also C_s(G' - Q_s); as the
-anchor v lies in c_s_1 (it is s, or lies in N(s) - S_1), Q_s | L would
-strand part of A and is no candidate.
+In the contraction branch the anchor pass at X = A_v | {s} left
+d_v = A_v - c_s_1 outside c_s_1 = C_s(G' - S_1); d_v lies in A, as the
+anchor v lies in c_s_1 (it is s, or lies in N(s) - S_1).  S_1 | L would
+strand d_v, and each vertex w of S_1 anchors one search, at
+c_s_1 | A_v | {w}.  Both of these hold on any graph, AT-free or not:
+
+* Q_s, the part of S_1 that the components of G' - S_1 meeting N[X]
+  touch, is all of S_1: every vertex of S_1 has a neighbor in X, and X
+  lies in those components.
+* The anchor c_s_1 | {w}, without A_v, finds no other member.  Let
+  D = C_t(G' - N[c_s_1 | {w}]) and T = N(D).  If A lies on the
+  s-side of T | L, that side holds d_v, so N[d_v] misses D, and the anchor
+  c_s_1 | A_v | {w} finds the same D and T.  Otherwise T | L is no member
+  and dominates none.  Both anchors find nothing exactly when w lies in
+  N(t), and w never lies in d_v, as S_1 misses X.
 
 G' is never built: every walk runs in G with L excluded, and collects the
 neighborhood of its component in G on the way; minus L, that is the
@@ -118,8 +127,8 @@ class CloseToRun(NamedTuple):
     or by the filter.  ``path`` names the branches reached: exactly one of
     ``adjacent`` (sA meets N[t]), ``gate``, ``shortcut`` (closest to s),
     ``anchor at s`` (no pockets) and ``chain`` (:func:`nested_component_meet`
-    anchors), and any of ``several anchors``, ``contraction`` (a boundary
-    search was made) and ``rest`` (a rest search was made)."""
+    anchors), and any of ``several anchors`` and ``contraction`` (a
+    boundary search was made)."""
 
     family: tuple
     sides: tuple
@@ -241,25 +250,14 @@ def close_to_run(g: WeightedGraph, s, t, A: Iterable[int], R: frozenset = EMPTY_
             # passes where N(X), not the graph, holds A_v together, and the
             # boundary candidates below would then never be generated.)
             continue
-        # Contraction branch: Q_s is the part of S_1 that the components of
-        # G' - S_1 meeting N[X] touch, and c_s_1 is C_s(G' - Q_s) (see the
-        # module docstring).  Anchor at c_s_1 plus each boundary vertex w,
-        # and at those with the rest of the targets d_v that c_s_1 leaves
-        # out: when the first anchor strands part of A_v, the second
-        # recovers the member.
-        Q_s = component_with_boundary(g, gone_1, *(closed_neighborhood(g, X) - gone_1))[1] - gone
-        d_v = A_v - c_s_1
-        for w in sorted(Q_s):
+        # Contraction branch: one search per boundary vertex w of the
+        # settled side, anchored at that side, A_v and w (see the module
+        # docstring); the search is None for w in N(t).
+        for w in sorted(S_1):
             path.add("contraction")
-            X_w = c_s_1 | {w}
-            found = near_search(g, X_w, t, gone, dead=search.pockets)
-            if found is None:
-                continue
-            candidates.append(found.separator | L)
-            rest = d_v - {w}
-            if rest:
-                path.add("rest")
-                candidates.append(near_search(g, X_w | rest, t, gone, dead=search.pockets).separator | L)
+            found = near_search(g, c_s_1 | A_v | {w}, t, gone, dead=search.pockets)
+            if found is not None:
+                candidates.append(found.separator | L)
 
     family, sides = _definition_filter(g, s, A, candidates, walked, R)
     return CloseToRun(family, sides, frozenset(path))

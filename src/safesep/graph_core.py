@@ -301,20 +301,17 @@ def bfs_path(g: WeightedGraph, src, dst, forbidden: frozenset = EMPTY_SET):
     adj = g._adj
     parent = {src: None}
     queue = [src]
-    while queue:
-        nxt = []
-        for u in queue:
-            for v in adj[u]:
-                if v in forbidden or v in parent:
-                    continue
-                parent[v] = u
-                if v == dst:
-                    path = [v]
-                    while parent[path[-1]] is not None:
-                        path.append(parent[path[-1]])
-                    return tuple(reversed(path))
-                nxt.append(v)
-        queue = nxt
+    for u in queue:
+        for v in adj[u]:
+            if v in forbidden or v in parent:
+                continue
+            parent[v] = u
+            if v == dst:
+                path = [v]
+                while parent[path[-1]] is not None:
+                    path.append(parent[path[-1]])
+                return tuple(reversed(path))
+            queue.append(v)
     return None
 
 

@@ -172,6 +172,8 @@ def _random_weights(n: int, wmax: int, rng: random.Random) -> tuple:
 
 def _check_sizes(**sizes):
     for name, value in sizes.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
 
@@ -182,7 +184,7 @@ def gen_interval(n: int, wmax: int = 1, seed: int = 0) -> WeightedGraph:
     Intervals get short random lengths so the expected degree stays modest at
     large n; coverage gaps are closed by shifting intervals left, which keeps
     the model an interval model and guarantees connectivity.  Raises
-    ValueError unless n and wmax are at least 1.
+    ValueError unless n and wmax are integers of at least 1.
     """
     _check_sizes(n=n, wmax=wmax)
     rng = random.Random(f"interval:{n}:{wmax}:{seed}")
@@ -232,7 +234,7 @@ def gen_atfree_rejection(n: int, wmax: int = 1, seed: int = 0) -> WeightedGraph:
 
     Most draws have an asteroidal triple, and no ordering certificate can
     prove those AT-free, so each draw goes straight to the scan.  Raises
-    ValueError unless 1 <= n <= 12 and wmax >= 1.
+    ValueError unless n and wmax are integers, 1 <= n <= 12 and wmax >= 1.
     """
     _check_sizes(n=n, wmax=wmax)
     if n > 12:

@@ -84,6 +84,7 @@ SET_REFUSALS = "tests/test_minimal_separators.py::TestSetPredicates::test_separa
 ANCHOR_READS = "tests/test_close_to.py::TestRunDetails::test_anchor_passes_read_no_vertex_the_search_for_s_walked"
 CORPUS_CLOSE = "tests/test_corpus.py::test_close_families_match_the_oracle_on_the_stratum"
 REST_PINS = "tests/test_close_to.py::TestAgainstBruteForce::test_the_member_that_only_the_rest_anchor_finds"
+CONTRACTION_PINS = "tests/test_close_to.py::TestAgainstBruteForce::test_contraction_branch_matches_definition"
 TRUSTED = "tests/test_close_to.py::TestWhatTheFilterTrusts"
 CHAIN_LIVE = "tests/test_acceptance.py::test_nested_component_chain_check_is_live_and_never_fires"
 VALIDATION = (
@@ -658,10 +659,17 @@ MUTANTS = (
         (REST_PINS,),
     ),
     Mutant(
-        "contraction branch: no rest variant",
+        "contraction branch: one vertex of S_1 skipped",
         CLOSE_TO,
-        "            if rest:\n",
-        "            if False:\n",
+        "        for w in sorted(S_1):\n",
+        "        for w in sorted(S_1)[1:]:\n",
+        (CONTRACTION_PINS,),
+    ),
+    Mutant(
+        "contraction anchor without A_v",
+        CLOSE_TO,
+        "near_search(g, c_s_1 | A_v | {w}, t,",
+        "near_search(g, c_s_1 | {w}, t,",
         (REST_PINS,),
     ),
     # The branches a run records in its path.
@@ -673,13 +681,6 @@ MUTANTS = (
         (CORPUS_CLOSE,),
     ),
     Mutant(
-        "path: the rest search unrecorded",
-        CLOSE_TO,
-        "                path.add(\"rest\")\n",
-        "",
-        (CORPUS_CLOSE,),
-    ),
-    Mutant(
         "path: chain anchors recorded as the anchor at s",
         CLOSE_TO,
         "    path = {\"chain\" if pockets else \"anchor at s\"}\n",
@@ -687,20 +688,23 @@ MUTANTS = (
         (CHAIN_LIVE,),
     ),
     Mutant(
-        "contraction branch: anchor at {s, w} instead of c_s_1 | {w}",
+        "contraction branch: anchor at A_v | {s, w} instead of c_s_1 | A_v | {w}",
         CLOSE_TO,
-        "            X_w = c_s_1 | {w}\n",
-        "            X_w = frozenset({s, w})\n",
-        ("tests/test_close_to.py::TestAgainstBruteForce::test_contraction_branch_matches_definition",),
+        "near_search(g, c_s_1 | A_v | {w}, t,",
+        "near_search(g, A_v | {s, w}, t,",
+        (TRUSTED,) + QUERY_LEVEL,
+        survivor="equivalent on every graph: C_t(G' - N[A_v | {s, w}]) lies in C_t(G' - S_1), whose closed "
+        "neighborhood misses c_s_1, so both anchors find the same separator; anchoring at X | {w} in the code "
+        "would settle it",
     ),
     # An anchor set outside the premise of the close_to module's lemma,
-    # which the filter relies on: without c_s_1, X_w need not hold s or lie
-    # inside C_s.
+    # which the filter relies on: without c_s_1, the anchor need not hold s
+    # or lie inside C_s.
     Mutant(
-        "contraction branch: anchor at {w} alone",
+        "contraction branch: anchor at A_v | {w}, without c_s_1 or s",
         CLOSE_TO,
-        "            X_w = c_s_1 | {w}\n",
-        "            X_w = frozenset({w})\n",
+        "near_search(g, c_s_1 | A_v | {w}, t,",
+        "near_search(g, A_v | {w}, t,",
         (TRUSTED,) + QUERY_LEVEL,
     ),
     # The CLI's exit-code contract: the error mapping in main, the reader's

@@ -301,15 +301,18 @@ class TestAgainstBruteForce:
             (gen_atfree_rejection(10, wmax=5, seed=11230), 4, 6, {1}, [{0, 5, 7}, {3, 5, 7, 9}, {8}]),
             (gen_atfree_rejection(10, wmax=5, seed=18112), 0, 6, {3}, [{1, 2, 5, 9}, {2, 4, 5, 8}]),
             (gen_atfree_rejection(11, wmax=5, seed=21375), 6, 0, {1}, [{2, 3, 10}, {2, 4, 10}, {3, 7, 10}]),
+            (WeightedGraph(7, [(0, 3), (1, 4), (2, 3), (2, 5), (3, 6), (4, 5), (4, 6), (5, 6)]), 0, 1, {2},
+             [{3, 5}, {4}, {5, 6}]),
         ],
     )
     def test_contraction_branch_matches_definition(self, g, s, t, A, raw):
         # Each query leaves part of its anchor set stranded by the first
         # anchor pass, so close_to_run settles a source side and reads off
-        # candidates at each of its boundary vertices.  In the last query, an
-        # anchor of s and the boundary vertex alone, instead of the settled
-        # side and the boundary vertex, would add the candidate
-        # {1, 3, 5, 9, 10}.
+        # one candidate at each of its boundary vertices.  In the fifth
+        # query, an anchor of s and the boundary vertex, instead of the
+        # settled side, would add the candidate {1, 3, 5, 9, 10}.  In the
+        # last, an anchor of the settled side and the boundary vertex 6
+        # alone, without A, would add the candidate {2, 6}, which strands A.
         assert close_to(g, s, t, A, verified=True) == close_family_brute(g, s, t, A)
         run, candidates = candidate_run(g, s, t, A)
         assert "contraction" in run.path and candidates == tuple(frozenset(S) for S in raw)
@@ -352,8 +355,8 @@ class TestAgainstBruteForce:
     )
     def test_the_member_that_only_the_rest_anchor_finds(self, edges, s, t, A, family):
         # Seven-vertex AT-free queries from the corpus whose one member comes
-        # from the contraction branch's anchor c_s_1 | {w} | rest alone:
-        # without that search each run keeps a wrong separator instead.
+        # from the contraction branch's anchor c_s_1 | A_v | {w} alone:
+        # anchored at c_s_1 | {w} instead, each run keeps a wrong separator.
         g = WeightedGraph(7, edges)
         family = tuple(frozenset(S) for S in family)
         assert close_to(g, s, t, A, verified=True) == family == close_family_brute(g, s, t, A)
@@ -367,12 +370,17 @@ class TestAgainstBruteForce:
             (11, [(0, 1), (0, 3), (0, 5), (0, 8), (0, 10), (1, 4), (1, 5), (1, 6), (1, 7), (2, 3), (2, 8),
                   (2, 9), (3, 4), (3, 7), (3, 8), (3, 10), (4, 5), (5, 8), (6, 9), (7, 8), (7, 9), (8, 10)],
              4, 10, {9}, [{0, 2, 3, 5, 7}]),
+            (11, [(0, 2), (0, 3), (0, 5), (0, 8), (0, 10), (1, 2), (2, 9), (2, 10), (3, 8), (4, 6), (4, 7), (4, 9),
+                  (5, 6), (5, 8), (5, 9), (9, 10)],
+             6, 3, {1, 4, 7}, [{0, 5}]),
         ],
     )
     def test_graphs_with_an_asteroidal_triple_where_every_rest_anchor_counts(self, n, edges, s, t, A, family):
-        # Fast mode on graphs outside the class: the member comes from a
-        # rest anchor whose targets do not hang together with c_s_1 | {w}.
-        # Skipping such anchors gave () and ({0, 3, 8},) here.
+        # Fast mode on graphs outside the class.  In the first two queries
+        # the member comes from a contraction anchor c_s_1 | A_v | {w} whose
+        # part of A does not hang together with c_s_1 | {w}; skipping such
+        # anchors gave () and ({0, 3, 8},).  In the last, the anchor
+        # A_v | {w}, which misses s, gives ({0, 8},).
         g = WeightedGraph(n, edges)
         assert asteroidal_triple_brute(g) is not None
         family = tuple(frozenset(S) for S in family)
@@ -408,17 +416,17 @@ class TestWhatTheFilterTrusts:
     def test_a_boundary_vertex_that_touches_only_the_stranded_target(self):
         # The anchor pass at {1, 2} finds S_1 = {4, 5} and settles
         # c_s_1 = {1}, stranding 2.  The boundary vertex 4 touches 2 but not
-        # c_s_1, so X_w = {1, 4} is not connected; its candidate {3} has
-        # A inside C_s = {1, 2, 4, 5}, and then X lies in C_s as well, so
-        # N(C_s) = {3}, as the module's lemma says.
+        # c_s_1, so its anchor {1, 2, 4} is not connected; its candidate {3}
+        # has A inside C_s = {1, 2, 4, 5}, and then the anchor lies in C_s as
+        # well, so N(C_s) = {3}, as the module's lemma says.
         g = WeightedGraph(6, [(0, 3), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)])
         A = frozenset({2})
         run, candidates = candidate_run(g, 1, 0, A)
-        assert run.path == {"anchor at s", "contraction", "rest"}
+        assert run.path == {"anchor at s", "contraction"}
         assert candidates == (frozenset({3}), frozenset({4, 5}))
         # No vertex is common to N(sA) and N(t), so the run searches in G.
         assert minimal_separators.near_search(g, {1, 2}, 0).separator == frozenset({4, 5})
-        assert minimal_separators.near_search(g, {1, 4}, 0).separator == frozenset({3})
+        assert minimal_separators.near_search(g, {1, 2, 4}, 0).separator == frozenset({3})
         assert not g.has_edge(1, 4) and g.has_edge(2, 4)
         assert run.family == (frozenset({3}),) == close_family_brute(g, 1, 0, A)
         assert run.sides == (frozenset({1, 2, 4, 5}),)

@@ -2,15 +2,26 @@
 
 The stratum is every connected AT-free graph on at most six vertices (138
 graphs): the close part of ``tests/sweep.py`` over all of them, and its safe
-part with unit weights.  The graphs on seven vertices run in the full sweep
-(``python tests/sweep.py``) and through the queries pinned in
-test_close_to.py.
+part with unit weights.  The close part also runs over the seven-vertex
+graphs whose runs reach the contraction branch.  The other graphs on seven
+vertices run in the full sweep (``python tests/sweep.py``) and through the
+queries pinned in test_close_to.py.
 """
+
+from collections import Counter
 
 from .corpus import generate, load
 from .sweep import PATHS, close_sweep, safe_sweep
 
 STRATUM = 6
+# The indices in load() of the 80 graphs on seven vertices with a run that
+# reaches the contraction branch, found by sweeping every such graph.
+CONTRACTION_GRAPHS = (
+    149, 155, 160, 161, 184, 186, 193, 194, 203, 205, 206, 209, 210, 216, 242, 246, 247, 250, 252, 253,
+    255, 256, 261, 262, 266, 267, 270, 305, 306, 311, 313, 315, 316, 322, 324, 325, 326, 327, 328, 329,
+    330, 332, 337, 365, 406, 407, 409, 410, 412, 416, 420, 422, 423, 430, 431, 433, 434, 438, 442, 464,
+    479, 528, 530, 531, 532, 534, 535, 536, 539, 540, 551, 555, 556, 680, 698, 699, 705, 708, 727, 764,
+)
 
 
 def test_the_generator_reproduces_the_graph_counts_and_the_fixture():
@@ -32,8 +43,20 @@ def test_close_families_match_the_oracle_on_the_stratum():
     assert bad == []
     assert counts["calls"] == 51824 == sum(counts[name] for name in PATHS[:5])
     # The stratum reaches the rare branches, and its filter drops candidates.
-    assert [counts[name] for name in ("several anchors", "contraction", "rest")] == [4, 7, 7]
+    assert [counts[name] for name in ("several anchors", "contraction")] == [4, 7]
     assert [counts[name] for name in ("raw candidates", "A outside C_s", "dominated")] == [4449, 7, 0]
+
+
+def test_close_families_match_the_oracle_where_seven_vertices_reach_the_contraction_branch():
+    graphs = load()
+    total = Counter()
+    for i in CONTRACTION_GRAPHS:
+        counts, bad = close_sweep([graphs[i]])
+        assert bad == [] and graphs[i].n == 7 and counts["contraction"] > 0, i
+        total.update(counts)
+    assert total["calls"] == 87360 == sum(total[name] for name in PATHS[:5])
+    assert [total[name] for name in ("several anchors", "contraction")] == [46, 251]
+    assert [total[name] for name in ("raw candidates", "A outside C_s", "dominated")] == [12398, 256, 9]
 
 
 def test_safe_separators_match_the_oracle_on_the_stratum():

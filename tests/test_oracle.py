@@ -148,6 +148,17 @@ class TestGenerators:
         with pytest.raises(ValueError):
             gen_atfree_rejection(13)
 
+    @pytest.mark.parametrize(
+        "gen, args, named",
+        [(gen_interval, (2.5,), "n"), (gen_atfree_rejection, (4.5,), "n"), (gen_interval, (5, 2.5), "wmax"),
+         (gen_interval, (True,), "n"), (gen_interval, (5, True), "wmax"), (gen_atfree_rejection, (5, True), "wmax"),
+         (gen_interval, ("5",), "n")],
+    )
+    def test_sizes_that_are_not_integers_are_refused(self, gen, args, named):
+        # Bools included: True would silently act as 1.
+        with pytest.raises(ValueError, match=f"^{named} must be an integer"):
+            gen(*args)
+
 
 class TestTerminalSampling:
     def test_invariants(self):
