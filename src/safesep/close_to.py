@@ -13,13 +13,12 @@ neighbors of sA and t (vertices every qualifying separator must contain),
 walks the component structure under the separator closest to s, and reads
 off one close separator N(C_t(G' - N[X])) per anchor set X: s with the
 anchored part of A and one candidate anchor vertex, and in the contraction
-branch a settled source side with that part of A, the anchor vertex and
-one of the side's boundary vertices.  Each is found from X's side
-(``near_search``), which walks t's side only as far as the first vertex
-known to reach t; X need not be connected, and the result is the close
-separator of s in G' with s joined to N[X] - {s}.  Several anchor vertices
-share one walk of C_t(G' - Z), Z the closed neighborhood of all their
-anchor sets, which seeds each search.
+branch that set and one boundary vertex w of its separator S_1.  Each is
+found from X's side (``near_search``), which walks t's side only as far as
+the first vertex known to reach t; X need not be connected, and the result
+is the close separator of s in G' with s joined to N[X] - {s}.  Several
+anchor vertices share one walk of C_t(G' - Z), Z the closed neighborhood of
+all their anchor sets, which seeds each search.
 
 Every candidate is T | L for the close separator T = N(C_t(G' - N[X])) of
 G' of an anchor set X that holds s and misses N[t] (sA misses N[t], or the
@@ -34,9 +33,8 @@ N(C_s) - R = T | L, on any graph, AT-free or not.
 
 * X misses T | L | R: T lies in N(X) - X, s and A miss N[t] and R, and the
   other vertices of X lie in G'.
-* So s, A and an anchor vertex v, in N(s), lie in C_s; c_s_1 below is
-  connected, holds s and misses T | L | R; a boundary vertex w lies in
-  S_1 <= N(A_v | {s}), so it touches c_s_1 or A_v.
+* So s, A and an anchor vertex v, in N(s), lie in C_s, and so does a
+  boundary vertex w, which lies in S_1 <= N(X - {w}) and touches them.
 * Every vertex of T touches X, and every vertex of L touches sA, so
   T | L <= N(C_s) <= T | L | R.
 
@@ -48,21 +46,24 @@ contains it, as a survivor outside the family is dominated by a member
 the whole family.  The s-side of each member, and the branches the run
 took, stay available to callers.
 
-In the contraction branch the anchor pass at X = A_v | {s} left
-d_v = A_v - c_s_1 outside c_s_1 = C_s(G' - S_1); d_v lies in A, as the
-anchor v lies in c_s_1 (it is s, or lies in N(s) - S_1).  S_1 | L would
-strand d_v, and each vertex w of S_1 anchors one search, at
-c_s_1 | A_v | {w}.  Both of these hold on any graph, AT-free or not:
+In the contraction branch the pass at X = A_v | {s}, A_v = a_core | {v},
+left d_v = A_v - c_s_1 outside c_s_1 = C_s(G' - S_1); d_v lies in A, as v
+lies in c_s_1 (it is s, or lies in N(s) - S_1).  So S_1 | L strands d_v
+and is never a candidate there.  Each vertex w of S_1 anchors one search,
+at X | {w} in place of the paper's c_s_1 | {w}.  On any graph, AT-free or not:
 
 * Q_s, the part of S_1 that the components of G' - S_1 meeting N[X]
-  touch, is all of S_1: every vertex of S_1 has a neighbor in X, and X
-  lies in those components.
-* The anchor c_s_1 | {w}, without A_v, finds no other member.  Let
-  D = C_t(G' - N[c_s_1 | {w}]) and T = N(D).  If A lies on the
+  touch, is all of S_1: each vertex of S_1 touches X, which they hold.
+* The anchor c_s_1 | {w} finds no other member than c_s_1 | A_v | {w}.
+  Let D = C_t(G' - N[c_s_1 | {w}]) and T = N(D).  If A lies on the
   s-side of T | L, that side holds d_v, so N[d_v] misses D, and the anchor
   c_s_1 | A_v | {w} finds the same D and T.  Otherwise T | L is no member
   and dominates none.  Both anchors find nothing exactly when w lies in
   N(t), and w never lies in d_v, as S_1 misses X.
+* X | {w} finds the same separator as c_s_1 | A_v | {w}.  Let
+  E = C_t(G' - N[X | {w}]) and F = C_t(G' - N[c_s_1 | A_v | {w}]): s
+  lies in c_s_1, so F <= E; E misses N[X], which holds S_1, so E lies in
+  C_t(G' - S_1), whose closed neighborhood misses c_s_1, and E <= F.
 
 G' is never built: every walk runs in G with L excluded, and collects the
 neighborhood of its component in G on the way; minus L, that is the
@@ -236,26 +237,24 @@ def close_to_run(g: WeightedGraph, s, t, A: Iterable[int], R: frozenset = EMPTY_
     candidates = []
     walked = {}
     for v in anchors:
-        A_v = a_core | {v}
-        X = A_v | {s}
+        X = a_core | {s, v}
         S_1 = near_search(g, X, t, gone, known, search.pockets).separator
-        gone_1 = gone | S_1
-        c_s_1 = component_from_seed(g, gone_1, *seed)[0]
-        candidates.append(S_1 | L)
-        walked[S_1 | L] = c_s_1
-        if A_v <= c_s_1:
-            # S_1 keeps all of A_v on the source side of G' itself, so it is
+        c_s_1 = component_from_seed(g, gone | S_1, *seed)[0]
+        if a_core <= c_s_1:
+            # S_1 keeps all of X on the source side of G' itself, so it is
             # the only separator this pass can contribute.  (Testing the
             # containment in the walk from all of N[X] instead would accept
-            # passes where N(X), not the graph, holds A_v together, and the
+            # passes where N(X), not the graph, holds X together, and the
             # boundary candidates below would then never be generated.)
+            candidates.append(S_1 | L)
+            walked[S_1 | L] = c_s_1
             continue
-        # Contraction branch: one search per boundary vertex w of the
-        # settled side, anchored at that side, A_v and w (see the module
-        # docstring); the search is None for w in N(t).
+        # Contraction branch: S_1 | L strands part of A, and each boundary
+        # vertex w anchors one search at X | {w} (see the module docstring);
+        # the search is None for w in N(t).
         for w in sorted(S_1):
             path.add("contraction")
-            found = near_search(g, c_s_1 | A_v | {w}, t, gone, dead=search.pockets)
+            found = near_search(g, X | {w}, t, gone, dead=search.pockets)
             if found is not None:
                 candidates.append(found.separator | L)
 

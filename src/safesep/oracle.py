@@ -103,9 +103,10 @@ def close_family_brute(g: WeightedGraph, s, t, A: Iterable[int]) -> Tuple[Frozen
 def close_family_bound_check(g: WeightedGraph, s, t, A: Iterable[int], fam) -> bool:
     """True iff the family respects the size guarantees: at most n^2 members
     always, and at most n whenever A is confined to
-    C_s(G-T_s) | T_s | C_t(G-T_s)."""
-    A = frozenset(A)
-    n = len(g.vertices)
+    C_s(G-T_s) | T_s | C_t(G-T_s).  Raises ValueError as :func:`close_to`
+    does."""
+    A = _check_terminals(g, s, t, A, "A")
+    n = g.n
     if len(fam) > n * n:
         return False
     try:

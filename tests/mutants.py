@@ -82,7 +82,11 @@ NEGATIVE_IDS = "tests/test_graph_core.py::TestConstruction::test_negative_and_ou
 SET_PREDICATES = ("tests/test_minimal_separators.py::TestSetPredicates",)
 SET_REFUSALS = "tests/test_minimal_separators.py::TestSetPredicates::test_separator_overlapping_the_sets_is_rejected"
 ANCHOR_READS = "tests/test_close_to.py::TestRunDetails::test_anchor_passes_read_no_vertex_the_search_for_s_walked"
+CONTRACTION_READS = "tests/test_close_to.py::TestRunDetails::test_contraction_searches_read_none_of_the_settled_side"
 CORPUS_CLOSE = "tests/test_corpus.py::test_close_families_match_the_oracle_on_the_stratum"
+CORPUS_SEVEN = (
+    "tests/test_corpus.py::test_close_families_match_the_oracle_where_seven_vertices_reach_the_contraction_branch"
+)
 REST_PINS = "tests/test_close_to.py::TestAgainstBruteForce::test_the_member_that_only_the_rest_anchor_finds"
 CONTRACTION_PINS = "tests/test_close_to.py::TestAgainstBruteForce::test_contraction_branch_matches_definition"
 TRUSTED = "tests/test_close_to.py::TestWhatTheFilterTrusts"
@@ -301,9 +305,16 @@ MUTANTS = (
     Mutant(
         "close_family_brute: A left unchecked",
         ORACLE,
-        "    A = _check_terminals(g, s, t, A, \"A\")\n",
-        "    _check_terminals(g, s, t)\n",
+        "    A = _check_terminals(g, s, t, A, \"A\")\n    with_side = []\n",
+        "    _check_terminals(g, s, t)\n    with_side = []\n",
         (TERMINAL_REFUSALS,),
+    ),
+    Mutant(
+        "close_family_bound_check: no input checked",
+        ORACLE,
+        "    A = _check_terminals(g, s, t, A, \"A\")\n    n = g.n\n",
+        "    A = frozenset(A)\n    n = g.n\n",
+        ("tests/test_close_to.py::TestFamilyBounds::test_bound_check_refuses_what_close_to_refuses",),
     ),
     Mutant(
         "min_safe_brute skips the query check",
@@ -616,8 +627,8 @@ MUTANTS = (
     Mutant(
         "anchor pass: the s-side grown from the walked side and pockets",
         CLOSE_TO,
-        "component_from_seed(g, gone_1, *seed)",
-        "component_with_boundary(g, gone_1, s)",
+        "component_from_seed(g, gone | S_1, *seed)",
+        "component_with_boundary(g, gone | S_1, s)",
         (ANCHOR_READS,),
     ),
     Mutant(
@@ -649,7 +660,7 @@ MUTANTS = (
         CLOSE_TO,
         "        if A <= c_s:\n",
         "        if True:\n",
-        (CORPUS_CLOSE,),
+        (CORPUS_SEVEN,),
     ),
     Mutant(
         "filter: domination",
@@ -666,11 +677,25 @@ MUTANTS = (
         (CONTRACTION_PINS,),
     ),
     Mutant(
-        "contraction anchor without A_v",
+        "contraction anchor without a_core",
         CLOSE_TO,
-        "near_search(g, c_s_1 | A_v | {w}, t,",
-        "near_search(g, c_s_1 | {w}, t,",
+        "near_search(g, X | {w}, t,",
+        "near_search(g, {s, v, w}, t,",
         (REST_PINS,),
+    ),
+    Mutant(
+        "contraction anchor holding the settled side",
+        CLOSE_TO,
+        "near_search(g, X | {w}, t,",
+        "near_search(g, c_s_1 | X | {w}, t,",
+        (CONTRACTION_READS,),
+    ),
+    Mutant(
+        "the stranding S_1 kept as a candidate",
+        CLOSE_TO,
+        "        if a_core <= c_s_1:\n",
+        "        candidates.append(S_1 | L)\n        if a_core <= c_s_1:\n",
+        (CORPUS_CLOSE,),
     ),
     # The branches a run records in its path.
     Mutant(
@@ -687,24 +712,14 @@ MUTANTS = (
         "    path = {\"anchor at s\"}\n",
         (CHAIN_LIVE,),
     ),
-    Mutant(
-        "contraction branch: anchor at A_v | {s, w} instead of c_s_1 | A_v | {w}",
-        CLOSE_TO,
-        "near_search(g, c_s_1 | A_v | {w}, t,",
-        "near_search(g, A_v | {s, w}, t,",
-        (TRUSTED,) + QUERY_LEVEL,
-        survivor="equivalent on every graph: C_t(G' - N[A_v | {s, w}]) lies in C_t(G' - S_1), whose closed "
-        "neighborhood misses c_s_1, so both anchors find the same separator; anchoring at X | {w} in the code "
-        "would settle it",
-    ),
     # An anchor set outside the premise of the close_to module's lemma,
-    # which the filter relies on: without c_s_1, the anchor need not hold s
-    # or lie inside C_s.
+    # which the filter relies on: without s, the anchor need not lie inside
+    # C_s.
     Mutant(
-        "contraction branch: anchor at A_v | {w}, without c_s_1 or s",
+        "contraction branch: anchor at X | {w} without s",
         CLOSE_TO,
-        "near_search(g, c_s_1 | A_v | {w}, t,",
-        "near_search(g, A_v | {w}, t,",
+        "near_search(g, X | {w}, t,",
+        "near_search(g, a_core | {v, w}, t,",
         (TRUSTED,) + QUERY_LEVEL,
     ),
     # The CLI's exit-code contract: the error mapping in main, the reader's

@@ -77,8 +77,8 @@ class TestFrozenFamilies:
     def test_target_beyond_the_first_boundary(self):
         # With A = {2, 4}, the close separator {3, 5} of the anchor set
         # {1, 2, 4} strands 4 from s; the true family member {5, 6} appears
-        # once the settled source side {0, 1, 2} is anchored together with
-        # one boundary vertex at a time (here 3).
+        # once that anchor set is searched again with one of the separator's
+        # vertices at a time (here 3).
         g = WeightedGraph(
             10,
             [
@@ -255,6 +255,45 @@ class TestRunDetails:
         assert len(walked - closed) >= 15
         assert read.keys().isdisjoint(walked - closed)
 
+    @pytest.mark.parametrize("case", ["path hung on s", "interval"])
+    def test_contraction_searches_read_none_of_the_settled_side(self, monkeypatch, case):
+        # The anchor pass at X settles c_s_1 = C_s(G' - S_1) and strands
+        # part of A, so each vertex w of S_1 anchors a search at X | {w},
+        # which holds s but not c_s_1.  Outside N[X | {w}], c_s_1 holds here
+        # only pockets of the search for s, which are dead in those
+        # searches, and none of them is read: the 39 far vertices of a path
+        # hung on s, or the side of s away from t.
+        if case == "interval":
+            g, s, t, A = gen_interval(78, wmax=5, seed=59), 43, 67, {48}
+        else:
+            g = WeightedGraph(7, [(0, 3), (1, 4), (2, 3), (2, 5), (3, 6), (4, 5), (4, 6), (5, 6)])
+            tail = range(7, 47)
+            g, s, t, A = WeightedGraph(47, [*g.edges(), *zip([0, *tail], tail)]), 0, 1, {2}
+        searched = []  # (X, the vertices read) of each search
+
+        def recording(g, X, *args, **kwargs):
+            read.clear()
+            found = minimal_separators.near_search(g, X, *args, **kwargs)
+            searched.append((frozenset(X), set(read)))
+            return found
+
+        monkeypatch.setattr(close_to_module, "near_search", recording)
+        read = count_reads(g)
+        run = close_to_run(g, s, t, A)
+        g._adj = tuple(g._adj)  # the checks below are not counted
+        assert run.path == {"anchor at s", "contraction"} and run.family
+        for S, side in zip(run.family, run.sides):
+            assert is_minimal_st_separator(g, s, t, S) and A <= side == component_of(g, S, s)
+        (_, _), (X, _), *contraction = searched
+        L = neighborhood(g, A | {s}) & neighborhood(g, {t})
+        S_1 = minimal_separators.near_search(g, X, t, L).separator
+        c_s_1 = component_of(g, S_1 | L, s)
+        assert not A <= c_s_1 and len(contraction) == len(S_1)
+        for X_w, reads in contraction:
+            unread = c_s_1 - closed_neighborhood(g, X_w)
+            assert len(unread) >= 30
+            assert reads.isdisjoint(unread)
+
     def test_members_are_minimal_and_keep_a_on_the_source_side(self):
         for seed in range(40):
             rng = random.Random(f"details:{seed}")
@@ -296,23 +335,23 @@ class TestAgainstBruteForce:
     @pytest.mark.parametrize(
         "g, s, t, A, raw",
         [
-            (gen_interval(12, wmax=5, seed=1956), 6, 2, {4}, [{0}, {3}]),
-            (gen_interval(11, wmax=5, seed=12261), 1, 10, {4, 5}, [{2}, {6}]),
-            (gen_atfree_rejection(10, wmax=5, seed=11230), 4, 6, {1}, [{0, 5, 7}, {3, 5, 7, 9}, {8}]),
-            (gen_atfree_rejection(10, wmax=5, seed=18112), 0, 6, {3}, [{1, 2, 5, 9}, {2, 4, 5, 8}]),
-            (gen_atfree_rejection(11, wmax=5, seed=21375), 6, 0, {1}, [{2, 3, 10}, {2, 4, 10}, {3, 7, 10}]),
+            (gen_interval(12, wmax=5, seed=1956), 6, 2, {4}, [{0}]),
+            (gen_interval(11, wmax=5, seed=12261), 1, 10, {4, 5}, [{6}]),
+            (gen_atfree_rejection(10, wmax=5, seed=11230), 4, 6, {1}, [{3, 5, 7, 9}, {8}]),
+            (gen_atfree_rejection(10, wmax=5, seed=18112), 0, 6, {3}, [{1, 2, 5, 9}]),
+            (gen_atfree_rejection(11, wmax=5, seed=21375), 6, 0, {1}, [{2, 3, 10}, {3, 7, 10}]),
             (WeightedGraph(7, [(0, 3), (1, 4), (2, 3), (2, 5), (3, 6), (4, 5), (4, 6), (5, 6)]), 0, 1, {2},
-             [{3, 5}, {4}, {5, 6}]),
+             [{4}, {5, 6}]),
         ],
     )
     def test_contraction_branch_matches_definition(self, g, s, t, A, raw):
-        # Each query leaves part of its anchor set stranded by the first
-        # anchor pass, so close_to_run settles a source side and reads off
-        # one candidate at each of its boundary vertices.  In the fifth
-        # query, an anchor of s and the boundary vertex, instead of the
-        # settled side, would add the candidate {1, 3, 5, 9, 10}.  In the
-        # last, an anchor of the settled side and the boundary vertex 6
-        # alone, without A, would add the candidate {2, 6}, which strands A.
+        # Each query leaves part of its anchor set X stranded by the first
+        # anchor pass, so close_to_run drops that pass's separator, which
+        # strands A, and reads off one candidate at each of its boundary
+        # vertices w, anchored at X | {w}.  Anchored at s and w alone,
+        # without A, the fifth query would find {1, 3, 5, 9, 10} in place of
+        # its member {2, 3, 10}, and the last {2, 6}, which strands A, in
+        # place of its member {5, 6}.
         assert close_to(g, s, t, A, verified=True) == close_family_brute(g, s, t, A)
         run, candidates = candidate_run(g, s, t, A)
         assert "contraction" in run.path and candidates == tuple(frozenset(S) for S in raw)
@@ -355,8 +394,8 @@ class TestAgainstBruteForce:
     )
     def test_the_member_that_only_the_rest_anchor_finds(self, edges, s, t, A, family):
         # Seven-vertex AT-free queries from the corpus whose one member comes
-        # from the contraction branch's anchor c_s_1 | A_v | {w} alone:
-        # anchored at c_s_1 | {w} instead, each run keeps a wrong separator.
+        # from the contraction branch's anchor X | {w} alone: anchored at
+        # {s, v, w} instead, without A, each run keeps a wrong separator.
         g = WeightedGraph(7, edges)
         family = tuple(frozenset(S) for S in family)
         assert close_to(g, s, t, A, verified=True) == family == close_family_brute(g, s, t, A)
@@ -377,10 +416,10 @@ class TestAgainstBruteForce:
     )
     def test_graphs_with_an_asteroidal_triple_where_every_rest_anchor_counts(self, n, edges, s, t, A, family):
         # Fast mode on graphs outside the class.  In the first two queries
-        # the member comes from a contraction anchor c_s_1 | A_v | {w} whose
-        # part of A does not hang together with c_s_1 | {w}; skipping such
+        # the member comes from a contraction anchor X | {w} whose part of A
+        # does not hang together with the settled side and w; skipping such
         # anchors gave () and ({0, 3, 8},).  In the last, the anchor
-        # A_v | {w}, which misses s, gives ({0, 8},).
+        # X | {w} without s gives ({0, 8},).
         g = WeightedGraph(n, edges)
         assert asteroidal_triple_brute(g) is not None
         family = tuple(frozenset(S) for S in family)
@@ -415,15 +454,16 @@ class TestWhatTheFilterTrusts:
 
     def test_a_boundary_vertex_that_touches_only_the_stranded_target(self):
         # The anchor pass at {1, 2} finds S_1 = {4, 5} and settles
-        # c_s_1 = {1}, stranding 2.  The boundary vertex 4 touches 2 but not
-        # c_s_1, so its anchor {1, 2, 4} is not connected; its candidate {3}
-        # has A inside C_s = {1, 2, 4, 5}, and then the anchor lies in C_s as
-        # well, so N(C_s) = {3}, as the module's lemma says.
+        # c_s_1 = {1}, stranding 2, so S_1 is no candidate.  The boundary
+        # vertex 4 touches 2 but not c_s_1, so its anchor {1, 2, 4} is not
+        # connected; its candidate {3} has A inside C_s = {1, 2, 4, 5}, and
+        # then the anchor lies in C_s as well, so N(C_s) = {3}, as the
+        # module's lemma says.  The anchor {1, 2, 5} finds {3} too.
         g = WeightedGraph(6, [(0, 3), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)])
         A = frozenset({2})
         run, candidates = candidate_run(g, 1, 0, A)
         assert run.path == {"anchor at s", "contraction"}
-        assert candidates == (frozenset({3}), frozenset({4, 5}))
+        assert candidates == (frozenset({3}),)
         # No vertex is common to N(sA) and N(t), so the run searches in G.
         assert minimal_separators.near_search(g, {1, 2}, 0).separator == frozenset({4, 5})
         assert minimal_separators.near_search(g, {1, 2, 4}, 0).separator == frozenset({3})
@@ -468,3 +508,15 @@ class TestFamilyBounds:
         g = path_graph(4)
         fake = [frozenset({i}) for i in range(20)]
         assert not close_family_bound_check(g, 0, 3, {1}, fake)
+
+    def test_bound_check_refuses_what_close_to_refuses(self):
+        # Equal terminals, an A holding s and an A outside the graph.
+        g = gen_interval(8, wmax=1, seed=3)
+        for s, t, A, message in (
+            (0, 0, {1}, "^terminals must be distinct$"),
+            (0, 7, {0}, "^A must avoid the terminals$"),
+            (0, 7, {99}, "^A: 99 is not an active vertex$"),
+        ):
+            for check in (lambda: close_to(g, s, t, A), lambda: close_family_bound_check(g, s, t, A, ())):
+                with pytest.raises(ValueError, match=message):
+                    check()
